@@ -60,6 +60,8 @@ class FieldDataset:
             raise ValueError("need at least two observations")
         if domain.shape != (X.shape[1], 2) or np.any(domain[:, 1] <= domain[:, 0]):
             raise ValueError("domain must be one (lower, upper) pair per input dimension")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise ValueError("X and y must be finite (no NaN or infinity)")
         if np.any(X < domain[:, 0]) or np.any(X > domain[:, 1]):
             raise ValueError("design rows must lie inside the domain rectangle")
         if np.unique(X, axis=0).shape[0] != X.shape[0]:
@@ -447,10 +449,7 @@ def predict(
         r, c0 = dm.scaled_cross_cov(data.X, Xstar, wspec)
     else:
         grad = model.grad_fn(params.theta)
-        r = dm.ogasp_kernel(data.X, Xstar, kern, grad, data.domain, spec.quad_points)
-        c0 = np.diag(
-            dm.ogasp_kernel(Xstar, Xstar, kern, grad, data.domain, spec.quad_points)
-        ).copy()
+        r, c0 = dm.ogasp_cross_cov(data.X, Xstar, kern, grad, data.domain, spec.quad_points)
 
     L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)

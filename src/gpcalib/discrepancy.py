@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, toeplitz
 
-from .kernels import KernelSpec, corr_matrix
+from .kernels import KernelSpec, _corr_1d, corr_matrix
 from .linalg import NumericalError, cholesky_with_jitter
 
 GASP = "gasp"
@@ -53,8 +53,11 @@ class DiscrepancySpec:
         sample paths harder toward zero.  ``None`` means ``n/2`` with ``n``
         the number of observations.
     quad_points : int, optional
-        Quadrature points per axis for the ``ogasp`` orthogonality integrals.
-        ``None`` picks 200 in one dimension, 40 per axis in two, 10 above.
+        Quadrature points per axis ``q`` for the ``ogasp`` orthogonality
+        integrals; a positive integer.  ``None`` picks 200 in one dimension,
+        40 per axis in two, 10 above.  The ``N = q^p`` grid points cost one
+        (m, N) cross-correlation per point set and ``p q`` one-dimensional
+        lag evaluations for the gradient Gram; no N x N matrix is formed.
     """
 
     mode: str
@@ -69,6 +72,8 @@ class DiscrepancySpec:
             raise ValueError(f"unknown discrepancy mode {self.mode!r}")
         if self.lam is not None and not self.lam > 0:
             raise ValueError("lam must be positive")
+        if self.quad_points is not None:
+            self.quad_points = _check_quad_points(self.quad_points)
         if self.constraint_points is not None:
             pts = np.atleast_2d(np.asarray(self.constraint_points, dtype=float))
             if pts.shape[1] != self.kernel.dim:
@@ -141,11 +146,21 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     return r_z, c_z_diag
 
 
+def _check_quad_points(quad_points) -> int:
+    is_int = isinstance(quad_points, (int, np.integer)) and not isinstance(quad_points, bool)
+    if not is_int or quad_points < 1:
+        raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
+    return int(quad_points)
+
+
 def quadrature_grid(domain, quad_points: int):
     """Midpoint-rule tensor grid over a rectangle.
 
-    Returns the grid points (N, p) and the scalar cell volume.
+    Returns the grid points (N, p) and the scalar cell volume.  The points are
+    the ``indexing="ij"`` mesh raveled in C order, so the last coordinate
+    varies fastest.
     """
+    quad_points = _check_quad_points(quad_points)
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
     if domain.shape[1] != 2 or np.any(domain[:, 1] <= domain[:, 0]):
         raise ValueError("domain must be rows of (lower, upper) with lower < upper")
@@ -163,41 +178,46 @@ def default_quad_points(p: int) -> int:
     return {1: 200, 2: 40}.get(p, 10)
 
 
-def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
-    """Orthogonally-constrained covariance between two sets of points.
+def _grid_corr_apply(V, kernel: KernelSpec, domain, quad_points: int) -> np.ndarray:
+    """``corr_matrix(grid, grid, kernel) @ V`` on the midpoint grid, never formed.
 
-    Subtracts from the base correlation the projection onto the computer
-    model's parameter gradient, so that sample paths integrate to zero
-    against each gradient component over the domain:
-
-    ``c_o(x, x') = c(x, x') - g(x)' G^-1 g(x')`` with
-    ``g(x) = int D(xi) c(x, xi) dxi`` and
-    ``G = int int D(xi) D(xi')' c(xi, xi') dxi dxi'``,
-    both integrals evaluated by a midpoint rule on a fixed grid.
-
-    Parameters
-    ----------
-    model_grad : callable
-        Maps an (m, p) array of inputs to the (m, p_theta) array of
-        derivatives of the computer model with respect to its parameters.
+    The grid is a tensor product of equispaced axes and the kernel a product
+    kernel, so the grid correlation is the Kronecker product of one symmetric
+    Toeplitz matrix per axis, built from the q lag values ``c_l(k h_l)``.  Each
+    factor acts on its own axis of ``V`` reshaped to ``(q,) * p + (m,)``,
+    which matches the C-order rows of :func:`quadrature_grid`.
     """
-    Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
-    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
-    p = base_kernel.dim
+    q = quad_points
+    p = kernel.dim
+    spacing = (domain[:, 1] - domain[:, 0]) / q
+    V = np.asarray(V, dtype=float).reshape((q,) * p + (-1,))
+    for l in range(p):
+        T = toeplitz(_corr_1d(np.arange(q) * spacing[l], kernel, l))
+        V = np.moveaxis(np.tensordot(T, V, axes=(1, l)), 0, l)
+    return V.reshape(q**p, -1)
+
+
+def _projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None):
+    """Quadrature grid, weighted gradient ``Dw = D w`` and Cholesky factor of G.
+
+    ``G = Dw' C_grid Dw`` is the quadrature of the gradient Gram integral,
+    plus a small ridge; ``C_grid`` is applied per axis by
+    :func:`_grid_corr_apply`.
+    """
+    domain = np.atleast_2d(np.asarray(domain, dtype=float))
     if quad_points is None:
-        quad_points = default_quad_points(p)
+        quad_points = default_quad_points(kernel.dim)
     grid, w = quadrature_grid(domain, quad_points)
+    if grid.shape[1] != kernel.dim:
+        raise ValueError("domain does not match the kernel dimension")
     D = np.atleast_2d(np.asarray(model_grad(grid), dtype=float))
     if D.shape[0] != grid.shape[0]:
         D = D.T
     if D.shape[0] != grid.shape[0]:
         raise ValueError("model_grad must return one row per grid point")
     p_theta = D.shape[1]
-
-    g_a = corr_matrix(Xa, grid, base_kernel) @ D * w
-    g_b = corr_matrix(Xb, grid, base_kernel) @ D * w
-    Cgg = corr_matrix(grid, grid, base_kernel)
-    G = (w * w) * (D.T @ Cgg @ D)
+    Dw = D * w
+    G = Dw.T @ _grid_corr_apply(Dw, kernel, domain, quad_points)
     trace = float(np.trace(G))
     if not trace > 0:
         raise NumericalError(
@@ -208,7 +228,6 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
     # squared domain volume, the gradient-free magnitude of G) so the
     # correction vanishes, rather than staying scale-invariant, as the
     # gradient magnitude goes to zero
-    domain = np.atleast_2d(np.asarray(domain, dtype=float))
     volume2 = float(np.prod(domain[:, 1] - domain[:, 0])) ** 2
     G = G + (1e-10 * trace / p_theta + 1e-12 * volume2) * np.eye(p_theta)
     try:
@@ -217,23 +236,82 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
         raise NumericalError(
             "gradient projection matrix is singular; increase quad_points"
         ) from err
+    return grid, Dw, LG
+
+
+def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
+    """Orthogonally-constrained covariance between two sets of points.
+
+    Subtracts from the base correlation the projection onto the computer
+    model's parameter gradient, so that sample paths integrate to zero
+    against each gradient component over the domain:
+
+    ``c_o(x, x') = c(x, x') - g(x)' G^-1 g(x')`` with
+    ``g(x) = int D(xi) c(x, xi) dxi`` and
+    ``G = int int D(xi) D(xi')' c(xi, xi') dxi dxi'``,
+    both integrals evaluated by a midpoint rule on a fixed grid of
+    ``N = q^p`` points.  ``G`` is computed per axis from ``p q`` lag
+    evaluations of the one-dimensional kernel, so no N x N grid correlation
+    is formed; the cost is dominated by the (m, N) cross-correlations.
+
+    Parameters
+    ----------
+    model_grad : callable
+        Maps an (m, p) array of inputs to the (m, p_theta) array of
+        derivatives of the computer model with respect to its parameters.
+    """
+    same = Xb is Xa
+    Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
+    Xb = Xa if same else np.atleast_2d(np.asarray(Xb, dtype=float))
+    grid, Dw, LG = _projection(base_kernel, model_grad, domain, quad_points)
+    g_a = corr_matrix(Xa, grid, base_kernel) @ Dw
+    g_b = g_a if same else corr_matrix(Xb, grid, base_kernel) @ Dw
     C = corr_matrix(Xa, Xb, base_kernel)
     return C - g_a @ cho_solve((LG, True), g_b.T)
 
 
+def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
+    """Cross-covariance and prior variance of the orthogonal process at new points.
+
+    Returns
+    -------
+    (r_o, c_o_diag) : ``ogasp_kernel(X, Xstar, ...)`` (n, k) and the diagonal
+        of ``ogasp_kernel(Xstar, Xstar, ...)`` (k,), the latter as
+        ``1 - sum_j g_*[:, j] (G^-1 g_*')[j, :]`` without the k x k matrix.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
+    grid, Dw, LG = _projection(base_kernel, model_grad, domain, quad_points)
+    g = corr_matrix(X, grid, base_kernel) @ Dw
+    g_star = corr_matrix(Xstar, grid, base_kernel) @ Dw
+    solved = cho_solve((LG, True), g_star.T)
+    r_o = corr_matrix(X, Xstar, base_kernel) - g @ solved
+    c_o_diag = 1.0 - np.einsum("ij,ji->i", g_star, solved)
+    return r_o, c_o_diag
+
+
 def model_grad_fd(model, theta, step: float = 1e-4):
-    """Central-difference derivative of a computer model w.r.t. its parameters.
+    """Finite-difference derivative of a computer model w.r.t. its parameters.
 
     Returns a function mapping an (m, p) array of variable inputs to the
-    (m, p_theta) derivative array at the fixed ``theta``.  ``theta`` must sit
-    at least ``step`` inside its box so both offsets stay feasible.
+    (m, p_theta) derivative array at the fixed ``theta``.  Each component uses
+    a central difference when both offsets stay in the box, and a one-sided
+    (forward or backward) difference when ``theta`` is within ``step`` of an
+    edge.  ``theta`` must lie in its box with room for at least one offset,
+    which always holds when the box is at least ``2 * step`` wide.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     bounds = np.atleast_2d(np.asarray(model.theta_bounds, dtype=float))
     if step <= 0:
         raise ValueError("step must be positive")
-    if np.any(theta - step < bounds[:, 0]) or np.any(theta + step > bounds[:, 1]):
-        raise ValueError("theta must be interior to its box by at least step")
+    if np.any(theta < bounds[:, 0]) or np.any(theta > bounds[:, 1]):
+        raise ValueError("theta must lie inside its box")
+    # per-component offsets above and below theta: both inside the box
+    # (central difference), or only the one that stays in it (one-sided)
+    up = np.where(theta + step <= bounds[:, 1], step, 0.0)
+    down = np.where(theta - step >= bounds[:, 0], step, 0.0)
+    if np.any(up + down == 0):
+        raise ValueError("the theta box is too narrow for the difference step")
 
     def grad(X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -241,9 +319,9 @@ def model_grad_fd(model, theta, step: float = 1e-4):
         for j in range(theta.size):
             hi = theta.copy()
             lo = theta.copy()
-            hi[j] += step
-            lo[j] -= step
-            out[:, j] = (model.evaluate(X, hi) - model.evaluate(X, lo)) / (2.0 * step)
+            hi[j] += up[j]
+            lo[j] -= down[j]
+            out[:, j] = (model.evaluate(X, hi) - model.evaluate(X, lo)) / (up[j] + down[j])
         return out
 
     return grad

@@ -56,6 +56,18 @@ class TestFieldDataset:
         with pytest.raises(ValueError):
             FieldDataset([[0.1]], [1.0], [[0, 1]])
 
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            ([[0.1], [np.nan], [0.5]], [1.0, 2.0, 3.0]),
+            ([[0.1], [0.3], [0.5]], [1.0, np.nan, 3.0]),
+            ([[0.1], [0.3], [0.5]], [1.0, np.inf, 3.0]),
+        ],
+    )
+    def test_rejects_non_finite(self, X, y):
+        with pytest.raises(ValueError, match="finite"):
+            FieldDataset(X, y, [[0, 1]])
+
 
 class TestMeanBasis:
     def test_empty_basis_gives_zero(self):

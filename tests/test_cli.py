@@ -100,6 +100,15 @@ class TestConfigValidation:
         path, _ = _config(tmp_path, bad, {})
         assert main(["calibrate", "--config", str(path)]) == 2
 
+    def test_nan_in_field_data(self, sine_files, tmp_path):
+        _, _, _, _, x, y, _ = sine_files
+        y = y.copy()
+        y[3] = np.nan
+        bad = tmp_path / "nan.csv"
+        _write_field_csv(bad, x, y)
+        path, _ = _config(tmp_path, bad, {})
+        assert main(["calibrate", "--config", str(path)]) == 2
+
     def test_unknown_experiment(self):
         assert main(["experiment", "bogus", "--outdir", "/tmp/never"]) == 1
 

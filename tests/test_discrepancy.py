@@ -1,13 +1,18 @@
 """Covariance-transform checks: shrinkage identities, orthogonality, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gpcalib.calibration import ComputerModel
+from gpcalib.calibration import ComputerModel, FieldDataset, LikelihoodCore
 from gpcalib.discrepancy import (
+    OGASP,
     DiscrepancySpec,
     SGASP,
+    _grid_corr_apply,
     model_grad_fd,
+    ogasp_cross_cov,
     ogasp_kernel,
     quadrature_grid,
     scaled_cov,
@@ -156,9 +161,51 @@ class TestModelGradFd:
         assert errors[0] > errors[1]
         assert errors[2] < 1e-6
 
-    def test_boundary_rejected(self):
+    def test_outside_box_rejected(self):
         with pytest.raises(ValueError):
-            model_grad_fd(_toy_model("linear"), [5.0], step=1e-4)
+            model_grad_fd(_toy_model("linear"), [5.0 + 1e-3], step=1e-4)
+        with pytest.raises(ValueError):
+            model_grad_fd(_toy_model("linear"), [0.0], step=20.0)
+
+    @pytest.mark.parametrize("theta", [-5.0, -5.0 + 5e-5, 5.0 - 5e-5, 5.0])
+    def test_one_sided_at_box_edge(self, theta):
+        # within step of an edge the difference is one-sided, so its error is
+        # O(step): here step/2 * max |x^2 sin(theta x)| <= step/2
+        step = 1e-4
+        grad = model_grad_fd(_toy_model("sine"), [theta], step=step)
+        X = np.linspace(0, 1, 7)[:, None]
+        exact = X[:, 0] * np.cos(theta * X[:, 0])
+        assert np.max(np.abs(grad(X)[:, 0] - exact)) <= step
+
+    @pytest.mark.parametrize("theta", [5e-5, 10.0 - 5e-5])
+    def test_ogasp_corr_chol_near_box_edge(self, theta):
+        # a model without an analytic gradient, as every emulator is
+        model = ComputerModel(
+            evaluator=lambda X, th: np.sin(th[0] * X[:, 0]) + X[:, 0],
+            theta_bounds=[[0.0, 10.0]],
+            vectorized=True,
+        )
+        X = np.linspace(0.0, 5.0, 12)[:, None]
+        data = FieldDataset(X, np.sin(X[:, 0]), [[0.0, 5.0]])
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]))
+        L, _ = LikelihoodCore(data, model, spec).corr_chol([2.0], 0.1, [theta])
+        assert np.all(np.isfinite(L))
+
+
+class TestQuadPoints:
+    @pytest.mark.parametrize("q", [2.5, 3.0, 0, -4, True, "10"])
+    def test_rejects_non_positive_integer(self, q):
+        with pytest.raises(ValueError, match="positive integer"):
+            quadrature_grid([[0.0, 1.0]], q)
+        with pytest.raises(ValueError, match="positive integer"):
+            DiscrepancySpec(OGASP, KernelSpec("matern52", [1.0]), quad_points=q)
+
+    def test_weights_integrate_volume(self):
+        for q in (1, 7, np.int64(12)):
+            grid, w = quadrature_grid([[0.0, 2.0], [-1.0, 0.5]], q)
+            assert grid.shape == (q * q, 2)
+            assert np.isclose(w * grid.shape[0], 3.0, rtol=1e-14)
+        assert DiscrepancySpec(OGASP, KernelSpec("matern52", [1.0]), quad_points=np.int64(5)).quad_points == 5
 
 
 class TestOgaspKernel:
@@ -211,3 +258,92 @@ class TestOgaspKernel:
                 assert gap <= prev
             prev = gap
         assert prev < 1e-6
+
+
+def _dense_ogasp(Xa, Xb, kern, grad, domain, quad_points):
+    """Textbook assembly of the ogasp covariance with the N x N grid kernel."""
+    domain = np.asarray(domain, dtype=float)
+    grid, w = quadrature_grid(domain, quad_points)
+    D = grad(grid)
+    g_a = corr_matrix(Xa, grid, kern) @ D * w
+    g_b = corr_matrix(Xb, grid, kern) @ D * w
+    G = (w * w) * (D.T @ corr_matrix(grid, grid, kern) @ D)
+    volume2 = float(np.prod(domain[:, 1] - domain[:, 0])) ** 2
+    G += (1e-10 * np.trace(G) / D.shape[1] + 1e-12 * volume2) * np.eye(D.shape[1])
+    return corr_matrix(Xa, Xb, kern) - g_a @ np.linalg.solve(G, g_b.T)
+
+
+_OFFSET_DOMAIN = np.array([[-1.0, 2.5], [3.0, 3.4], [0.5, 10.0]])
+_RANGES = np.array([0.7, 0.15, 2.5])
+
+
+def _grad_2d(Z):
+    Z = np.atleast_2d(Z)
+    return np.column_stack([np.sin(Z[:, 0]), Z[:, 0] * Z[:, 1]])
+
+
+class TestStructuredGram:
+    @pytest.mark.parametrize("p, q", [(1, 60), (2, 13), (3, 7)])
+    @pytest.mark.parametrize("family, rough", [("matern52", None), ("pow_exp", 0.6)])
+    def test_matches_dense_grid_product(self, p, q, family, rough):
+        rng = np.random.default_rng(10 + p)
+        domain = _OFFSET_DOMAIN[:p]
+        kern = KernelSpec(family, _RANGES[:p], None if rough is None else [rough] * p)
+        grid, _ = quadrature_grid(domain, q)
+        dense = corr_matrix(grid, grid, kern)
+        for cols in (1, 3):
+            V = rng.standard_normal((grid.shape[0], cols))
+            fast = _grid_corr_apply(V, kern, domain, q)
+            exact = dense @ V
+            assert fast.shape == exact.shape
+            assert np.max(np.abs(fast - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_kernel_matches_dense_oracle(self, p):
+        rng = np.random.default_rng(20 + p)
+        domain = _OFFSET_DOMAIN[:p]
+        kern = KernelSpec("pow_exp", _RANGES[:p], [0.6] * p)
+        grad = (lambda Z: np.atleast_2d(Z)[:, :1] ** 2) if p == 1 else _grad_2d
+        lo, hi = domain[:, 0], domain[:, 1]
+        Xa = lo + (hi - lo) * rng.uniform(size=(9, p))
+        Xb = lo + (hi - lo) * rng.uniform(size=(5, p))
+        q = 50 if p == 1 else 12
+        for A, B in ((Xa, Xb), (Xa, Xa)):
+            oracle = _dense_ogasp(A, B, kern, grad, domain, q)
+            C = ogasp_kernel(A, B, kern, grad, domain, quad_points=q)
+            assert np.max(np.abs(C - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_cross_cov_matches_kernel(self):
+        rng = np.random.default_rng(30)
+        domain = _OFFSET_DOMAIN[:2]
+        kern = KernelSpec("matern52", _RANGES[:2])
+        lo, hi = domain[:, 0], domain[:, 1]
+        X = lo + (hi - lo) * rng.uniform(size=(8, 2))
+        Xs = lo + (hi - lo) * rng.uniform(size=(11, 2))
+        r, c_diag = ogasp_cross_cov(X, Xs, kern, _grad_2d, domain, quad_points=15)
+        np.testing.assert_allclose(
+            r, ogasp_kernel(X, Xs, kern, _grad_2d, domain, quad_points=15), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            c_diag,
+            np.diag(ogasp_kernel(Xs, Xs, kern, _grad_2d, domain, quad_points=15)),
+            rtol=0,
+            atol=1e-13,
+        )
+
+    def test_peak_memory_has_no_grid_square(self):
+        # p = 3 at the default 10 points per axis: N = 1000, so one N x N
+        # grid correlation alone would take 8 MB
+        rng = np.random.default_rng(40)
+        kern = KernelSpec("matern52", [0.4, 0.6, 0.5])
+        domain = [[0.0, 1.0]] * 3
+        X = rng.uniform(size=(10, 3))
+        grad = lambda Z: np.column_stack([Z[:, 0], Z[:, 1] * Z[:, 2]])
+        ogasp_kernel(X, X, kern, grad, domain)
+        tracemalloc.start()
+        try:
+            ogasp_kernel(X, X, kern, grad, domain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
