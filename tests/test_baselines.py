@@ -5,7 +5,7 @@ import pytest
 
 from gpcalib.calibration import ComputerModel, FieldDataset
 from gpcalib.design import maximin_lhd, random_lhd, scale_to_domain
-from gpcalib.baselines import fit_field_gasp, l2_calibrate, ls_calibrate
+from gpcalib.baselines import _multistart_theta, fit_field_gasp, l2_calibrate, ls_calibrate
 from gpcalib.models import builtin_model, park_truth
 
 
@@ -99,6 +99,15 @@ class TestL2Calibrate:
         best = res.l2_loss_at_opt
         for _, start_res in res.per_start:
             assert best <= start_res.fun * np.prod(data.lengths) + 1e-12
+
+    def test_equal_optima_pick_lowest_start_index(self):
+        # a flat objective stops every start where it began, all tied
+        theta, best, per_start = _multistart_theta(lambda th: 2.0, [[0.0, 1.0]], 4, seed=0)
+        assert [i for i, _ in per_start] == [0, 1, 2, 3]
+        assert all(res.fun == 2.0 for _, res in per_start)
+        assert len({float(res.x[0]) for _, res in per_start}) == 4
+        assert best == 2.0
+        assert np.array_equal(theta, per_start[0][1].x)
 
     @pytest.mark.slow
     def test_park_recovers_l2_minimizer(self):

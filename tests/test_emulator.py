@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpcalib.calibration import FieldDataset
-from gpcalib.discrepancy import DiscrepancySpec, SGASP
+from gpcalib.discrepancy import DiscrepancySpec, SGASP, scaled_cov
 from gpcalib.inference import mcmc_run, posterior_summary
 from gpcalib.kernels import KernelSpec, corr_matrix
 from gpcalib.design import maximin_lhd, scale_to_domain
@@ -131,6 +131,34 @@ class TestScaledPrediction:
         m_scaled, v_scaled, _ = emulator_predict_scaled(em, Xs, lam=1e-10)
         np.testing.assert_allclose(m_scaled, m_plain, atol=1e-6)
         np.testing.assert_allclose(v_scaled, v_plain, atol=1e-6)
+
+    def test_dense_formula_oracle(self):
+        # universal kriging under the shrunk correlation, with explicit
+        # inverses over the design and the new points jointly
+        em, x, y = _fit_1d(seed=4, D=6)
+        Xs = np.array([[0.13], [0.47], [0.9]])
+        lam = 2.5
+        D, k = len(y), len(Xs)
+        Z = np.vstack([x, Xs])
+        RC = corr_matrix(x, x, em.kernel)
+        rC = corr_matrix(x, Z, em.kernel)
+        joint = corr_matrix(Z, Z, em.kernel) - rC.T @ np.linalg.inv(RC + D / lam * np.eye(D)) @ rC
+        Rz, rz, cz = joint[:D, :D], joint[:D, D:], np.diag(joint[D:, D:])
+        np.testing.assert_allclose(Rz, scaled_cov(x, DiscrepancySpec(SGASP, em.kernel, lam=lam)),
+                                   atol=1e-12)
+        Rinv = np.linalg.inv(Rz)
+        H, h = np.ones((D, 1)), np.ones((k, 1))
+        M = H.T @ Rinv @ H
+        beta = np.linalg.solve(M, H.T @ Rinv @ y)
+        resid = y - H @ beta
+        mean_oracle = h @ beta + rz.T @ Rinv @ resid
+        s2 = resid @ Rinv @ resid / (D - 1)
+        u = h.T - H.T @ Rinv @ rz
+        c = cz - np.einsum("ij,ij->j", rz, Rinv @ rz) + np.einsum("ij,ij->j", u, np.linalg.solve(M, u))
+        mean, var, dof = emulator_predict_scaled(em, Xs, lam=lam)
+        np.testing.assert_allclose(mean, mean_oracle, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(var, s2 * c, rtol=1e-8, atol=1e-10)
+        assert dof == D - 1
 
     def test_interpolates_design(self):
         em, x, y = _fit_1d(seed=7, D=8)

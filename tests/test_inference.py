@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.optimize import OptimizeResult
 
+from gpcalib import inference
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
     FieldDataset,
     LikelihoodCore,
+    ParamTransform,
     initial_params,
     marginal_loglik,
     predict,
 )
 from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP
 from gpcalib.kernels import KernelSpec
+from gpcalib.linalg import NumericalError
 from gpcalib.inference import (
     AdaptiveRWSampler,
+    OptimizationError,
     PosteriorChain,
     mcmc_run,
     mle_fit,
@@ -85,6 +90,37 @@ class TestMleFit:
         for factor in (0.8, 1.25):
             bumped = CalibParams(p.theta, p.beta_delta, p.psi_delta, p.sigma2_delta * factor, p.eta)
             assert marginal_loglik(bumped, data, model, spec) <= fit.best_loglik + 1e-9
+
+    def test_equal_optima_pick_lowest_start_index(self, monkeypatch):
+        # every start "converges" where it began, at the same objective value
+        def flat_minimize(fun, x0, **kwargs):
+            return OptimizeResult(x=np.array(x0), fun=1.0, success=True, message="flat")
+
+        monkeypatch.setattr(inference, "minimize", flat_minimize)
+        data, model = _quadratic_setup()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        fit = mle_fit(data, model, spec, n_starts=4, seed=3, sigma2_fixed=1.0)
+        assert [s["index"] for s in fit.per_start] == [0, 1, 2, 3]
+        assert all(s["loglik"] == -1.0 for s in fit.per_start)
+        first = fit.per_start[0]["x"]
+        assert not np.allclose(first, fit.per_start[1]["x"])
+        tr = ParamTransform(model.theta_bounds, 0, 1)
+        want = tr.from_vector(np.append(first[:2], [0.0, first[2]]))
+        np.testing.assert_allclose(fit.best_params.theta, want.theta, rtol=1e-12)
+        np.testing.assert_allclose(fit.best_params.psi_delta, want.psi_delta, rtol=1e-12)
+
+    def test_every_start_failing_raises_with_all_records(self, monkeypatch):
+        def singular(self, psi, eta, theta=None):
+            raise NumericalError("forced failure")
+
+        monkeypatch.setattr(LikelihoodCore, "corr_chol", singular)
+        data, model = _quadratic_setup()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        with pytest.raises(OptimizationError) as err:
+            mle_fit(data, model, spec, n_starts=3, seed=0)
+        records = err.value.per_start
+        assert [s["index"] for s in records] == [0, 1, 2]
+        assert not any(s["converged"] for s in records)
 
 
 class TestAdaptiveRWSampler:
