@@ -6,8 +6,8 @@ prediction, multi-start MLE and adaptive Metropolis posterior sampling, a
 GP emulator for slow simulators, and two-step baselines.
 """
 
-from .kernels import KernelSpec, corr_matrix, matern52, pow_exp, product_corr
-from .linalg import MVNModel, NumericalError, cholesky_with_jitter, gp_condition, mvn_logdensity
+from .kernels import KernelSpec, corr_matrix, matern52, pow_exp
+from .linalg import NumericalError, cholesky_with_jitter
 from .discrepancy import (
     DiscrepancySpec,
     GASP,
@@ -29,8 +29,6 @@ from .calibration import (
     marginal_loglik,
     mean_basis_eval,
     predict,
-    transform_params,
-    untransform_params,
 )
 from .inference import (
     AdaptiveRWSampler,
@@ -68,7 +66,6 @@ __all__ = [
     "KernelSpec",
     "L2Result",
     "LsResult",
-    "MVNModel",
     "MleResult",
     "NumericalError",
     "OGASP",
@@ -86,7 +83,6 @@ __all__ = [
     "emulator_predict",
     "emulator_predict_scaled",
     "fit_field_gasp",
-    "gp_condition",
     "l2_calibrate",
     "log_prior",
     "ls_calibrate",
@@ -97,15 +93,11 @@ __all__ = [
     "mean_basis_eval",
     "mle_fit",
     "model_grad_fd",
-    "mvn_logdensity",
     "ogasp_kernel",
     "posterior_summary",
     "pow_exp",
     "predict",
     "predict_posterior",
-    "product_corr",
     "scaled_cov",
     "scaled_cross_cov",
-    "transform_params",
-    "untransform_params",
 ]

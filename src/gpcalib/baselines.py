@@ -1,4 +1,4 @@
-"""Two-step calibration baselines and design utilities.
+"""Two-step calibration baselines.
 
 * ``l2_calibrate`` - regress the field data on a Gaussian process first, then
   pick the parameters minimizing the squared distance between that surrogate
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .calibration import (
     CalibParams,
@@ -22,11 +21,11 @@ from .calibration import (
     PriorSpec,
     predict,
 )
-from .design import maximin_lhd, scale_to_domain  # noqa: F401  (maximin_lhd re-exported)
+from .design import scale_to_domain
 from .discrepancy import GASP, DiscrepancySpec
-from .inference import MleResult, mle_fit
+from .emulator import _intercept
+from .inference import MleResult, _multistart, mle_fit
 from .kernels import KernelSpec
-from .workers import thread_map
 
 
 def _zero_model() -> ComputerModel:
@@ -35,10 +34,6 @@ def _zero_model() -> ComputerModel:
         theta_bounds=[[-1.0, 1.0]],
         vectorized=True,
     )
-
-
-def _intercept(X):
-    return np.ones(np.atleast_2d(X).shape[0])
 
 
 @dataclass
@@ -57,24 +52,18 @@ class SurrogateFit:
         return self.predict(Xstar).full_mean
 
 
-def fit_field_gasp(
-    data: FieldDataset,
-    seed: int = 0,
-    n_starts: int = 10,
-    penalized: bool = True,
-) -> SurrogateFit:
+def fit_field_gasp(data: FieldDataset, seed: int = 0, n_starts: int = 10) -> SurrogateFit:
     """Fit a constant-mean Matern GP with nugget to (X, y).
 
-    ``penalized`` regularizes the inverse ranges and nugget ratio with the
-    jointly robust prior (posterior-mode fit); the raw likelihood tends to
-    chase tiny ranges that interpolate the noise.
+    The inverse ranges and nugget ratio are regularized by the jointly
+    robust prior (posterior-mode fit); the raw likelihood tends to chase
+    tiny ranges that interpolate the noise.
     """
     spec = DiscrepancySpec(
         GASP,
         KernelSpec("matern52", data.lengths / 2.0),
         mean_basis=[_intercept],
     )
-    prior = PriorSpec.default(data) if penalized else None
     fit = mle_fit(
         data,
         _zero_model(),
@@ -82,7 +71,7 @@ def fit_field_gasp(
         n_starts=n_starts,
         seed=seed,
         optimize_theta=False,
-        prior=prior,
+        prior=PriorSpec.default(data),
     )
     return SurrogateFit(data=data, spec=spec, params=fit.best_params, fit=fit)
 
@@ -90,27 +79,12 @@ def fit_field_gasp(
 def _multistart_theta(objective, bounds, n_starts: int, seed: int):
     """Multi-start bounded quasi-Newton over the parameter box."""
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    p = bounds.shape[0]
-    U = maximin_lhd(max(n_starts, 2), p, iterations=50, seed=seed)[:n_starts]
-    starts = scale_to_domain(U, bounds)
-
-    def run(item):
-        idx, x0 = item
-        res = minimize(
-            objective,
-            x0,
-            method="L-BFGS-B",
-            bounds=[tuple(b) for b in bounds],
-            options={"ftol": 1e-12},
-        )
-        return idx, res
-
-    results = thread_map(run, list(enumerate(starts)))
-    usable = [(i, r) for i, r in results if np.isfinite(r.fun)]
-    if not usable:
+    results, best = _multistart(
+        objective, bounds, n_starts, seed, [tuple(b) for b in bounds], {"ftol": 1e-12}
+    )
+    if best is None:
         raise RuntimeError("theta optimization failed from every start")
-    idx, best = min(usable, key=lambda t: (t[1].fun, t[0]))
-    return np.atleast_1d(best.x), float(best.fun), results
+    return np.atleast_1d(results[best].x), float(results[best].fun), list(enumerate(results))
 
 
 @dataclass

@@ -28,9 +28,6 @@ from .discrepancy import DiscrepancySpec
 from .kernels import corr_matrix
 from .linalg import LOG_2PI, cholesky_with_jitter
 
-EXACT = "exact"
-EMULATED = "emulated"
-
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
 #: to a finite coordinate and back exactly.
 ETA_FLOOR = 1e-12
@@ -96,7 +93,6 @@ class ComputerModel:
 
     evaluator: Callable
     theta_bounds: np.ndarray
-    kind: str = EXACT
     vectorized: bool = False
     theta_grad: Callable | None = None
 
@@ -104,8 +100,6 @@ class ComputerModel:
         bounds = np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
         if bounds.shape[1] != 2 or np.any(bounds[:, 1] <= bounds[:, 0]):
             raise ValueError("theta_bounds must be rows of (lower, upper)")
-        if self.kind not in (EXACT, EMULATED):
-            raise ValueError("kind must be 'exact' or 'emulated'")
         object.__setattr__(self, "theta_bounds", bounds)
 
     @property
@@ -295,15 +289,38 @@ class LikelihoodCore:
             K = K + eta * np.eye(self.data.n)
         return cholesky_with_jitter(K)
 
+    @staticmethod
+    def quad_form(L, resid) -> float:
+        """``resid' (L L')^-1 resid`` for the correlation factor ``L``."""
+        alpha = solve_triangular(L, resid, lower=True)
+        return float(alpha @ alpha)
+
+    def profiled_sigma2(self, L, resid) -> float:
+        """Discrepancy variance maximizing the likelihood at this factor."""
+        return max(self.quad_form(L, resid) / self.data.n, 1e-300)
+
     def loglik_from_chol(self, L, resid, sigma2: float) -> float:
         n = self.data.n
-        alpha = solve_triangular(L, resid, lower=True)
-        quad = float(alpha @ alpha)
+        quad = self.quad_form(L, resid)
         return (
             -0.5 * n * (LOG_2PI + np.log(sigma2))
             - float(np.sum(np.log(np.diag(L))))
             - 0.5 * quad / sigma2
         )
+
+    def fit_loglik(self, L, resid, sigma2_fixed: float | None) -> float:
+        """Log-likelihood ``mle_fit`` maximizes: at ``sigma2_fixed``, or profiled.
+
+        It rounds ``log(2 pi sigma2)`` unlike :meth:`loglik_from_chol`; fits on
+        flat likelihood ridges follow that last digit, so each keeps its own.
+        """
+        n = self.data.n
+        logdet = float(np.sum(np.log(np.diag(L))))
+        if sigma2_fixed is None:
+            s2 = self.profiled_sigma2(L, resid)
+            return -0.5 * n * (np.log(2 * np.pi * s2) + 1.0) - logdet
+        quad = self.quad_form(L, resid)
+        return -0.5 * n * np.log(2 * np.pi * sigma2_fixed) - logdet - 0.5 * quad / sigma2_fixed
 
     def loglik(self, params: CalibParams) -> float:
         L, _ = self.corr_chol(params.psi_delta, params.eta, params.theta)
@@ -408,17 +425,6 @@ class ParamTransform:
         lj_theta = float(np.sum(np.log(widths) + np.log(u) + np.log1p(-u)))
         lj_rest = float(np.sum(z[pt + q :]))
         return lj_theta + lj_rest
-
-
-def transform_params(params: CalibParams, theta_bounds) -> np.ndarray:
-    """Map parameters to the unconstrained optimizer/sampler scale."""
-    tr = ParamTransform(theta_bounds, params.beta_delta.size, params.psi_delta.size)
-    return tr.to_vector(params)
-
-
-def untransform_params(z, theta_bounds, n_basis: int, p_x: int) -> CalibParams:
-    """Inverse of :func:`transform_params`."""
-    return ParamTransform(theta_bounds, n_basis, p_x).from_vector(z)
 
 
 def predict(

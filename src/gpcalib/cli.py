@@ -21,10 +21,11 @@ from .baselines import l2_calibrate, ls_calibrate
 from .calibration import CalibParams, ComputerModel, FieldDataset, predict
 from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from .emulator import as_computer_model, emulator_fit
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, _write_csv
 from .inference import (
     OptimizationError,
     PosteriorChain,
+    _param_names,
     mcmc_run,
     mle_fit,
     posterior_summary,
@@ -50,10 +51,6 @@ class DataError(ValueError):
     """Missing or malformed input data."""
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.16e}"
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -75,6 +72,40 @@ _TOP_KEYS = {
 _MODEL_KEYS = {"name", "theta_bounds", "emulator_design", "p_x"}
 _MCMC_KEYS = {"samples", "burn_in", "thin", "seed"}
 _MLE_KEYS = {"n_starts", "seed", "sigma2_fixed"}
+
+
+def _text(v) -> bool:
+    return isinstance(v, str)
+
+
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) and v > 0
+
+
+def _count(minimum: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
+#: (section or None for the top level, key, test, what the value must be).
+_VALUE_RULES = (
+    (None, "data", _text, "a file path"),
+    (None, "output_dir", _text, "a directory path"),
+    (None, "predict", _text, "a file path"),
+    (None, "truth", _text, "a file path"),
+    (None, "kernel", lambda v: v in ("matern52", "pow_exp"), "'matern52' or 'pow_exp'"),
+    (None, "lambda", _positive, "a positive number"),
+    (None, "quad_points", _count(1), "a positive integer"),
+    ("model", "name", _text, "a builtin model name"),
+    ("model", "emulator_design", _text, "a file path"),
+    ("model", "p_x", _count(0), "a non-negative integer"),
+    ("mcmc", "samples", _count(1), "a positive integer"),
+    ("mcmc", "burn_in", _count(0), "a non-negative integer"),
+    ("mcmc", "thin", _count(1), "a positive integer"),
+    ("mcmc", "seed", _count(0), "a non-negative integer"),
+    ("mle", "n_starts", _count(1), "a positive integer"),
+    ("mle", "seed", _count(0), "a non-negative integer"),
+    ("mle", "sigma2_fixed", lambda v: v is None or _positive(v), "a positive number or null"),
+)
 
 
 def _check_keys(d: dict, allowed: set, where: str):
@@ -99,17 +130,18 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"config is missing required key {key!r}")
     if cfg["mode"] not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg['mode']!r}")
-    if not isinstance(cfg["model"], dict):
-        raise ConfigError("model must be an object")
-    _check_keys(cfg["model"], _MODEL_KEYS, "model")
-    if "mcmc" in cfg:
-        _check_keys(cfg["mcmc"], _MCMC_KEYS, "mcmc")
-    if "mle" in cfg:
-        _check_keys(cfg["mle"], _MLE_KEYS, "mle")
-    if "lambda" in cfg and not float(cfg["lambda"]) > 0:
-        raise ConfigError("lambda must be positive")
-    if "kernel" in cfg and cfg["kernel"] not in ("matern52", "pow_exp"):
-        raise ConfigError("kernel must be 'matern52' or 'pow_exp'")
+    for section, keys in (("model", _MODEL_KEYS), ("mcmc", _MCMC_KEYS), ("mle", _MLE_KEYS)):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"{section} must be an object")
+        _check_keys(cfg.get(section, {}), keys, section)
+    for section, key, test, what in _VALUE_RULES:
+        where = cfg if section is None else cfg.get(section, {})
+        if key in where and not test(where[key]):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"{name} must be {what}, got {where[key]!r}")
+    mcmc = cfg.get("mcmc", {})
+    if not mcmc.get("burn_in", 10_000) < mcmc.get("samples", 50_000):
+        raise ConfigError("mcmc.burn_in must be below mcmc.samples")
     return cfg
 
 
@@ -178,12 +210,7 @@ def read_truth_csv(path: str):
 
 
 def _write_table(path, header, matrix):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in np.atleast_2d(matrix):
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(path, header, np.atleast_2d(matrix))
 
 
 def _update_summary(outdir: str, fields: dict):
@@ -207,7 +234,10 @@ def _update_summary(outdir: str, fields: dict):
 def _build_data(cfg) -> FieldDataset:
     X, y = read_field_csv(cfg["data"])
     if "domain" in cfg:
-        domain = np.asarray(cfg["domain"], dtype=float)
+        try:
+            domain = np.asarray(cfg["domain"], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"domain must be rows of (lower, upper), got {cfg['domain']!r}") from err
     else:
         domain = np.column_stack([X.min(axis=0), X.max(axis=0)])
     try:
@@ -223,6 +253,8 @@ def _build_model(cfg) -> ComputerModel:
             return builtin_model(mc["name"], mc.get("theta_bounds"))
         except KeyError as err:
             raise ConfigError(str(err)) from err
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"model: {err}") from err
     if "emulator_design" in mc:
         if "p_x" not in mc or "theta_bounds" not in mc:
             raise ConfigError("emulator models need p_x and theta_bounds")
@@ -230,7 +262,10 @@ def _build_model(cfg) -> ComputerModel:
         if header[-1] != "y":
             raise DataError(f"{mc['emulator_design']}: last column must be y")
         em = emulator_fit(M[:, :-1], M[:, -1])
-        return as_computer_model(em, int(mc["p_x"]), mc["theta_bounds"])
+        try:
+            return as_computer_model(em, mc["p_x"], mc["theta_bounds"])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"model: {err}") from err
     raise ConfigError("model needs either a builtin 'name' or an 'emulator_design'")
 
 
@@ -238,7 +273,7 @@ def _build_spec(cfg, data: FieldDataset) -> DiscrepancySpec:
     family = cfg.get("kernel", "matern52")
     kern = KernelSpec(family, data.lengths / 2.0)
     mode = cfg["mode"] if cfg["mode"] in (GASP, SGASP, OGASP) else GASP
-    return DiscrepancySpec(mode, kern, lam=cfg.get("lambda"))
+    return DiscrepancySpec(mode, kern, lam=cfg.get("lambda"), quad_points=cfg.get("quad_points"))
 
 
 def _prediction_table(outdir, Xstar, result):
@@ -405,11 +440,14 @@ def cmd_calibrate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _load_chain(cfg, outdir, model, data) -> PosteriorChain | None:
+def _load_chain(cfg, outdir, model, data, spec) -> PosteriorChain | None:
     path = os.path.join(outdir, "posterior.csv")
     if not os.path.exists(path):
         return None
     header, M = _read_csv(path)
+    names = _param_names(model.p_theta, spec.n_basis, data.p)
+    if header != names:
+        raise DataError(f"{path}: expected header {','.join(names)}, got {','.join(header)}")
     return PosteriorChain(
         samples=M,
         burn_in=0,
@@ -417,7 +455,7 @@ def _load_chain(cfg, outdir, model, data) -> PosteriorChain | None:
         rng_seed=int(cfg.get("mcmc", {}).get("seed", 0)),
         param_names=header,
         theta_bounds=model.theta_bounds,
-        n_basis=0,
+        n_basis=spec.n_basis,
         p_x=data.p,
     )
 
@@ -436,7 +474,7 @@ def cmd_predict(cfg: dict) -> int:
         )
     spec = _build_spec(cfg, data)
     Xstar = read_inputs_csv(cfg["predict"])
-    chain = _load_chain(cfg, outdir, model, data)
+    chain = _load_chain(cfg, outdir, model, data, spec)
     if chain is not None:
         out = predict_posterior(chain, data, model, spec, Xstar, thin=1)
     else:

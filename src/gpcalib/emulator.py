@@ -11,24 +11,66 @@ calibration; its hyperparameters are never revisited there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.optimize import minimize
 
-from .calibration import EMULATED, ComputerModel
-from .design import maximin_lhd
+from .calibration import ComputerModel
 from .discrepancy import DiscrepancySpec, SGASP, scaled_cov, scaled_cross_cov
+from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, corr_matrix
 from .linalg import NumericalError, cholesky_with_jitter
-from .workers import thread_map
-
-_BAD = 1e10
 
 
 def _intercept(Z):
     return np.ones(np.atleast_2d(Z).shape[0])
+
+
+class _GLS(NamedTuple):
+    """Generalized-least-squares trend fit under one correlation factor."""
+
+    L: np.ndarray
+    RinvH: np.ndarray
+    LM: np.ndarray
+    beta: np.ndarray
+    sigma2: float
+    alpha: np.ndarray
+    log_marginal: float
+
+
+def _gls(L, H, y) -> _GLS:
+    """Trend, variance and kriging weights given the correlation factor ``L``.
+
+    ``log_marginal`` is the log-likelihood with the trend and variance
+    integrated out under the prior ``1/sigma2``, up to a constant.
+    """
+    D, q = H.shape
+    RinvH = cho_solve((L, True), H)
+    M = H.T @ RinvH
+    LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
+    Rinvy = cho_solve((L, True), y)
+    beta = cho_solve((LM, True), H.T @ Rinvy)
+    resid = y - H @ beta
+    alpha = cho_solve((L, True), resid)
+    quad = float(resid @ alpha)
+    log_marginal = (
+        -float(np.sum(np.log(np.diag(L))))
+        - float(np.sum(np.log(np.diag(LM))))
+        - 0.5 * (D - q) * np.log(max(quad, 1e-300))
+    )
+    return _GLS(L, RinvH, LM, beta, max(quad, 0.0) / (D - q), alpha, log_marginal)
+
+
+def _student_t(gls: _GLS, h, r, c0):
+    """Student-t predictive mean and variance at new points with trend basis
+    ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
+    mean = h @ gls.beta + r.T @ gls.alpha
+    Rinv_r = cho_solve((gls.L, True), r)
+    u = h.T - gls.RinvH.T @ r
+    w = solve_triangular(gls.LM, u, lower=True)
+    cstar = c0 - np.einsum("ij,ij->j", r, Rinv_r) + np.einsum("ij,ij->j", w, w)
+    return mean, gls.sigma2 * np.maximum(cstar, 0.0)
 
 
 @dataclass
@@ -43,12 +85,15 @@ class EmulatorModel:
     outputs: np.ndarray
     mean_basis: Sequence[Callable]
     kernel: KernelSpec
-    beta_hat: np.ndarray
-    sigma2_hat: float
-    _L: np.ndarray = field(repr=False)
-    _LM: np.ndarray = field(repr=False)
-    _alpha: np.ndarray = field(repr=False)
-    _RinvH: np.ndarray = field(repr=False)
+    _gls: _GLS = field(repr=False)
+
+    @property
+    def beta_hat(self) -> np.ndarray:
+        return self._gls.beta
+
+    @property
+    def sigma2_hat(self) -> float:
+        return self._gls.sigma2
 
     @property
     def n_design(self) -> int:
@@ -73,28 +118,15 @@ def _prepare_design(design, outputs):
     return design, outputs
 
 
-def _gls_pieces(L, H, y):
-    """Generalized-least-squares quantities given the correlation factor."""
-    RinvH = cho_solve((L, True), H)
-    M = H.T @ RinvH
-    LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
-    Rinvy = cho_solve((L, True), y)
-    beta = cho_solve((LM, True), H.T @ Rinvy)
-    resid = y - H @ beta
-    quad = float(resid @ cho_solve((L, True), resid))
-    return RinvH, LM, beta, quad
-
-
 def emulator_fit(
     design,
     outputs,
     mean_basis: Sequence[Callable] | None = None,
-    kernel_family: str = "matern52",
     seed: int = 0,
     n_starts: int = 10,
     ranges=None,
 ) -> EmulatorModel:
-    """Fit the emulator by maximizing the marginal posterior of the ranges.
+    """Fit the Matern emulator by maximizing the marginal posterior of the ranges.
 
     The trend coefficients and variance carry the scale-invariant prior
     ``1/sigma2`` and are integrated out; the inverse ranges get the jointly
@@ -120,82 +152,46 @@ def emulator_fit(
 
     def objective(log_psi) -> float:
         psi = np.exp(log_psi)
-        kern = KernelSpec(kernel_family, 1.0 / psi)
+        kern = KernelSpec("matern52", 1.0 / psi)
         try:
             R = corr_matrix(design, design, kern)
             L, _ = cholesky_with_jitter(R)
-            _, LM, _, quad = _gls_pieces(L, H, outputs)
+            lp = _gls(L, H, outputs).log_marginal
         except (NumericalError, np.linalg.LinAlgError):
-            return _BAD
-        quad = max(quad, 1e-300)
-        lp = (
-            -float(np.sum(np.log(np.diag(L))))
-            - float(np.sum(np.log(np.diag(LM))))
-            - 0.5 * (D - q) * np.log(quad)
-        )
+            return _BAD_OBJECTIVE
         t = float(C @ psi)
         lp += a * np.log(t) - b * t + float(np.sum(log_psi))
         if not np.isfinite(lp):
-            return _BAD
+            return _BAD_OBJECTIVE
         return -lp
 
     if ranges is not None:
         psi = 1.0 / np.atleast_1d(np.asarray(ranges, dtype=float))
-        return _finalize(design, outputs, mean_basis, kernel_family, psi, H)
+        return _finalize(design, outputs, mean_basis, psi, H)
 
-    U = maximin_lhd(max(n_starts, 2), p, iterations=50, seed=seed)[:n_starts]
-    lo = np.log(0.5 / lengths)
-    hi = np.log(50.0 / lengths)
-    starts = lo + U * (hi - lo)
-    bounds = [(np.log(1e-2 / L_), np.log(1e4 / L_)) for L_ in lengths]
-
-    def grad(x, step=1e-5):
-        g = np.empty_like(x)
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = step
-            g[j] = (objective(x + e) - objective(x - e)) / (2.0 * step)
-        return g
-
-    def run_start(item):
-        idx, x0 = item
-        res = minimize(
-            objective,
-            x0,
-            jac=grad,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 1e-12, "gtol": 1e-8},
-        )
-        return idx, res
-
-    results = thread_map(run_start, list(enumerate(starts)))
-    usable = [(i, r) for i, r in results if np.isfinite(r.fun) and r.fun < _BAD / 2]
-    if not usable:
+    results, best = _multistart(
+        objective,
+        np.column_stack([np.log(0.5 / lengths), np.log(50.0 / lengths)]),
+        n_starts,
+        seed,
+        [(np.log(1e-2 / L_), np.log(1e4 / L_)) for L_ in lengths],
+        {"ftol": 1e-12, "gtol": 1e-8},
+        jac=lambda x: _fd_grad(objective, x),
+    )
+    if best is None or not results[best].fun < _BAD_OBJECTIVE / 2:
         raise NumericalError("emulator range optimization failed from every start")
-    best_idx, best = min(usable, key=lambda t: (t[1].fun, t[0]))
-    return _finalize(design, outputs, mean_basis, kernel_family, np.exp(best.x), H)
+    return _finalize(design, outputs, mean_basis, np.exp(results[best].x), H)
 
 
-def _finalize(design, outputs, mean_basis, kernel_family, psi, H) -> EmulatorModel:
-    D, q = design.shape[0], H.shape[1]
-    kern = KernelSpec(kernel_family, 1.0 / psi)
-    R = corr_matrix(design, design, kern)
-    L, _ = cholesky_with_jitter(R)
-    RinvH, LM, beta, quad = _gls_pieces(L, H, outputs)
-    sigma2 = max(quad, 0.0) / (D - q)
-    alpha = cho_solve((L, True), outputs - H @ beta)
+def _finalize(design, outputs, mean_basis, psi, H) -> EmulatorModel:
+    kern = KernelSpec("matern52", 1.0 / psi)
+    L, _ = cholesky_with_jitter(corr_matrix(design, design, kern))
     return EmulatorModel(
         design=design,
         outputs=outputs,
         mean_basis=mean_basis,
         kernel=kern,
-        beta_hat=beta,
-        sigma2_hat=float(sigma2),
-        _L=L,
-        _LM=LM,
-        _alpha=alpha,
-        _RinvH=RinvH,
+        _gls=_gls(L, H, outputs),
     )
 
 
@@ -215,13 +211,7 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
     if Z.shape[1] != model.design.shape[1]:
         raise ValueError("prediction inputs do not match the design dimension")
     r = corr_matrix(model.design, Z, model.kernel)
-    h = model.basis(Z)
-    mean = h @ model.beta_hat + r.T @ model._alpha
-    Rinv_r = cho_solve((model._L, True), r)
-    u = h.T - model._RinvH.T @ r
-    w = solve_triangular(model._LM, u, lower=True)
-    cstar = 1.0 - np.einsum("ij,ij->j", r, Rinv_r) + np.einsum("ij,ij->j", w, w)
-    variance = model.sigma2_hat * np.maximum(cstar, 0.0)
+    mean, variance = _student_t(model._gls, model.basis(Z), r, 1.0)
     return mean, variance, model.dof
 
 
@@ -236,51 +226,23 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
     Z = np.atleast_2d(np.asarray(xstar, dtype=float))
     D = model.n_design
     spec = DiscrepancySpec(SGASP, model.kernel, lam=lam if lam is not None else D / 2.0)
-    Rz = scaled_cov(model.design, spec)
-    L, _ = cholesky_with_jitter(Rz)
-    H = model.basis(model.design)
-    RinvH, LM, beta, quad = _gls_pieces(L, H, model.outputs)
-    sigma2 = max(quad, 0.0) / model.dof
-    alpha = cho_solve((L, True), model.outputs - H @ beta)
+    L, _ = cholesky_with_jitter(scaled_cov(model.design, spec))
+    gls = _gls(L, model.basis(model.design), model.outputs)
     rz, cz = scaled_cross_cov(model.design, Z, spec)
-    h = model.basis(Z)
-    mean = h @ beta + rz.T @ alpha
-    Rinv_rz = cho_solve((L, True), rz)
-    u = h.T - RinvH.T @ rz
-    w = solve_triangular(LM, u, lower=True)
-    cstar = cz - np.einsum("ij,ij->j", rz, Rinv_rz) + np.einsum("ij,ij->j", w, w)
-    variance = sigma2 * np.maximum(cstar, 0.0)
+    mean, variance = _student_t(gls, model.basis(Z), rz, cz)
     return mean, variance, model.dof
 
 
-def as_computer_model(
-    model: EmulatorModel,
-    p_x: int,
-    theta_bounds,
-    draw: bool = False,
-    seed: int = 0,
-) -> ComputerModel:
+def as_computer_model(model: EmulatorModel, p_x: int, theta_bounds) -> ComputerModel:
     """Wrap a fitted emulator as a calibration computer model.
 
-    The default evaluator is the (deterministic) predictive mean.  With
-    ``draw=True`` each evaluation adds Student-t predictive noise from a
-    dedicated generator; use only for sensitivity studies, since a stochastic
-    model invalidates likelihood caching guarantees.
+    The evaluator is the (deterministic) predictive mean.
     """
     theta_bounds = np.atleast_2d(np.asarray(theta_bounds, dtype=float))
     if p_x + theta_bounds.shape[0] != model.design.shape[1]:
         raise ValueError("p_x plus the parameter count must match the design columns")
-    rng = np.random.default_rng(seed)
-
-    def evaluator(X, theta):
-        mean, var, dof = emulator_predict(model, X, theta)
-        if draw:
-            return mean + np.sqrt(np.maximum(var, 0.0)) * rng.standard_t(dof, size=mean.size)
-        return mean
-
     return ComputerModel(
-        evaluator=evaluator,
+        evaluator=lambda X, theta: emulator_predict(model, X, theta)[0],
         theta_bounds=theta_bounds,
-        kind=EMULATED,
         vectorized=True,
     )

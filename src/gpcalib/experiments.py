@@ -1,9 +1,8 @@
 """Scripted benchmark studies with CSV outputs suitable for plotting.
 
-Every experiment is a deterministic function of its seed; replications fan
-out across workers with per-replication derived seeds.  Numbers are written
-in scientific notation with 17 significant digits so files round-trip to the
-exact in-memory values.
+Every experiment is a deterministic function of its seed; each replication
+draws from its own derived seed.  Numbers are written in scientific notation
+with 17 significant digits so files round-trip to the exact in-memory values.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .inference import mcmc_run, mle_fit, posterior_summary, predict_posterior
 from .kernels import KernelSpec, corr_matrix
 from .linalg import cholesky_with_jitter
 from .models import branin_truth, builtin_model, oscillator_truth, park_truth, sine_truth
-from .workers import thread_map
 
 
 def _fmt(v) -> str:
@@ -78,16 +76,14 @@ def run_fig1(seed: int = 0, outdir: str = "out", n: int = 200, reps: int = 100) 
         ones = np.ones(n)
         oracle = 0.5 * float(ones @ np.linalg.solve(Rj, ones))
 
-        def one_rep(rep, L=L, spec=spec, case_idx=case_idx):
+        psi = 1.0 / spec.kernel.ranges
+        pairs = []
+        for rep in range(reps):
             rng = np.random.default_rng([seed, case_idx, rep])
-            y = L @ rng.standard_normal(n)
-            data = FieldDataset(x, y, data_domain)
-            psi = 1.0 / spec.kernel.ranges
+            data = FieldDataset(x, L @ rng.standard_normal(n), data_domain)
             ll0 = marginal_loglik(CalibParams([0.0], [], psi, 1.0, 0.0), data, model, spec)
             ll1 = marginal_loglik(CalibParams([1.0], [], psi, 1.0, 0.0), data, model, spec)
-            return ll0, ll1
-
-        pairs = thread_map(one_rep, range(reps))
+            pairs.append((ll0, ll1))
         diffs = np.array([a - b for a, b in pairs])
         mc_se = float(diffs.std(ddof=1) / np.sqrt(reps))
         for rep, (a, b) in enumerate(pairs):

@@ -8,7 +8,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .calibration import (
@@ -25,8 +24,7 @@ from .calibration import (
 )
 from .discrepancy import DiscrepancySpec
 from .linalg import NumericalError
-from .design import maximin_lhd
-from .workers import thread_map
+from .design import maximin_lhd, scale_to_domain
 
 _BAD_OBJECTIVE = 1e10
 
@@ -49,6 +47,27 @@ def _fd_grad(fun, x, step: float = 1e-5):
     return g
 
 
+def _multistart(objective, start_box, n_starts: int, seed: int, bounds, options: dict, jac=None):
+    """Bounded L-BFGS-B from space-filling starts.
+
+    The starts are a seeded maximin Latin hypercube scaled to ``start_box``
+    (rows of (lower, upper)).  Returns the optimizer result of every start,
+    in start order, and the index of the best one: the lowest finite
+    objective, ties going to the lowest index (``None`` when no start ended
+    finite).
+    """
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
+    U = maximin_lhd(max(n_starts, 2), len(start_box), iterations=50, seed=seed)[:n_starts]
+    results = [
+        minimize(objective, x0, jac=jac, method="L-BFGS-B", bounds=bounds, options=options)
+        for x0 in scale_to_domain(U, start_box)
+    ]
+    finite = [i for i, res in enumerate(results) if np.isfinite(res.fun)]
+    best = min(finite, key=lambda i: (results[i].fun, i), default=None)
+    return results, best
+
+
 @dataclass
 class MleResult:
     best_params: CalibParams
@@ -65,49 +84,21 @@ def _param_names(p_theta: int, n_basis: int, p_x: int) -> list[str]:
     return names
 
 
-def _start_matrix(
-    data: FieldDataset,
-    tr: ParamTransform,
-    free_idx: np.ndarray,
-    n_starts: int,
-    seed: int,
-    psi_rel_range=(0.5, 50.0),
-    eta_range=(1e-4, 1.0),
-):
-    """Space-filling starts over the transformed free coordinates."""
-    U = maximin_lhd(max(n_starts, 2), free_idx.size, iterations=50, seed=seed)[:n_starts]
+def _search_box(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
+    """Start ranges and optimizer bounds over the transformed free coordinates."""
     pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
     ybar, ystd = float(np.mean(data.y)), float(np.std(data.y)) + 1e-9
-    lo = np.empty(tr.dim)
-    hi = np.empty(tr.dim)
+    lengths = data.lengths
+    box = np.zeros((tr.dim, 4))
     # theta start range: central 98% of the box, mapped through the logit
-    lo[:pt] = np.log(0.01 / 0.99)
-    hi[:pt] = np.log(0.99 / 0.01)
-    lo[pt : pt + q] = ybar - 2 * ystd
-    hi[pt : pt + q] = ybar + 2 * ystd
-    lengths = data.lengths
-    lo[pt + q : pt + q + px] = np.log(psi_rel_range[0] / lengths)
-    hi[pt + q : pt + q + px] = np.log(psi_rel_range[1] / lengths)
-    lo[pt + q + px] = 0.0  # sigma2 slot, unused for starts
-    hi[pt + q + px] = 0.0
-    lo[pt + q + px + 1] = np.log(eta_range[0])
-    hi[pt + q + px + 1] = np.log(eta_range[1])
-    starts = lo[free_idx] + U * (hi[free_idx] - lo[free_idx])
-    return starts
-
-
-def _optimizer_bounds(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
-    pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
-    lo = np.empty(tr.dim)
-    hi = np.empty(tr.dim)
-    lo[:pt], hi[:pt] = -16.6, 16.6
-    lo[pt : pt + q], hi[pt : pt + q] = -1e6, 1e6
-    lengths = data.lengths
-    lo[pt + q : pt + q + px] = np.log(1e-2 / lengths)
-    hi[pt + q : pt + q + px] = np.log(1e4 / lengths)
-    lo[pt + q + px], hi[pt + q + px] = -50.0, 50.0
-    lo[pt + q + px + 1], hi[pt + q + px + 1] = np.log(1e-9), np.log(1e3)
-    return [(lo[j], hi[j]) for j in free_idx]
+    box[:pt] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
+    box[pt : pt + q] = [ybar - 2 * ystd, ybar + 2 * ystd, -1e6, 1e6]
+    box[pt + q : pt + q + px] = np.column_stack(
+        [np.log(0.5 / lengths), np.log(50.0 / lengths), np.log(1e-2 / lengths), np.log(1e4 / lengths)]
+    )
+    box[pt + q + px + 1] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
+    box = box[free_idx]
+    return box[:, :2], [tuple(row) for row in box[:, 2:]]
 
 
 def mle_fit(
@@ -119,8 +110,6 @@ def mle_fit(
     sigma2_fixed: float | None = None,
     optimize_theta: bool = True,
     prior: PriorSpec | None = None,
-    grad_step: float = 1e-5,
-    maxiter: int = 500,
 ) -> MleResult:
     """Maximize the marginal likelihood over transformed parameters.
 
@@ -133,7 +122,6 @@ def mle_fit(
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
     pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
-    n = data.n
 
     base = initial_params(data, model, spec)
     if sigma2_fixed is not None:
@@ -158,15 +146,7 @@ def mle_fit(
         except NumericalError:
             return _BAD_OBJECTIVE
         resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-        alpha = solve_triangular(L, resid, lower=True)
-        quad = float(alpha @ alpha)
-        logdet = float(np.sum(np.log(np.diag(L))))
-        if sigma2_fixed is not None:
-            s2 = sigma2_fixed
-            ll = -0.5 * n * np.log(2 * np.pi * s2) - logdet - 0.5 * quad / s2
-        else:
-            s2 = max(quad / n, 1e-300)
-            ll = -0.5 * n * (np.log(2 * np.pi * s2) + 1.0) - logdet
+        ll = core.fit_loglik(L, resid, sigma2_fixed)
         if prior is not None:
             t = float(prior.jr_C @ params.psi_delta + params.eta)
             ll += prior.jr_a * np.log(t) - prior.jr_b * t
@@ -175,48 +155,42 @@ def mle_fit(
             return _BAD_OBJECTIVE
         return -ll
 
-    starts = _start_matrix(data, tr, free_idx, n_starts, seed)
-    bounds = _optimizer_bounds(data, tr, free_idx)
-
-    def run_start(item):
-        idx, x0 = item
-        res = minimize(
-            objective,
-            x0,
-            jac=lambda x: _fd_grad(objective, x, grad_step),
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": maxiter, "ftol": 1e-8},
-        )
-        # a start counts as converged when it reached a finite optimum; an
-        # abnormal line-search exit at a good value is still usable, so the
-        # raw optimizer verdict is kept only as a diagnostic
-        ok = np.isfinite(res.fun) and res.fun < _BAD_OBJECTIVE / 2
-        return {
+    start_box, bounds = _search_box(data, tr, free_idx)
+    results, best = _multistart(
+        objective,
+        start_box,
+        n_starts,
+        seed,
+        bounds,
+        {"maxiter": 500, "ftol": 1e-8},
+        jac=lambda x: _fd_grad(objective, x),
+    )
+    # a start counts as converged when it reached a finite optimum; an
+    # abnormal line-search exit at a good value is still usable, so the
+    # raw optimizer verdict is kept only as a diagnostic
+    per_start = [
+        {
             "index": idx,
-            "converged": bool(ok),
+            "converged": bool(np.isfinite(res.fun) and res.fun < _BAD_OBJECTIVE / 2),
             "loglik": -float(res.fun),
             "x": np.asarray(res.x),
             "optimizer_success": bool(res.success),
             "message": str(res.message),
         }
-
-    per_start = thread_map(run_start, list(enumerate(starts)))
-    usable = [s for s in per_start if s["converged"]]
-    if not usable:
+        for idx, res in enumerate(results)
+    ]
+    if best is None or not per_start[best]["converged"]:
         raise OptimizationError("no optimization start converged", per_start)
-    best = max(usable, key=lambda s: (s["loglik"], -s["index"]))
 
     z = z_template.copy()
-    z[free_idx] = best["x"]
+    z[free_idx] = results[best].x
     params = tr.from_vector(z)
+    L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
+    resid = data.y - core.mean_vector(params.theta, params.beta_delta)
     if sigma2_fixed is None:
-        L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
-        resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-        alpha = solve_triangular(L, resid, lower=True)
-        s2 = max(float(alpha @ alpha) / n, 1e-300)
+        s2 = core.profiled_sigma2(L, resid)
         params = CalibParams(params.theta, params.beta_delta, params.psi_delta, s2, params.eta)
-    loglik = core.loglik(params)
+    loglik = core.loglik_from_chol(L, resid, params.sigma2_delta)
     return MleResult(
         best_params=params,
         best_loglik=loglik,
@@ -388,9 +362,7 @@ class _CalibPosterior:
         return resid
 
     def quad_for(self, params: CalibParams) -> float:
-        L = self.chol_for(params)
-        alpha = solve_triangular(L, self.resid_for(params), lower=True)
-        return float(alpha @ alpha)
+        return self.core.quad_form(self.chol_for(params), self.resid_for(params))
 
     def __call__(self, z) -> float:
         try:
@@ -418,11 +390,8 @@ def mcmc_run(
     burn_in: int = 10_000,
     seed: int = 0,
     initial: CalibParams | None = None,
-    initial_scale: float = 0.1,
-    target_accept: float = 0.3,
     update_theta: bool = True,
     update_corr: bool = True,
-    update_beta: bool = True,
 ) -> PosteriorChain:
     """Blockwise Metropolis sampler for the calibration posterior.
 
@@ -449,7 +418,7 @@ def mcmc_run(
     blocks = {}
     if update_theta:
         blocks["theta"] = np.arange(pt)
-    if update_beta and q > 0:
+    if q > 0:
         blocks["beta"] = np.arange(pt, pt + q)
     if update_corr:
         blocks["corr"] = np.concatenate(
@@ -467,15 +436,7 @@ def mcmc_run(
         return z
 
     rng = np.random.default_rng(seed)
-    sampler = AdaptiveRWSampler(
-        posterior,
-        blocks,
-        z0,
-        rng,
-        initial_scale=initial_scale,
-        target_accept=target_accept,
-        gibbs=gibbs_sigma2,
-    )
+    sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=gibbs_sigma2)
     z_samples = sampler.run(S, adapt_until=burn_in)
 
     samples = np.empty_like(z_samples)
@@ -531,12 +492,10 @@ def predict_posterior(
     """
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    idx = list(range(chain.burn_in, chain.n_samples, thin))
-
-    def one(i):
-        return predict(chain.params_at(i), data, model, spec, Xstar)
-
-    results = thread_map(one, idx)
+    results = [
+        predict(chain.params_at(i), data, model, spec, Xstar)
+        for i in range(chain.burn_in, chain.n_samples, thin)
+    ]
     model_means = np.stack([r.model_mean for r in results])
     full_means = np.stack([r.full_mean for r in results])
     variances = np.stack([r.variance for r in results])

@@ -115,24 +115,6 @@ def _corr_1d(d, spec: KernelSpec, dim: int):
     return pow_exp(d, spec.ranges[dim], spec.roughness[dim])
 
 
-def product_corr(xa, xb, spec: KernelSpec) -> float:
-    """Product-form correlation between two input points.
-
-    The correlation is the product over coordinates of the one-dimensional
-    correlation at distance ``|xa_l - xb_l|``.
-    """
-    xa = np.atleast_1d(np.asarray(xa, dtype=float))
-    xb = np.atleast_1d(np.asarray(xb, dtype=float))
-    if xa.shape != xb.shape or xa.size != spec.dim:
-        raise ValueError(
-            f"input dimension mismatch: {xa.shape} vs {xb.shape} vs spec dim {spec.dim}"
-        )
-    out = 1.0
-    for l in range(spec.dim):
-        out *= float(_corr_1d(abs(xa[l] - xb[l]), spec, l))
-    return out
-
-
 def corr_matrix(X1, X2, spec: KernelSpec) -> np.ndarray:
     """Correlation matrix between two sets of input points.
 
@@ -144,7 +126,8 @@ def corr_matrix(X1, X2, spec: KernelSpec) -> np.ndarray:
     Returns
     -------
     ndarray, shape (m, k)
-        Entry (i, j) is ``product_corr(X1[i], X2[j], spec)``.
+        Entry (i, j) is the product over coordinates ``l`` of the
+        one-dimensional correlation at distance ``|X1[i, l] - X2[j, l]|``.
     """
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))

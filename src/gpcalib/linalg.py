@@ -1,17 +1,14 @@
-"""Dense multivariate-normal machinery built on Cholesky factorizations.
+"""Cholesky factorization of dense correlation matrices.
 
-Every solve in this module goes through a triangular factor; explicit matrix
-inversion is reserved for test oracles.  Near-singular correlation matrices
-(small ranges, no nugget) are stabilized by a short jitter escalation whose
-final level is reported back to the caller.
+Near-singular correlation matrices (small ranges, no nugget) are stabilized
+by a short jitter escalation whose final level is reported back to the
+caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky
 
 #: Jitter levels tried in order, as multiples of the mean diagonal.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
@@ -54,65 +51,3 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     raise NumericalError(
         f"Cholesky failed after jitter escalation up to {last:.3e}", jitter=last
     )
-
-
-@dataclass(frozen=True)
-class MVNModel:
-    """Mean vector and symmetric PSD covariance of a multivariate normal."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance shape does not match mean length")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-
-def mvn_logdensity(y, model: MVNModel) -> float:
-    """Exact Gaussian log-density of ``y`` under ``model``, via Cholesky."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != model.mean.shape:
-        raise ValueError("observation length does not match model dimension")
-    L, _ = cholesky_with_jitter(model.covariance)
-    return _logpdf_from_chol(y - model.mean, L)
-
-
-def _logpdf_from_chol(resid: np.ndarray, L: np.ndarray) -> float:
-    """Gaussian log-density of a centered residual given the covariance factor."""
-    alpha = solve_triangular(L, resid, lower=True)
-    n = resid.size
-    return -0.5 * n * LOG_2PI - float(np.sum(np.log(np.diag(L)))) - 0.5 * float(alpha @ alpha)
-
-
-def gp_condition(R, r_star, c_star_prior, y_centered, nugget: float = 0.0):
-    """Conditional mean and covariance of a Gaussian process.
-
-    Conditions a zero-mean process observed at ``n`` points (correlation ``R``,
-    i.i.d. noise variance ``nugget``) on the centered observations
-    ``y_centered``, and evaluates at ``k`` target points with prior correlation
-    ``c_star_prior`` and cross-correlation ``r_star`` (n x k).
-
-    Returns
-    -------
-    (mean, cov) : conditional mean (k,) and covariance (k, k)
-        ``mean = r_star' (R + nugget I)^-1 y_centered`` and
-        ``cov = c_star_prior - r_star' (R + nugget I)^-1 r_star``.
-    """
-    R = np.asarray(R, dtype=float)
-    r_star = np.atleast_2d(np.asarray(r_star, dtype=float))
-    c_star_prior = np.atleast_2d(np.asarray(c_star_prior, dtype=float))
-    y_centered = np.atleast_1d(np.asarray(y_centered, dtype=float))
-    n = R.shape[0]
-    if R.shape != (n, n) or r_star.shape[0] != n or y_centered.size != n:
-        raise ValueError("inconsistent shapes in gp_condition")
-    if nugget < 0:
-        raise ValueError("nugget must be non-negative")
-    K = R + nugget * np.eye(n) if nugget > 0 else R
-    L, _ = cholesky_with_jitter(K)
-    mean = r_star.T @ cho_solve((L, True), y_centered)
-    cov = c_star_prior - r_star.T @ cho_solve((L, True), r_star)
-    return mean, 0.5 * (cov + cov.T)

@@ -1,27 +1,17 @@
-"""Worker-pool helpers; the pool size is capped by the SGASP_THREADS env var."""
+"""Serial map helpers.
+
+Every fit and prediction in gpcalib runs serially; no library code calls
+these.  They remain because the benchmark (``bench/run.py``,
+``bench/record.py`` and ``bench/tracing.py``) imports them.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 
 def worker_count() -> int:
-    env = os.environ.get("SGASP_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
+    return 1
 
 
 def thread_map(fn, items):
-    """Map ``fn`` over ``items``, preserving order; results are deterministic
-    as long as each item carries its own random state."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map ``fn`` over ``items`` in order."""
+    return [fn(it) for it in items]

@@ -1,0 +1,100 @@
+"""Reference implementations the tests compare the library against.
+
+Each is the plain textbook formula: one correlation entry at a time, a
+Gaussian density through its own Cholesky factor, and Gaussian conditioning
+written out in full.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
+
+from gpcalib.kernels import MATERN52, KernelSpec, matern52, pow_exp
+from gpcalib.linalg import LOG_2PI, cholesky_with_jitter
+
+
+def product_corr(xa, xb, spec: KernelSpec) -> float:
+    """Product-form correlation between two input points.
+
+    The correlation is the product over coordinates of the one-dimensional
+    correlation at distance ``|xa_l - xb_l|``.
+    """
+    xa = np.atleast_1d(np.asarray(xa, dtype=float))
+    xb = np.atleast_1d(np.asarray(xb, dtype=float))
+    if xa.shape != xb.shape or xa.size != spec.dim:
+        raise ValueError(
+            f"input dimension mismatch: {xa.shape} vs {xb.shape} vs spec dim {spec.dim}"
+        )
+    out = 1.0
+    for l in range(spec.dim):
+        d = abs(xa[l] - xb[l])
+        if spec.family == MATERN52:
+            out *= float(matern52(d, spec.ranges[l]))
+        else:
+            out *= float(pow_exp(d, spec.ranges[l], spec.roughness[l]))
+    return out
+
+
+@dataclass(frozen=True)
+class MVNModel:
+    """Mean vector and symmetric PSD covariance of a multivariate normal."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+
+    def __post_init__(self):
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        cov = np.asarray(self.covariance, dtype=float)
+        if cov.shape != (mean.size, mean.size):
+            raise ValueError("covariance shape does not match mean length")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
+
+
+def mvn_logdensity(y, model: MVNModel) -> float:
+    """Exact Gaussian log-density of ``y`` under ``model``, via Cholesky."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != model.mean.shape:
+        raise ValueError("observation length does not match model dimension")
+    L, _ = cholesky_with_jitter(model.covariance)
+    return _logpdf_from_chol(y - model.mean, L)
+
+
+def _logpdf_from_chol(resid: np.ndarray, L: np.ndarray) -> float:
+    """Gaussian log-density of a centered residual given the covariance factor."""
+    alpha = solve_triangular(L, resid, lower=True)
+    n = resid.size
+    return -0.5 * n * LOG_2PI - float(np.sum(np.log(np.diag(L)))) - 0.5 * float(alpha @ alpha)
+
+
+def gp_condition(R, r_star, c_star_prior, y_centered, nugget: float = 0.0):
+    """Conditional mean and covariance of a Gaussian process.
+
+    Conditions a zero-mean process observed at ``n`` points (correlation ``R``,
+    i.i.d. noise variance ``nugget``) on the centered observations
+    ``y_centered``, and evaluates at ``k`` target points with prior correlation
+    ``c_star_prior`` and cross-correlation ``r_star`` (n x k).
+
+    Returns
+    -------
+    (mean, cov) : conditional mean (k,) and covariance (k, k)
+        ``mean = r_star' (R + nugget I)^-1 y_centered`` and
+        ``cov = c_star_prior - r_star' (R + nugget I)^-1 r_star``.
+    """
+    R = np.asarray(R, dtype=float)
+    r_star = np.atleast_2d(np.asarray(r_star, dtype=float))
+    c_star_prior = np.atleast_2d(np.asarray(c_star_prior, dtype=float))
+    y_centered = np.atleast_1d(np.asarray(y_centered, dtype=float))
+    n = R.shape[0]
+    if R.shape != (n, n) or r_star.shape[0] != n or y_centered.size != n:
+        raise ValueError("inconsistent shapes in gp_condition")
+    if nugget < 0:
+        raise ValueError("nugget must be non-negative")
+    K = R + nugget * np.eye(n) if nugget > 0 else R
+    L, _ = cholesky_with_jitter(K)
+    mean = r_star.T @ cho_solve((L, True), y_centered)
+    cov = c_star_prior - r_star.T @ cho_solve((L, True), r_star)
+    return mean, 0.5 * (cov + cov.T)

@@ -27,8 +27,8 @@ from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP, scaled_cov
 from gpcalib.experiments import run_branin, run_fig1, run_nonlinear, run_park, run_sine
 from gpcalib.inference import mcmc_run
 from gpcalib.kernels import KernelSpec, corr_matrix, matern52, pow_exp
-from gpcalib.linalg import MVNModel, gp_condition, mvn_logdensity
 from gpcalib.models import builtin_model, sine_truth
+from oracles import MVNModel, gp_condition, mvn_logdensity
 
 FIG1_SEED = 0
 PARK_SEED = 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gpcalib.calibration import CalibParams, FieldDataset, predict
-from gpcalib.cli import main
+from gpcalib.cli import _build_spec, main
 from gpcalib.discrepancy import DiscrepancySpec, SGASP
 from gpcalib.kernels import KernelSpec
 from gpcalib.models import builtin_model, sine_truth
@@ -112,6 +112,34 @@ class TestConfigValidation:
     def test_unknown_experiment(self):
         assert main(["experiment", "bogus", "--outdir", "/tmp/never"]) == 1
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"mcmc": 5},
+            {"lambda": "abc"},
+            {"domain": "abc"},
+            {"mcmc": {"samples": "x"}},
+            {"mcmc": {"samples": 500, "burn_in": 500}},
+            {"mcmc": {"samples": 600, "burn_in": 100, "thin": 0}},
+            {"mle": {"sigma2_fixed": -1}},
+            {"mle": {"n_starts": 0}},
+            {"model": {"name": "sine_theta_x", "theta_bounds": [[1, 0]]}},
+            {"mode": "ogasp", "quad_points": 0},
+            {"mode": "ogasp", "quad_points": 3.5},
+        ],
+    )
+    def test_malformed_value_exits_with_config_error(self, sine_files, capsys, extra):
+        tmp_path, data_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, {"mle": {"n_starts": 1}, **extra})
+        assert main(["calibrate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_quad_points_reach_the_ogasp_spec(self, sine_files):
+        _, _, _, _, x, y, _ = sine_files
+        data = FieldDataset(x, y, [[0.0, 1.0]])
+        spec = _build_spec({"mode": "ogasp", "quad_points": 50}, data)
+        assert spec.mode == "ogasp" and spec.quad_points == 50
+
 
 class TestCalibrateCommand:
     def test_mcmc_outputs_and_determinism(self, sine_files):
@@ -208,6 +236,24 @@ class TestPredictCommand:
         spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]))
         want = predict(CalibParams([31.0], [], [2.0], 1.0, 0.05), data, model, spec, xs)
         assert np.array_equal(got[:, 2], want.full_mean)  # bit-exact round trip
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("theta_1,psi_1,sigma2_delta", [31.0, 2.0, 1.0]),
+            ("theta_1,sigma2_delta,psi_1,eta", [31.0, 1.0, 2.0, 0.05]),
+        ],
+    )
+    def test_posterior_header_must_match_the_model(self, sine_files, header, row):
+        tmp_path, data_path, pred_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, {"predict": str(pred_path)})
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "posterior.csv").write_text(
+            header + "\n" + ",".join(f"{v:.16e}" for v in row) + "\n"
+        )
+        assert main(["predict", "--config", str(path)]) == 2
+        assert not (outdir / "prediction.csv").exists()
 
     def test_predict_without_calibration(self, sine_files):
         tmp_path, data_path, pred_path, *_ = sine_files

@@ -19,7 +19,7 @@ from gpcalib.discrepancy import (
     scaled_cross_cov,
 )
 from gpcalib.kernels import KernelSpec, corr_matrix
-from gpcalib.linalg import gp_condition
+from oracles import gp_condition
 
 
 def _sgasp_spec(p=1, gamma=0.5, XC=None, lam=None):

@@ -175,7 +175,6 @@ class TestAsComputerModel:
         model = as_computer_model(em, p_x=1, theta_bounds=[[25.0, 35.0]])
         got = model.evaluate(design[:1, :1], design[0, 1:])
         assert np.isclose(got[0], y[0], atol=1e-6)
-        assert model.kind == "emulated"
 
     def test_deterministic(self):
         em, x, y = _fit_1d(seed=9, D=6)
@@ -183,13 +182,6 @@ class TestAsComputerModel:
         a = model.evaluate(np.zeros((3, 0)), [0.3])
         b = model.evaluate(np.zeros((3, 0)), [0.3])
         assert np.array_equal(a, b)
-
-    def test_draw_mode_adds_noise(self):
-        em, x, y = _fit_1d(seed=10, D=6)
-        model = as_computer_model(em, p_x=0, theta_bounds=[[0.0, 1.0]], draw=True, seed=1)
-        a = model.evaluate(np.zeros((1, 0)), [0.3])
-        b = model.evaluate(np.zeros((1, 0)), [0.3])
-        assert a[0] != b[0]
 
     @pytest.mark.slow
     def test_emulated_calibration_matches_exact(self):

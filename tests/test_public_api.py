@@ -1,0 +1,62 @@
+"""The public surface: ``gpcalib.__all__`` changes only on purpose."""
+
+import gpcalib
+
+PUBLIC_NAMES = {
+    "AdaptiveRWSampler",
+    "BUILTIN_MODELS",
+    "BUILTIN_TRUTHS",
+    "CalibParams",
+    "ComputerModel",
+    "DiscrepancySpec",
+    "EmulatorModel",
+    "FieldDataset",
+    "GASP",
+    "KernelSpec",
+    "L2Result",
+    "LsResult",
+    "MleResult",
+    "NumericalError",
+    "OGASP",
+    "OptimizationError",
+    "ParamTransform",
+    "PosteriorChain",
+    "PredictiveResult",
+    "PriorSpec",
+    "SGASP",
+    "as_computer_model",
+    "builtin_model",
+    "cholesky_with_jitter",
+    "corr_matrix",
+    "emulator_fit",
+    "emulator_predict",
+    "emulator_predict_scaled",
+    "fit_field_gasp",
+    "l2_calibrate",
+    "log_prior",
+    "ls_calibrate",
+    "marginal_loglik",
+    "matern52",
+    "maximin_lhd",
+    "mcmc_run",
+    "mean_basis_eval",
+    "mle_fit",
+    "model_grad_fd",
+    "ogasp_kernel",
+    "posterior_summary",
+    "pow_exp",
+    "predict",
+    "predict_posterior",
+    "scaled_cov",
+    "scaled_cross_cov",
+}
+
+
+def test_all_is_pinned():
+    assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 46
+    assert set(gpcalib.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in gpcalib.__all__:
+        assert getattr(gpcalib, name) is not None, name
