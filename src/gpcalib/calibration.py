@@ -55,8 +55,9 @@ class FieldDataset:
             raise ValueError("X and y disagree on the number of observations")
         if X.shape[0] < 2:
             raise ValueError("need at least two observations")
-        if domain.shape != (X.shape[1], 2) or np.any(domain[:, 1] <= domain[:, 0]):
-            raise ValueError("domain must be one (lower, upper) pair per input dimension")
+        finite = np.all(np.isfinite(domain))
+        if domain.shape != (X.shape[1], 2) or not finite or np.any(domain[:, 1] <= domain[:, 0]):
+            raise ValueError("domain must be one finite (lower, upper) pair per input dimension")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("X and y must be finite (no NaN or infinity)")
         if np.any(X < domain[:, 0]) or np.any(X > domain[:, 1]):
@@ -98,8 +99,8 @@ class ComputerModel:
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
-        if bounds.shape[1] != 2 or np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ValueError("theta_bounds must be rows of (lower, upper)")
+        if bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)) or np.any(bounds[:, 1] <= bounds[:, 0]):
+            raise ValueError("theta_bounds must be finite rows of (lower, upper)")
         object.__setattr__(self, "theta_bounds", bounds)
 
     @property

@@ -109,6 +109,11 @@ class TestConfigValidation:
         path, _ = _config(tmp_path, bad, {})
         assert main(["calibrate", "--config", str(path)]) == 2
 
+    def test_infinite_domain_is_a_data_error(self, sine_files):
+        tmp_path, data_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, {"domain": [[0.0, float("inf")]]})
+        assert main(["calibrate", "--config", str(path)]) == 2
+
     def test_unknown_experiment(self):
         assert main(["experiment", "bogus", "--outdir", "/tmp/never"]) == 1
 
@@ -124,6 +129,7 @@ class TestConfigValidation:
             {"mle": {"sigma2_fixed": -1}},
             {"mle": {"n_starts": 0}},
             {"model": {"name": "sine_theta_x", "theta_bounds": [[1, 0]]}},
+            {"model": {"name": "sine_theta_x", "theta_bounds": [[0, float("inf")]]}},
             {"mode": "ogasp", "quad_points": 0},
             {"mode": "ogasp", "quad_points": 3.5},
         ],
