@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from . import discrepancy as dm
@@ -225,12 +226,6 @@ def mean_basis_eval(X, spec: DiscrepancySpec, beta) -> np.ndarray:
     return basis_matrix(X, spec) @ beta
 
 
-def theta_in_bounds(theta, bounds) -> bool:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    return bool(np.all(theta >= bounds[:, 0]) and np.all(theta <= bounds[:, 1]))
-
-
 class LikelihoodCore:
     """Marginal likelihood evaluator with reusable correlation factorizations.
 
@@ -293,21 +288,26 @@ class LikelihoodCore:
     @staticmethod
     def quad_form(L, resid) -> float:
         """``resid' (L L')^-1 resid`` for the correlation factor ``L``."""
-        alpha = solve_triangular(L, resid, lower=True)
+        alpha, _ = dtrtrs(L, resid, lower=1)
         return float(alpha @ alpha)
 
     def profiled_sigma2(self, L, resid) -> float:
         """Discrepancy variance maximizing the likelihood at this factor."""
         return max(self.quad_form(L, resid) / self.data.n, 1e-300)
 
-    def loglik_from_chol(self, L, resid, sigma2: float) -> float:
+    @staticmethod
+    def logdet_half(L) -> float:
+        """``log |L L'| / 2``, the sum of the log diagonal of ``L``."""
+        return float(np.sum(np.log(np.diag(L))))
+
+    def loglik_from_chol(self, L, resid, sigma2: float, logdet: float | None = None) -> float:
+        """Log-likelihood at ``sigma2``; ``logdet`` is :meth:`logdet_half` of ``L``
+        when the caller already has it."""
         n = self.data.n
         quad = self.quad_form(L, resid)
-        return (
-            -0.5 * n * (LOG_2PI + np.log(sigma2))
-            - float(np.sum(np.log(np.diag(L))))
-            - 0.5 * quad / sigma2
-        )
+        if logdet is None:
+            logdet = self.logdet_half(L)
+        return -0.5 * n * (LOG_2PI + np.log(sigma2)) - logdet - 0.5 * quad / sigma2
 
     def fit_loglik(self, L, resid, sigma2_fixed: float | None) -> float:
         """Log-likelihood ``mle_fit`` maximizes: at ``sigma2_fixed``, or profiled.
@@ -316,7 +316,7 @@ class LikelihoodCore:
         flat likelihood ridges follow that last digit, so each keeps its own.
         """
         n = self.data.n
-        logdet = float(np.sum(np.log(np.diag(L))))
+        logdet = self.logdet_half(L)
         if sigma2_fixed is None:
             s2 = self.profiled_sigma2(L, resid)
             return -0.5 * n * (np.log(2 * np.pi * s2) + 1.0) - logdet
@@ -346,21 +346,30 @@ def marginal_loglik(
 
 def log_prior(params: CalibParams, prior: PriorSpec, theta_bounds=None) -> float:
     """Unnormalized log prior; -inf outside the support."""
-    if theta_bounds is not None and not theta_in_bounds(params.theta, theta_bounds):
+    if prior.jr_C.size != params.psi_delta.size:
+        raise ValueError("prior C length does not match psi")
+    if theta_bounds is not None:
+        theta_bounds = np.atleast_2d(np.asarray(theta_bounds, dtype=float))
+    return _log_prior(
+        prior, params.theta, params.psi_delta, params.sigma2_delta, params.eta, theta_bounds
+    )
+
+
+def _log_prior(prior: PriorSpec, theta, psi, sigma2, eta, theta_bounds=None) -> float:
+    """:func:`log_prior` on unpacked, unchecked parameters (the sampler's path)."""
+    if theta_bounds is not None and not (
+        (theta >= theta_bounds[:, 0]).all() and (theta <= theta_bounds[:, 1]).all()
+    ):
         return -np.inf
+    lp_theta = 0.0
     if prior.theta_log_prior is not None:
-        lp_theta = float(prior.theta_log_prior(params.theta))
+        lp_theta = float(prior.theta_log_prior(theta))
         if not np.isfinite(lp_theta):
             return -np.inf
-    else:
-        lp_theta = 0.0
-    psi = params.psi_delta
-    if prior.jr_C.size != psi.size:
-        raise ValueError("prior C length does not match psi")
-    t = float(prior.jr_C @ psi + params.eta)
+    t = float(prior.jr_C @ psi + eta)
     if not t > 0:
         return -np.inf
-    return lp_theta + prior.jr_a * np.log(t) - prior.jr_b * t - np.log(params.sigma2_delta)
+    return lp_theta + prior.jr_a * np.log(t) - prior.jr_b * t - np.log(sigma2)
 
 
 @dataclass(frozen=True)
@@ -376,9 +385,11 @@ class ParamTransform:
     p_x: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "theta_bounds", np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
-        )
+        bounds = np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
+        object.__setattr__(self, "theta_bounds", bounds)
+        object.__setattr__(self, "_lower", bounds[:, 0])
+        object.__setattr__(self, "_width", bounds[:, 1] - bounds[:, 0])
+        object.__setattr__(self, "_log_width", np.log(self._width))
 
     @property
     def p_theta(self) -> int:
@@ -404,28 +415,35 @@ class ParamTransform:
             ]
         )
 
+    def _split(self, z):
+        """Unchecked read of a length-``dim`` vector, or of rows of such vectors.
+
+        Returns ``(u, theta, beta, psi, sigma2, eta)`` with ``u`` the logistic
+        of the theta coordinates; exponentials may overflow to inf.
+        """
+        pt, q, px = self.p_theta, self.n_basis, self.p_x
+        u = expit(z[..., :pt])
+        theta = self._lower + self._width * u
+        sigma2 = np.exp(z[..., pt + q + px])
+        eta = np.maximum(np.exp(z[..., pt + q + px + 1]) - ETA_FLOOR, 0.0)
+        return u, theta, z[..., pt : pt + q], np.exp(z[..., pt + q : pt + q + px]), sigma2, eta
+
+    def _log_jacobian_at(self, z, u) -> float:
+        """:meth:`log_jacobian` given ``u`` from :meth:`_split`."""
+        lj_theta = float(np.sum(self._log_width + np.log(u) + np.log1p(-u)))
+        return lj_theta + float(np.sum(z[self.p_theta + self.n_basis :]))
+
     def from_vector(self, z) -> CalibParams:
         z = np.asarray(z, dtype=float).reshape(-1)
         if z.size != self.dim:
             raise ValueError(f"expected vector of length {self.dim}, got {z.size}")
-        pt, q, px = self.p_theta, self.n_basis, self.p_x
-        a, b = self.theta_bounds[:, 0], self.theta_bounds[:, 1]
-        theta = a + (b - a) * expit(z[:pt])
-        beta = z[pt : pt + q]
-        psi = np.exp(z[pt + q : pt + q + px])
-        sigma2 = float(np.exp(z[pt + q + px]))
-        eta = max(float(np.exp(z[pt + q + px + 1])) - ETA_FLOOR, 0.0)
+        _, theta, beta, psi, sigma2, eta = self._split(z)
         return CalibParams(theta, beta, psi, sigma2, eta)
 
     def log_jacobian(self, z) -> float:
         """log |d(original)/d(transformed)| at the transformed point z."""
         z = np.asarray(z, dtype=float).reshape(-1)
-        pt, q, px = self.p_theta, self.n_basis, self.p_x
-        widths = self.theta_bounds[:, 1] - self.theta_bounds[:, 0]
-        u = expit(z[:pt])
-        lj_theta = float(np.sum(np.log(widths) + np.log(u) + np.log1p(-u)))
-        lj_rest = float(np.sum(z[pt + q :]))
-        return lj_theta + lj_rest
+        return self._log_jacobian_at(z, expit(z[: self.p_theta]))
 
 
 def predict(

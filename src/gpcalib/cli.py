@@ -261,7 +261,10 @@ def _build_model(cfg) -> ComputerModel:
         header, M = _read_csv(mc["emulator_design"])
         if header[-1] != "y":
             raise DataError(f"{mc['emulator_design']}: last column must be y")
-        em = emulator_fit(M[:, :-1], M[:, -1])
+        try:
+            em = emulator_fit(M[:, :-1], M[:, -1])
+        except ValueError as err:
+            raise DataError(f"{mc['emulator_design']}: {err}") from err
         try:
             return as_computer_model(em, mc["p_x"], mc["theta_bounds"])
         except (TypeError, ValueError) as err:

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg.lapack import dpotrs
 
 from .kernels import KernelSpec, _corr_1d, corr_matrix
 from .linalg import NumericalError, cholesky_with_jitter
@@ -107,18 +108,26 @@ def _constraint_chol(XC: np.ndarray, lam: float, kernel: KernelSpec):
 def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
     """Shrunk correlation matrix of the discretized scaled process.
 
-    ``R_z = R - rC' (RC + (N_C/lambda) I)^-1 rC`` where ``RC`` is the
-    correlation over the constraint points and ``rC`` the constraint-to-data
-    cross-correlation.
+    ``R_z = R - rC' (RC + c I)^-1 rC`` with ``c = N_C / lambda``, where ``RC``
+    is the correlation over the constraint points and ``rC`` the
+    constraint-to-data cross-correlation.  With the default constraint points
+    (``constraint_points=None``: the design itself, so ``RC = rC = R``) this
+    is the identity ``R_z = c (R + c I)^-1 R``, built from one correlation
+    matrix and one factorization.
     """
     if spec.mode != SGASP:
         raise ValueError("scaled_cov requires sgasp mode")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     XC, lam = spec.resolved_constraints(X)
     R = corr_matrix(X, X, spec.kernel)
-    rC = corr_matrix(XC, X, spec.kernel)
-    L = _constraint_chol(XC, lam, spec.kernel)
-    Rz = R - rC.T @ cho_solve((L, True), rC)
+    if spec.constraint_points is None:
+        c = X.shape[0] / lam
+        L, _ = cholesky_with_jitter(R + c * np.eye(X.shape[0]))
+        Rz = c * dpotrs(L, R, lower=1)[0]
+    else:
+        rC = corr_matrix(XC, X, spec.kernel)
+        L = _constraint_chol(XC, lam, spec.kernel)
+        Rz = R - rC.T @ cho_solve((L, True), rC)
     return 0.5 * (Rz + Rz.T)
 
 

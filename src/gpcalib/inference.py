@@ -8,7 +8,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .calibration import (
     CalibParams,
@@ -18,8 +17,8 @@ from .calibration import (
     ParamTransform,
     PredictiveResult,
     PriorSpec,
+    _log_prior,
     initial_params,
-    log_prior,
     predict,
 )
 from .discrepancy import DiscrepancySpec
@@ -56,6 +55,8 @@ def _multistart(objective, start_box, n_starts: int, seed: int, bounds, options:
     objective, ties going to the lowest index (``None`` when no start ended
     finite).
     """
+    from scipy.optimize import minimize  # only here, so importing gpcalib skips scipy.optimize
+
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     U = maximin_lhd(max(n_starts, 2), len(start_box), iterations=50, seed=seed)[:n_starts]
@@ -209,8 +210,10 @@ class AdaptiveRWSampler:
 
     Proposal scales follow a Robbins-Monro recursion toward the target
     acceptance rate during the adaptation phase and are frozen afterwards.
-    An optional ``gibbs`` hook runs after the Metropolis blocks each
-    iteration and may move coordinates by an exact conditional draw.
+    An optional hook ``gibbs(x, lp, rng) -> (x, lp)`` runs after the
+    Metropolis blocks each iteration.  It may move coordinates by an exact
+    conditional draw and returns the new point together with its log
+    posterior, which the sampler keeps without evaluating ``logpost`` again.
     """
 
     def __init__(
@@ -268,8 +271,7 @@ class AdaptiveRWSampler:
                     self._proposed[name] += 1
                     self._accepted[name] += accepted
             if self.gibbs is not None:
-                self.x = self.gibbs(self.x, self.rng)
-                self.lp = float(self.logpost(self.x))
+                self.x, self.lp = self.gibbs(self.x, self.lp, self.rng)
             out[i] = self.x
         return out
 
@@ -322,62 +324,71 @@ class PosteriorChain:
 
 
 class _CalibPosterior:
-    """Log posterior on the transformed scale with correlation-factor reuse."""
+    """Log posterior on the transformed scale, read straight from the vector.
+
+    Correlation factors and their log-determinants are cached under the psi
+    and eta coordinates (plus theta in orthogonal mode), residuals under the
+    theta and beta coordinates, so a block move reuses what it left unchanged.
+    """
 
     def __init__(self, core: LikelihoodCore, prior: PriorSpec, tr: ParamTransform):
         self.core = core
         self.prior = prior
         self.tr = tr
+        pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
+        corr = np.r_[pt + q : pt + q + px, pt + q + px + 1]
+        self._corr_idx = np.r_[:pt, corr] if core.corr_depends_on_theta else corr
+        self._mean_end = pt + q
         self._chol = OrderedDict()
         self._resid = OrderedDict()
 
-    def _corr_key(self, params: CalibParams) -> bytes:
-        key = params.psi_delta.tobytes() + np.float64(params.eta).tobytes()
-        if self.core.corr_depends_on_theta:
-            key += params.theta.tobytes()
-        return key
-
-    def chol_for(self, params: CalibParams):
-        key = self._corr_key(params)
-        hit = self._chol.get(key)
+    @staticmethod
+    def _lru(cache: OrderedDict, key: bytes, make):
+        hit = cache.get(key)
         if hit is not None:
-            self._chol.move_to_end(key)
+            cache.move_to_end(key)
             return hit
-        L, _ = self.core.corr_chol(params.psi_delta, params.eta, params.theta)
-        self._chol[key] = L
-        while len(self._chol) > 4:
-            self._chol.popitem(last=False)
-        return L
+        hit = cache[key] = make()
+        if len(cache) > 4:
+            cache.popitem(last=False)
+        return hit
 
-    def resid_for(self, params: CalibParams) -> np.ndarray:
-        key = params.theta.tobytes() + params.beta_delta.tobytes()
-        hit = self._resid.get(key)
-        if hit is not None:
-            self._resid.move_to_end(key)
-            return hit
-        resid = self.core.data.y - self.core.mean_vector(params.theta, params.beta_delta)
-        self._resid[key] = resid
-        while len(self._resid) > 4:
-            self._resid.popitem(last=False)
-        return resid
+    def _factor(self, z, theta, psi, eta):
+        """(L, log-determinant) of the correlation at ``z``."""
 
-    def quad_for(self, params: CalibParams) -> float:
-        return self.core.quad_form(self.chol_for(params), self.resid_for(params))
+        def make():
+            L, _ = self.core.corr_chol(psi, eta, theta)
+            return L, self.core.logdet_half(L)
+
+        return self._lru(self._chol, z[self._corr_idx].tobytes(), make)
+
+    def _residual(self, z, theta, beta) -> np.ndarray:
+        def make():
+            return self.core.data.y - self.core.mean_vector(theta, beta)
+
+        return self._lru(self._resid, z[: self._mean_end].tobytes(), make)
+
+    def quad_at(self, z) -> float:
+        """Residual quadratic form ``resid' (K + eta I)^-1 resid`` at ``z``."""
+        _, theta, beta, psi, _, eta = self.tr._split(z)
+        L, _ = self._factor(z, theta, psi, eta)
+        return self.core.quad_form(L, self._residual(z, theta, beta))
 
     def __call__(self, z) -> float:
-        try:
-            params = self.tr.from_vector(z)
-        except (ValueError, OverflowError):
+        if not np.isfinite(z).all():
             return -np.inf
-        lp = log_prior(params, self.prior, self.core.model.theta_bounds)
+        u, theta, beta, psi, sigma2, eta = self.tr._split(z)
+        if not ((psi > 0).all() and np.isfinite(psi).all() and np.isfinite(eta)):
+            return -np.inf  # exp over- or underflow
+        lp = _log_prior(self.prior, theta, psi, sigma2, eta, self.tr.theta_bounds)
         if not np.isfinite(lp):
             return -np.inf
-        lp += self.tr.log_jacobian(z)
+        lp += self.tr._log_jacobian_at(z, u)
         try:
-            L = self.chol_for(params)
+            L, logdet = self._factor(z, theta, psi, eta)
         except NumericalError:
             return -np.inf
-        ll = self.core.loglik_from_chol(L, self.resid_for(params), params.sigma2_delta)
+        ll = self.core.loglik_from_chol(L, self._residual(z, theta, beta), sigma2, logdet)
         return ll + lp
 
 
@@ -427,24 +438,20 @@ def mcmc_run(
     sigma2_idx = pt + q + px
     n = data.n
 
-    def gibbs_sigma2(z, rng):
-        params = tr.from_vector(z)
-        quad = posterior.quad_for(params)
-        draw = quad / 2.0 / rng.gamma(n / 2.0)
+    def gibbs_sigma2(z, lp, rng):
+        quad = posterior.quad_at(z)
+        s_old = z[sigma2_idx]
         z = z.copy()
-        z[sigma2_idx] = np.log(draw)
-        return z
+        z[sigma2_idx] = s = np.log(quad / 2.0 / rng.gamma(n / 2.0))
+        # only log sigma2 = s moved: the prior's -s and the Jacobian's +s
+        # cancel, leaving the likelihood's change
+        return z, lp - 0.5 * n * (s - s_old) - 0.5 * quad * (np.exp(-s) - np.exp(-s_old))
 
     rng = np.random.default_rng(seed)
     sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=gibbs_sigma2)
     z_samples = sampler.run(S, adapt_until=burn_in)
 
-    samples = np.empty_like(z_samples)
-    for i in range(S):
-        p = tr.from_vector(z_samples[i])
-        samples[i] = np.concatenate(
-            [p.theta, p.beta_delta, p.psi_delta, [p.sigma2_delta], [p.eta]]
-        )
+    samples = np.column_stack(tr._split(z_samples)[1:])
     return PosteriorChain(
         samples=samples,
         burn_in=burn_in,

@@ -84,12 +84,14 @@ def _check_distance(d):
 def matern52(d, gamma: float):
     """Matern correlation with smoothness 5/2.
 
-    ``c(d) = (1 + sqrt(5) d/gamma + 5 d^2 / (3 gamma^2)) exp(-sqrt(5) d/gamma)``
+    ``c(d) = (1 + sqrt(5) d/gamma + 5 d^2 / (3 gamma^2)) exp(-sqrt(5) d/gamma)``,
+    which is 0 (its limit) wherever ``d/gamma`` is large enough to overflow.
     """
     d = _check_distance(d)
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be finite and positive")
-    u = np.sqrt(5.0) * d / gamma
+    # exp(-u) underflows to 0 near u = 745; the cap keeps u * u finite there
+    u = np.minimum(np.sqrt(5.0) * d / gamma, 1e3)
     return (1.0 + u + u * u / 3.0) * np.exp(-u)
 
 

@@ -8,7 +8,7 @@ caller.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrf
 
 #: Jitter levels tried in order, as multiples of the mean diagonal.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
@@ -27,27 +27,26 @@ class NumericalError(RuntimeError):
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A``, escalating diagonal jitter on failure.
 
+    A non-finite ``A`` raises :class:`NumericalError`.
+
     Returns
     -------
     (L, jitter) : lower-triangular factor and the absolute jitter added to the
         diagonal (0.0 when none was needed).
     """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("matrix to factor is not finite")
     scale = float(np.mean(np.diag(A)))
-    if not np.isfinite(scale):
-        raise NumericalError("covariance diagonal is not finite")
     last = 0.0
     for level in JITTER_LADDER:
         jitter = level * scale
         last = jitter
-        try:
-            if jitter > 0:
-                L = cholesky(A + jitter * np.eye(A.shape[0]), lower=True)
-            else:
-                L = cholesky(A, lower=True)
+        L, info = dpotrf(A + jitter * np.eye(A.shape[0]) if jitter > 0 else A, lower=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise NumericalError(
         f"Cholesky failed after jitter escalation up to {last:.3e}", jitter=last
     )

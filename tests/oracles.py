@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from gpcalib.kernels import MATERN52, KernelSpec, matern52, pow_exp
+from gpcalib.kernels import MATERN52, KernelSpec, corr_matrix, matern52, pow_exp
 from gpcalib.linalg import LOG_2PI, cholesky_with_jitter
 
 
@@ -98,3 +98,19 @@ def gp_condition(R, r_star, c_star_prior, y_centered, nugget: float = 0.0):
     mean = r_star.T @ cho_solve((L, True), y_centered)
     cov = c_star_prior - r_star.T @ cho_solve((L, True), r_star)
     return mean, 0.5 * (cov + cov.T)
+
+
+def scaled_cov_three_kernels(X, kernel: KernelSpec, lam: float) -> np.ndarray:
+    """Scaled-process covariance with the design as its constraint points.
+
+    ``R - rC' (RC + (n / lam) I)^-1 rC`` with the correlation over the
+    constraint points ``RC``, the constraint-to-data ``rC`` and the data
+    correlation ``R`` each built as its own kernel matrix.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    R = corr_matrix(X, X, kernel)
+    rC = corr_matrix(X, X, kernel)
+    L, _ = cholesky_with_jitter(corr_matrix(X, X, kernel) + (n / lam) * np.eye(n))
+    Rz = R - rC.T @ cho_solve((L, True), rC)
+    return 0.5 * (Rz + Rz.T)

@@ -299,6 +299,25 @@ class TestEmulatorModelConfig:
         assert 25.0 <= med <= 35.0
 
 
+class TestEmulatorDesignErrors:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0.1,1,0.3"] * 5, "design rows must be distinct"),
+            (["0.1,1,0.3", "0.5,2,0.1", "0.9,3,0.7"], "need more design runs"),
+        ],
+    )
+    def test_bad_design_is_a_data_error(self, sine_files, capsys, rows, message):
+        tmp_path, data_path, *_ = sine_files
+        runs_path = tmp_path / "runs.csv"
+        runs_path.write_text("\n".join(["x1,t1,y"] + rows) + "\n")
+        model = {"emulator_design": str(runs_path), "p_x": 1, "theta_bounds": [[0.0, 5.0]]}
+        path, _ = _config(tmp_path, data_path, {"model": model})
+        assert main(["calibrate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+
 class TestExperimentCommand:
     def test_branin_runs(self, tmp_path):
         assert main(["experiment", "branin", "--seed", "0", "--outdir", str(tmp_path)]) == 0

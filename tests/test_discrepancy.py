@@ -18,8 +18,9 @@ from gpcalib.discrepancy import (
     scaled_cov,
     scaled_cross_cov,
 )
+from gpcalib import discrepancy
 from gpcalib.kernels import KernelSpec, corr_matrix
-from oracles import gp_condition
+from oracles import gp_condition, scaled_cov_three_kernels
 
 
 def _sgasp_spec(p=1, gamma=0.5, XC=None, lam=None):
@@ -90,6 +91,24 @@ class TestScaledCov:
         spec = DiscrepancySpec("gasp", KernelSpec("matern52", [1.0]))
         with pytest.raises(ValueError):
             scaled_cov(np.zeros((3, 1)), spec)
+
+    @pytest.mark.parametrize("lam_per_n", [1 / 8, 1 / 2, 2.0, 1e-8])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_default_constraints_match_three_kernel_formula(self, lam_per_n, p):
+        rng = np.random.default_rng(p)
+        X = rng.uniform(size=(20, p))
+        kern = KernelSpec("matern52", rng.uniform(0.2, 0.8, size=p))
+        lam = lam_per_n * X.shape[0]
+        Rz = scaled_cov(X, DiscrepancySpec(SGASP, kern, lam=lam))
+        np.testing.assert_allclose(Rz, scaled_cov_three_kernels(X, kern, lam), rtol=0, atol=1e-12)
+        assert np.array_equal(Rz, Rz.T)
+
+    def test_default_constraints_build_one_kernel_matrix(self, monkeypatch):
+        calls = []
+        corr = discrepancy.corr_matrix
+        monkeypatch.setattr(discrepancy, "corr_matrix", lambda *a: calls.append(1) or corr(*a))
+        scaled_cov(np.linspace(0, 1, 9)[:, None], _sgasp_spec())
+        assert len(calls) == 1
 
 
 class TestScaledCrossCov:

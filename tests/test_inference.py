@@ -6,24 +6,27 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult
 
-from gpcalib import inference
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
     FieldDataset,
     LikelihoodCore,
     ParamTransform,
+    PriorSpec,
     initial_params,
+    log_prior,
     marginal_loglik,
     predict,
 )
-from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP
+from gpcalib.discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from gpcalib.kernels import KernelSpec
 from gpcalib.linalg import NumericalError
+from gpcalib.models import builtin_model
 from gpcalib.inference import (
     AdaptiveRWSampler,
     OptimizationError,
     PosteriorChain,
+    _CalibPosterior,
     mcmc_run,
     mle_fit,
     posterior_summary,
@@ -96,7 +99,8 @@ class TestMleFit:
         def flat_minimize(fun, x0, **kwargs):
             return OptimizeResult(x=np.array(x0), fun=1.0, success=True, message="flat")
 
-        monkeypatch.setattr(inference, "minimize", flat_minimize)
+        # _multistart imports minimize when it runs, so patch it at the source
+        monkeypatch.setattr("scipy.optimize.minimize", flat_minimize)
         data, model = _quadratic_setup()
         spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
         fit = mle_fit(data, model, spec, n_starts=4, seed=3, sigma2_fixed=1.0)
@@ -224,6 +228,124 @@ class TestMcmcRun:
         with pytest.raises(ValueError):
             # theta on the bound cannot be mapped to the sampling scale
             mcmc_run(data, model, spec, S=10, burn_in=1, seed=0, initial=bad)
+
+
+def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.0) ** 2):
+    """Posterior with a two-function mean basis and a Gaussian theta prior."""
+    x = np.linspace(0, 1, 12)[:, None]
+    rng = np.random.default_rng(8)
+    data = FieldDataset(x, np.sin(10 * x[:, 0]) + 0.3 * rng.standard_normal(12), [[0.0, 1.0]])
+    model = builtin_model("sine_theta_x")
+    basis = [lambda X: np.ones(X.shape[0]), lambda X: X[:, 0]]
+    spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]), mean_basis=basis, quad_points=60)
+    prior = PriorSpec.default(data, theta_log_prior=theta_log_prior)
+    tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
+    return data, model, spec, prior, tr, _CalibPosterior(LikelihoodCore(data, model, spec), prior, tr)
+
+
+def _random_z(rng):
+    # layout: logit theta, beta (2), log psi, log sigma2, log(eta + floor)
+    return np.concatenate(
+        [
+            rng.normal(0.0, 1.5, 1),
+            rng.normal(0.0, 1.0, 2),
+            rng.uniform(np.log(0.5), np.log(20.0), 1),
+            rng.normal(0.0, 1.0, 1),
+            rng.uniform(np.log(1e-4), 0.0, 1),
+        ]
+    )
+
+
+class TestCalibPosterior:
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_raw_vector_matches_assembled_posterior(self, mode):
+        data, model, spec, prior, tr, post = _posterior_case(mode)
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            z = _random_z(rng)
+            params = tr.from_vector(z)
+            want = (
+                log_prior(params, prior, model.theta_bounds)
+                + tr.log_jacobian(z)
+                + marginal_loglik(params, data, model, spec)
+            )
+            got = post(z)
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert post(z) == got  # cached factor and residual give the same value
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_closed_form_gibbs_matches_full_evaluation(self, mode, monkeypatch):
+        pairs = []
+        init = AdaptiveRWSampler.__init__
+
+        def checking_init(self, logpost, blocks, x0, rng, gibbs=None, **kwargs):
+            def checked(x, lp, rng):
+                x, lp = gibbs(x, lp, rng)
+                pairs.append((lp, logpost(x)))
+                return x, lp
+
+            init(self, logpost, blocks, x0, rng, gibbs=checked, **kwargs)
+
+        monkeypatch.setattr(AdaptiveRWSampler, "__init__", checking_init)
+        data, model, spec, prior, *_ = _posterior_case(mode)
+        mcmc_run(data, model, spec, prior, S=150, burn_in=50, seed=5)
+        got, want = np.array(pairs).T
+        assert len(pairs) == 150
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "coord, value",
+        [
+            (0, np.nan),  # non-finite vector
+            (1, np.inf),
+            (3, 800.0),  # psi overflows
+            (3, -800.0),  # psi underflows to 0
+            (5, 800.0),  # eta overflows
+        ],
+    )
+    def test_bad_coordinates_score_minus_inf(self, coord, value):
+        *_, post = _posterior_case(GASP)
+        z = _random_z(np.random.default_rng(2))
+        z[coord] = value
+        assert post(z) == -np.inf
+
+    def test_jointly_robust_sum_at_zero_scores_minus_inf(self):
+        *_, post = _posterior_case(GASP)
+        z = _random_z(np.random.default_rng(2))
+        z[3], z[5] = -745.0, -40.0  # C psi underflows to 0 and eta = 0
+        assert post(z) == -np.inf
+
+    def test_non_finite_theta_prior_scores_minus_inf(self):
+        *_, post = _posterior_case(GASP, theta_log_prior=lambda th: -np.inf)
+        assert post(_random_z(np.random.default_rng(2))) == -np.inf
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_non_finite_correlation_scores_minus_inf(self, mode, monkeypatch):
+        *_, post = _posterior_case(mode)
+        z = _random_z(np.random.default_rng(2))
+        K = np.eye(12)
+        K[0, 5] = K[5, 0] = np.nan  # finite diagonal, NaN correlation
+        monkeypatch.setattr(LikelihoodCore, "corr_target", lambda self, psi, theta=None: K)
+        assert post(z) == -np.inf
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_huge_inverse_range_does_not_crash(self, mode):
+        # log psi = 702 made the Matern correlation NaN (inf * 0), and the
+        # chain died in the Cholesky factorization
+        *_, post = _posterior_case(mode)
+        z = _random_z(np.random.default_rng(2))
+        sane = post(z)
+        z[3] = 702.0
+        assert post(z) < sane - 1e100
+
+    def test_mcmc_scores_two_blocks_per_iteration(self, monkeypatch):
+        calls = []
+        score = _CalibPosterior.__call__
+        monkeypatch.setattr(_CalibPosterior, "__call__", lambda self, z: calls.append(1) or score(self, z))
+        data, model = _sine_data()
+        spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]))
+        mcmc_run(data, model, spec, S=60, burn_in=20, seed=1)
+        assert len(calls) == 2 * 60 + 1  # theta and corr blocks, plus the start
 
 
 def _chain_from(samples, burn_in=0):

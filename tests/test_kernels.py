@@ -20,6 +20,12 @@ class TestMatern52:
         assert np.isclose(matern52(1.0, 1.0), expected, rtol=1e-12)
         assert np.isclose(expected, 0.52399, atol=5e-6)
 
+    def test_overflowing_scaled_distance_gives_zero(self):
+        # (1 + u + u^2/3) overflows to inf where exp(-u) is 0; the limit is 0
+        d = np.array([0.0, 1e-200, 0.5, 1.0])
+        np.testing.assert_array_equal(matern52(d, 1e-305), [1.0, 0.0, 0.0, 0.0])
+        assert matern52(1.0, 5e-324) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             matern52(-1.0, 1.0)

@@ -32,6 +32,13 @@ class TestCholeskyWithJitter:
         assert jitter > 0
         assert np.all(np.isfinite(L))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_a_numerical_error(self, bad):
+        A = np.eye(3)
+        A[0, 2] = A[2, 0] = bad
+        with pytest.raises(NumericalError):
+            cholesky_with_jitter(A)
+
     def test_fails_on_indefinite(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
         with pytest.raises(NumericalError) as err:

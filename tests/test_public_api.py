@@ -1,5 +1,9 @@
 """The public surface: ``gpcalib.__all__`` changes only on purpose."""
 
+import os
+import subprocess
+import sys
+
 import gpcalib
 
 PUBLIC_NAMES = {
@@ -55,6 +59,15 @@ PUBLIC_NAMES = {
 def test_all_is_pinned():
     assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 46
     assert set(gpcalib.__all__) == PUBLIC_NAMES
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # inference._multistart imports scipy.optimize when it runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpcalib.__file__)))
+    code = "import sys, gpcalib; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_every_public_name_resolves():
