@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
@@ -280,9 +279,13 @@ class LikelihoodCore:
 
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
-        K = self.corr_target(psi, theta)
+        return self.factor(self.corr_target(psi, theta), eta)
+
+    @staticmethod
+    def factor(K, eta):
+        """Cholesky factor of ``K + eta I`` and the jitter used."""
         if eta > 0:
-            K = K + eta * np.eye(self.data.n)
+            K = K + eta * np.eye(K.shape[0])
         return cholesky_with_jitter(K)
 
     @staticmethod
@@ -458,34 +461,45 @@ def predict(
     Per new point x*: the model-only mean ``f(x*, theta) + mu(x*)``, the full
     mean adding the conditional discrepancy, and the predictive variance
     ``sigma2 * c* + sigma2 * eta`` where ``c*`` is the conditional
-    correlation-scale variance.
+    correlation-scale variance.  With ``L L' = K + eta I``, the cross
+    correlation ``r`` and the prior correlation ``c0`` of the mode, two
+    triangular solves ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)`` give the
+    conditional discrepancy mean ``V' w`` and ``c* = c0 - sum_i V_i^2``.  In
+    ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``.
     """
+    return _predict(LikelihoodCore(data, model, spec), params, Xstar)
+
+
+def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResult:
+    """:func:`predict` with the data, model and spec of ``core``."""
+    data, model, spec = core.data, core.model, core.spec
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != data.p:
         raise ValueError("prediction inputs do not match the data dimension")
-    core = LikelihoodCore(data, model, spec)
     kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
-    wspec = spec.with_kernel(kern)
 
-    if spec.mode == dm.GASP:
-        r = corr_matrix(data.X, Xstar, kern)
-        c0 = np.ones(Xstar.shape[0])
-    elif spec.mode == dm.SGASP:
-        r, c0 = dm.scaled_cross_cov(data.X, Xstar, wspec)
-    else:
+    if spec.mode == dm.OGASP:
         grad = model.grad_fn(params.theta)
-        r, c0 = dm.ogasp_cross_cov(data.X, Xstar, kern, grad, data.domain, spec.quad_points)
+        projection = dm._projection(kern, grad, data.domain, spec.quad_points)
+        r, c0 = dm._ogasp_cross(data.X, Xstar, kern, projection)
+        L, _ = core.factor(dm._ogasp_corr(data.X, data.X, kern, projection), params.eta)
+    else:
+        if spec.mode == dm.GASP:
+            r = corr_matrix(data.X, Xstar, kern)
+            c0 = np.ones(Xstar.shape[0])
+        else:
+            r, c0 = dm.scaled_cross_cov(data.X, Xstar, spec.with_kernel(kern))
+        L, _ = core.corr_chol(params.psi_delta, params.eta)
 
-    L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-    alpha = cho_solve((L, True), resid)
-    solved = cho_solve((L, True), r)
+    V = dtrtrs(L, r, lower=1)[0]
+    w = dtrtrs(L, resid, lower=1)[0]
 
     model_mean = model.evaluate(Xstar, params.theta) + mean_basis_eval(
         Xstar, spec, params.beta_delta
     )
-    full_mean = model_mean + r.T @ alpha
-    cstar = np.maximum(c0 - np.einsum("ij,ij->j", r, solved), 0.0)
+    full_mean = model_mean + V.T @ w
+    cstar = np.maximum(c0 - np.einsum("ij,ij->j", V, V), 0.0)
     variance = params.sigma2_delta * cstar + params.sigma2_noise
     return PredictiveResult(model_mean=model_mean, full_mean=full_mean, variance=variance)
 

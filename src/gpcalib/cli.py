@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -246,7 +247,43 @@ def _build_data(cfg) -> FieldDataset:
         raise DataError(str(err)) from err
 
 
-def _build_model(cfg) -> ComputerModel:
+#: Fitted emulator state that ``calibrate`` writes and ``predict`` reuses.
+_EMULATOR_FILE = "emulator.json"
+
+
+def _design_digest(M) -> str:
+    return hashlib.sha256(np.ascontiguousarray(M, dtype="<f8").tobytes()).hexdigest()
+
+
+def _stored_ranges(outdir: str, M) -> np.ndarray:
+    """Emulator ranges that ``calibrate`` fitted to the design matrix ``M``."""
+    path = os.path.join(outdir, _EMULATOR_FILE)
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+    except FileNotFoundError as err:
+        raise DataError(f"no {_EMULATOR_FILE} under {outdir}; run calibrate first") from err
+    except ValueError as err:
+        raise DataError(f"{path}: not valid JSON") from err
+    if (
+        not isinstance(stored, dict)
+        or stored.get("design_shape") != list(M.shape)
+        or stored.get("design_sha256") != _design_digest(M)
+    ):
+        raise DataError(f"{path}: fitted to another emulator design; rerun calibrate")
+    try:
+        ranges = np.asarray(stored["ranges"], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: ranges must be a list of numbers") from err
+    if ranges.shape != (M.shape[1] - 1,) or not np.all(np.isfinite(ranges)) or np.any(ranges <= 0):
+        raise DataError(f"{path}: ranges must be one finite positive value per design column")
+    return ranges
+
+
+def _build_model(cfg, fit_emulator: bool) -> ComputerModel:
+    """The configured computer model.  An emulator is fitted (and its ranges
+    written to ``emulator.json``) when ``fit_emulator``, else rebuilt from
+    that file without optimizing."""
     mc = cfg["model"]
     if "name" in mc:
         try:
@@ -261,14 +298,24 @@ def _build_model(cfg) -> ComputerModel:
         header, M = _read_csv(mc["emulator_design"])
         if header[-1] != "y":
             raise DataError(f"{mc['emulator_design']}: last column must be y")
+        ranges = None if fit_emulator else _stored_ranges(cfg["output_dir"], M)
         try:
-            em = emulator_fit(M[:, :-1], M[:, -1])
+            em = emulator_fit(M[:, :-1], M[:, -1], ranges=ranges)
         except ValueError as err:
             raise DataError(f"{mc['emulator_design']}: {err}") from err
         try:
-            return as_computer_model(em, mc["p_x"], mc["theta_bounds"])
+            model = as_computer_model(em, mc["p_x"], mc["theta_bounds"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"model: {err}") from err
+        if fit_emulator:
+            stored = {
+                "design_shape": list(M.shape),
+                "design_sha256": _design_digest(M),
+                "ranges": em.kernel.ranges.tolist(),
+            }
+            with open(os.path.join(cfg["output_dir"], _EMULATOR_FILE), "w") as fh:
+                json.dump(stored, fh, indent=2, sort_keys=True)
+        return model
     raise ConfigError("model needs either a builtin 'name' or an 'emulator_design'")
 
 
@@ -325,7 +372,7 @@ def cmd_calibrate(cfg: dict) -> int:
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     data = _build_data(cfg)
-    model = _build_model(cfg)
+    model = _build_model(cfg, fit_emulator=True)
     mode = cfg["mode"]
     mle_cfg = cfg.get("mle", {})
     seed = int(mle_cfg.get("seed", 0))
@@ -364,7 +411,7 @@ def cmd_calibrate(cfg: dict) -> int:
         if "predict" in cfg:
             from .calibration import PredictiveResult
 
-            Xstar = read_inputs_csv(cfg["predict"])
+            Xstar = _prediction_inputs(cfg, data)
             model_mean = model.evaluate(Xstar, res.theta_hat)
             if mode == "l2":
                 surrogate = predictor.predict(Xstar)
@@ -443,6 +490,25 @@ def cmd_calibrate(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _check_param_rows(where: str, M, model, data, spec):
+    """Reject parameter rows (``_param_names`` layout) that no fit can produce."""
+    pt, q, px = model.p_theta, spec.n_basis, data.p
+    theta, psi = M[:, :pt], M[:, pt + q : pt + q + px]
+    bad = (
+        ~np.all(np.isfinite(M), axis=1)
+        | np.any(psi <= 0, axis=1)
+        | (M[:, -2] <= 0)
+        | (M[:, -1] < 0)
+        | np.any(theta < model.theta_bounds[:, 0], axis=1)
+        | np.any(theta > model.theta_bounds[:, 1], axis=1)
+    )
+    if bad.any():
+        raise DataError(
+            f"{where}: parameter row {int(np.argmax(bad)) + 1} must be finite, with psi and "
+            "sigma2_delta positive, eta non-negative and theta inside theta_bounds"
+        )
+
+
 def _load_chain(cfg, outdir, model, data, spec) -> PosteriorChain | None:
     path = os.path.join(outdir, "posterior.csv")
     if not os.path.exists(path):
@@ -451,6 +517,7 @@ def _load_chain(cfg, outdir, model, data, spec) -> PosteriorChain | None:
     names = _param_names(model.p_theta, spec.n_basis, data.p)
     if header != names:
         raise DataError(f"{path}: expected header {','.join(names)}, got {','.join(header)}")
+    _check_param_rows(path, M, model, data, spec)
     return PosteriorChain(
         samples=M,
         burn_in=0,
@@ -463,39 +530,52 @@ def _load_chain(cfg, outdir, model, data, spec) -> PosteriorChain | None:
     )
 
 
+def _load_mle(outdir, model, data, spec) -> CalibParams:
+    path = os.path.join(outdir, "mle.json")
+    if not os.path.exists(path):
+        raise DataError(f"no posterior.csv or mle.json under {outdir}; run calibrate first")
+    keys = ("theta", "beta", "psi", "sigma2_delta", "eta")
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        parts = [np.asarray(payload[k], dtype=float).reshape(-1) for k in keys]
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: needs numeric {', '.join(keys)}") from err
+    if [v.size for v in parts] != [model.p_theta, spec.n_basis, data.p, 1, 1]:
+        raise DataError(f"{path}: parameter lengths do not match the model")
+    _check_param_rows(path, np.concatenate(parts)[None, :], model, data, spec)
+    return CalibParams(*parts[:3], parts[3][0], parts[4][0])
+
+
+def _prediction_inputs(cfg, data: FieldDataset):
+    Xstar = read_inputs_csv(cfg["predict"])
+    if Xstar.shape[1] != data.p:
+        raise DataError(
+            f"{cfg['predict']}: {Xstar.shape[1]} input columns, the field data has {data.p}"
+        )
+    if not np.all(np.isfinite(Xstar)):
+        raise DataError(f"{cfg['predict']}: prediction inputs must be finite (no NaN or infinity)")
+    return Xstar
+
+
 def cmd_predict(cfg: dict) -> int:
     if "predict" not in cfg:
         raise ConfigError("predict command needs a 'predict' input path")
-    outdir = cfg["output_dir"]
-    data = _build_data(cfg)
-    model = _build_model(cfg)
-    mode = cfg["mode"]
-    if mode in ("l2", "ls"):
+    if cfg["mode"] in ("l2", "ls"):
         raise ConfigError(
             "l2/ls predictions are written by the calibrate command; rerun it "
             "with a 'predict' path"
         )
+    outdir = cfg["output_dir"]
+    data = _build_data(cfg)
+    model = _build_model(cfg, fit_emulator=False)
     spec = _build_spec(cfg, data)
-    Xstar = read_inputs_csv(cfg["predict"])
+    Xstar = _prediction_inputs(cfg, data)
     chain = _load_chain(cfg, outdir, model, data, spec)
     if chain is not None:
         out = predict_posterior(chain, data, model, spec, Xstar, thin=1)
     else:
-        mle_path = os.path.join(outdir, "mle.json")
-        if not os.path.exists(mle_path):
-            raise DataError(
-                f"no posterior.csv or mle.json under {outdir}; run calibrate first"
-            )
-        with open(mle_path) as fh:
-            payload = json.load(fh)
-        params = CalibParams(
-            payload["theta"],
-            payload["beta"],
-            payload["psi"],
-            payload["sigma2_delta"],
-            payload["eta"],
-        )
-        out = predict(params, data, model, spec, Xstar)
+        out = predict(_load_mle(outdir, model, data, spec), data, model, spec, Xstar)
     _prediction_table(outdir, Xstar, out)
     _maybe_truth_mse(cfg, outdir, Xstar, out)
     return EXIT_OK

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, toeplitz
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .kernels import KernelSpec, _corr_1d, corr_matrix
 from .linalg import NumericalError, cholesky_with_jitter
@@ -134,6 +134,13 @@ def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
 def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     """Cross-covariance and prior variance of the scaled process at new points.
 
+    ``r_z = r* - rC' (RC + c I)^-1 rC*`` and ``c_z = 1 - rC*' (RC + c I)^-1 rC*``
+    with ``c = N_C / lambda``.  With the default constraint points (the
+    design, so ``RC = rC = R`` and ``rC* = r*``) these are the identities
+    ``r_z = c (R + c I)^-1 r*`` and ``c_z = 1 - ||L^-1 r*||^2`` with
+    ``L L' = R + c I``: one ``corr_matrix(X, X)``, one ``corr_matrix(X, Xstar)``,
+    one factorization and two triangular solves.
+
     Returns
     -------
     (r_z, c_z_diag) : cross-covariance (n, k) between the observed design and
@@ -145,8 +152,14 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     XC, lam = spec.resolved_constraints(X)
-    L = _constraint_chol(XC, lam, spec.kernel)
     r_data_star = corr_matrix(X, Xstar, spec.kernel)
+    if spec.constraint_points is None:
+        c = X.shape[0] / lam
+        L, _ = cholesky_with_jitter(corr_matrix(X, X, spec.kernel) + c * np.eye(X.shape[0]))
+        V = dtrtrs(L, r_data_star, lower=1)[0]
+        r_z = c * dtrtrs(L, V, lower=1, trans=1)[0]
+        return r_z, 1.0 - np.einsum("ij,ij->j", V, V)
+    L = _constraint_chol(XC, lam, spec.kernel)
     rC_data = corr_matrix(XC, X, spec.kernel)
     rC_star = corr_matrix(XC, Xstar, spec.kernel)
     solved = cho_solve((L, True), rC_star)
@@ -272,9 +285,16 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
     same = Xb is Xa
     Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
     Xb = Xa if same else np.atleast_2d(np.asarray(Xb, dtype=float))
-    grid, Dw, LG = _projection(base_kernel, model_grad, domain, quad_points)
+    projection = _projection(base_kernel, model_grad, domain, quad_points)
+    return _ogasp_corr(Xa, Xb, base_kernel, projection)
+
+
+def _ogasp_corr(Xa, Xb, base_kernel: KernelSpec, projection) -> np.ndarray:
+    """:func:`ogasp_kernel` on 2-D inputs given :func:`_projection`'s result;
+    ``Xb is Xa`` reuses the gradient features."""
+    grid, Dw, LG = projection
     g_a = corr_matrix(Xa, grid, base_kernel) @ Dw
-    g_b = g_a if same else corr_matrix(Xb, grid, base_kernel) @ Dw
+    g_b = g_a if Xb is Xa else corr_matrix(Xb, grid, base_kernel) @ Dw
     C = corr_matrix(Xa, Xb, base_kernel)
     return C - g_a @ cho_solve((LG, True), g_b.T)
 
@@ -290,7 +310,13 @@ def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    grid, Dw, LG = _projection(base_kernel, model_grad, domain, quad_points)
+    projection = _projection(base_kernel, model_grad, domain, quad_points)
+    return _ogasp_cross(X, Xstar, base_kernel, projection)
+
+
+def _ogasp_cross(X, Xstar, base_kernel: KernelSpec, projection):
+    """:func:`ogasp_cross_cov` on 2-D inputs given :func:`_projection`'s result."""
+    grid, Dw, LG = projection
     g = corr_matrix(X, grid, base_kernel) @ Dw
     g_star = corr_matrix(Xstar, grid, base_kernel) @ Dw
     solved = cho_solve((LG, True), g_star.T)

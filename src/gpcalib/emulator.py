@@ -62,10 +62,16 @@ def _gls(L, H, y) -> _GLS:
     return _GLS(L, RinvH, LM, beta, max(quad, 0.0) / (D - q), alpha, log_marginal)
 
 
+def _kriging_mean(gls: _GLS, h, r):
+    """Predictive mean ``h beta + r' alpha`` at new points with trend basis
+    ``h`` and correlation ``r`` to the design."""
+    return h @ gls.beta + r.T @ gls.alpha
+
+
 def _student_t(gls: _GLS, h, r, c0):
     """Student-t predictive mean and variance at new points with trend basis
     ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
-    mean = h @ gls.beta + r.T @ gls.alpha
+    mean = _kriging_mean(gls, h, r)
     Rinv_r = cho_solve((gls.L, True), r)
     u = h.T - gls.RinvH.T @ r
     w = solve_triangular(gls.LM, u, lower=True)
@@ -131,7 +137,8 @@ def emulator_fit(
     The trend coefficients and variance carry the scale-invariant prior
     ``1/sigma2`` and are integrated out; the inverse ranges get the jointly
     robust prior, evaluated on the log-inverse-range scale.  Passing
-    ``ranges`` skips the range optimization and keeps them fixed.
+    ``ranges`` skips the range optimization: the kernel keeps exactly those
+    ranges, so a fit rebuilt from ``em.kernel.ranges`` equals ``em``.
     """
     design, outputs = _prepare_design(design, outputs)
     D, p = design.shape
@@ -166,8 +173,7 @@ def emulator_fit(
         return -lp
 
     if ranges is not None:
-        psi = 1.0 / np.atleast_1d(np.asarray(ranges, dtype=float))
-        return _finalize(design, outputs, mean_basis, psi, H)
+        return _finalize(design, outputs, mean_basis, ranges, H)
 
     results, best = _multistart(
         objective,
@@ -180,11 +186,11 @@ def emulator_fit(
     )
     if best is None or not results[best].fun < _BAD_OBJECTIVE / 2:
         raise NumericalError("emulator range optimization failed from every start")
-    return _finalize(design, outputs, mean_basis, np.exp(results[best].x), H)
+    return _finalize(design, outputs, mean_basis, 1.0 / np.exp(results[best].x), H)
 
 
-def _finalize(design, outputs, mean_basis, psi, H) -> EmulatorModel:
-    kern = KernelSpec("matern52", 1.0 / psi)
+def _finalize(design, outputs, mean_basis, ranges, H) -> EmulatorModel:
+    kern = KernelSpec("matern52", ranges)
     L, _ = cholesky_with_jitter(corr_matrix(design, design, kern))
     return EmulatorModel(
         design=design,
@@ -193,6 +199,17 @@ def _finalize(design, outputs, mean_basis, psi, H) -> EmulatorModel:
         kernel=kern,
         _gls=_gls(L, H, outputs),
     )
+
+
+def _joint_inputs(model: EmulatorModel, xstar, thetastar):
+    """Joint inputs: ``xstar`` with ``thetastar`` (if given) appended to every row."""
+    Z = np.atleast_2d(np.asarray(xstar, dtype=float))
+    if thetastar is not None:
+        theta = np.atleast_1d(np.asarray(thetastar, dtype=float))
+        Z = np.hstack([Z, np.tile(theta, (Z.shape[0], 1))])
+    if Z.shape[1] != model.design.shape[1]:
+        raise ValueError("prediction inputs do not match the design dimension")
+    return Z
 
 
 def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
@@ -204,15 +221,16 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
     conditional correlation plus the trend-estimation inflation term, and the
     degrees of freedom are the number of runs minus the trend dimension.
     """
-    Z = np.atleast_2d(np.asarray(xstar, dtype=float))
-    if thetastar is not None:
-        theta = np.atleast_1d(np.asarray(thetastar, dtype=float))
-        Z = np.hstack([Z, np.tile(theta, (Z.shape[0], 1))])
-    if Z.shape[1] != model.design.shape[1]:
-        raise ValueError("prediction inputs do not match the design dimension")
+    Z = _joint_inputs(model, xstar, thetastar)
     r = corr_matrix(model.design, Z, model.kernel)
     mean, variance = _student_t(model._gls, model.basis(Z), r, 1.0)
     return mean, variance, model.dof
+
+
+def _emulator_mean(model: EmulatorModel, xstar, thetastar):
+    """``emulator_predict(model, xstar, thetastar)[0]`` without the variance."""
+    Z = _joint_inputs(model, xstar, thetastar)
+    return _kriging_mean(model._gls, model.basis(Z), corr_matrix(model.design, Z, model.kernel))
 
 
 def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = None):
@@ -236,13 +254,14 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
 def as_computer_model(model: EmulatorModel, p_x: int, theta_bounds) -> ComputerModel:
     """Wrap a fitted emulator as a calibration computer model.
 
-    The evaluator is the (deterministic) predictive mean.
+    The evaluator is the (deterministic) predictive mean; the Student-t
+    variance is never computed.
     """
     theta_bounds = np.atleast_2d(np.asarray(theta_bounds, dtype=float))
     if p_x + theta_bounds.shape[0] != model.design.shape[1]:
         raise ValueError("p_x plus the parameter count must match the design columns")
     return ComputerModel(
-        evaluator=lambda X, theta: emulator_predict(model, X, theta)[0],
+        evaluator=lambda X, theta: _emulator_mean(model, X, theta),
         theta_bounds=theta_bounds,
         vectorized=True,
     )

@@ -18,8 +18,8 @@ from .calibration import (
     PredictiveResult,
     PriorSpec,
     _log_prior,
+    _predict,
     initial_params,
-    predict,
 )
 from .discrepancy import DiscrepancySpec
 from .linalg import NumericalError
@@ -499,8 +499,9 @@ def predict_posterior(
     """
     if thin < 1:
         raise ValueError("thin must be >= 1")
+    core = LikelihoodCore(data, model, spec)
     results = [
-        predict(chain.params_at(i), data, model, spec, Xstar)
+        _predict(core, chain.params_at(i), Xstar)
         for i in range(chain.burn_in, chain.n_samples, thin)
     ]
     model_means = np.stack([r.model_mean for r in results])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, strategies as st
 
 from gpcalib.calibration import (
     CalibParams,
@@ -15,9 +16,18 @@ from gpcalib.calibration import (
     mean_basis_eval,
     predict,
 )
-from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP, scaled_cov
+from gpcalib import discrepancy
+from gpcalib.discrepancy import (
+    DiscrepancySpec,
+    GASP,
+    OGASP,
+    SGASP,
+    ogasp_cross_cov,
+    ogasp_kernel,
+    scaled_cov,
+)
 from gpcalib.kernels import KernelSpec, corr_matrix
-from oracles import MVNModel, mvn_logdensity
+from oracles import MVNModel, gp_condition, mvn_logdensity
 
 
 def _constant_model(bounds=((0.0, 10.0),)):
@@ -269,6 +279,86 @@ class TestPredict:
         params = CalibParams([1.0], [], [3.0], 1.2, 0.3)
         out = predict(params, data, model, spec, np.linspace(0, 1, 50)[:, None])
         assert np.all(out.variance >= params.sigma2_noise - 1e-12)
+
+
+def _mode_blocks(mode, X, Xs, kern, lam):
+    """Prior correlation over the data, to the new points and at them, for
+    gasp, or for sgasp by conditioning the plain process on the constraint
+    points (the design) with noise ``n / lam``."""
+    joint = np.vstack([X, Xs])
+    prior = corr_matrix(joint, joint, kern)
+    if mode == SGASP:
+        R = corr_matrix(X, X, kern)
+        _, prior = gp_condition(R, corr_matrix(X, joint, kern), prior, np.zeros(len(X)), len(X) / lam)
+    n = len(X)
+    return prior[:n, :n], prior[:n, n:], prior[n:, n:]
+
+
+class TestPredictAgainstConditioning:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 15),
+        p=st.sampled_from([1, 2]),
+        mode=st.sampled_from([GASP, SGASP]),
+        eta=st.sampled_from([0.0]) | st.floats(1e-6, 1.0),
+        log_psi=st.floats(np.log(2.0), np.log(30.0)),
+        sigma2=st.floats(0.1, 10.0),
+    )
+    def test_matches_gp_condition(self, seed, n, p, mode, eta, log_psi, sigma2):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, p))
+        Xs = rng.uniform(size=(4, p))
+        data = FieldDataset(X, rng.normal(size=n), [[0.0, 1.0]] * p)
+        psi = np.full(p, np.exp(log_psi))
+        kern = KernelSpec("matern52", 1.0 / psi)
+        K, r, c0 = _mode_blocks(mode, X, Xs, kern, n / 2.0)
+        assume(np.linalg.cond(K + eta * np.eye(n)) < 1e6)
+        params = CalibParams([1.3], [], psi, sigma2, eta)
+        out = predict(params, data, _constant_model(), _spec(mode, p=p), Xs)
+        mean, cov = gp_condition(K, r, c0, data.y - 1.3, nugget=eta)
+        scale = max(1.0, float(np.max(np.abs(mean))))
+        np.testing.assert_allclose(out.full_mean - 1.3, mean, rtol=1e-9, atol=1e-9 * scale)
+        cstar = np.maximum(np.diag(cov), 0.0)
+        np.testing.assert_allclose(
+            out.variance, sigma2 * (cstar + eta), rtol=1e-9, atol=1e-9 * sigma2
+        )
+
+
+class TestOgaspPredict:
+    def _setup(self):
+        rng = np.random.default_rng(12)
+        data = FieldDataset(rng.uniform(size=(9, 1)), rng.normal(size=9), [[0.0, 1.0]])
+        model = ComputerModel(
+            evaluator=lambda X, th: np.sin(th[0] * np.atleast_2d(X)[:, 0]),
+            theta_bounds=[[0.5, 5.0]],
+            vectorized=True,
+        )
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]), quad_points=40)
+        return data, model, spec, CalibParams([2.2], [], [3.0], 0.8, 0.02)
+
+    def test_one_projection_per_call(self, monkeypatch):
+        data, model, spec, params = self._setup()
+        calls = []
+        proj = discrepancy._projection
+        monkeypatch.setattr(discrepancy, "_projection", lambda *a: calls.append(1) or proj(*a))
+        predict(params, data, model, spec, np.linspace(0, 1, 13)[:, None])
+        assert len(calls) == 1
+
+    def test_matches_gp_condition(self):
+        data, model, spec, params = self._setup()
+        Xs = np.linspace(0, 1, 13)[:, None]
+        kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
+        args = (kern, model.grad_fn(params.theta), data.domain, spec.quad_points)
+        K = ogasp_kernel(data.X, data.X, *args)
+        r, c0 = ogasp_cross_cov(data.X, Xs, *args)
+        resid = data.y - model.evaluate(data.X, params.theta)
+        mean, cov = gp_condition(K, r, np.diag(c0), resid, nugget=params.eta)
+        out = predict(params, data, model, spec, Xs)
+        np.testing.assert_allclose(
+            out.full_mean - model.evaluate(Xs, params.theta), mean, rtol=1e-10, atol=1e-12
+        )
+        want = params.sigma2_delta * (np.maximum(np.diag(cov), 0.0) + params.eta)
+        np.testing.assert_allclose(out.variance, want, rtol=1e-10, atol=1e-12)
 
 
 class TestParamTransform:

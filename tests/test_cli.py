@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from gpcalib.calibration import CalibParams, FieldDataset, predict
-from gpcalib.cli import _build_spec, main
+from gpcalib import emulator
+from gpcalib.cli import _build_spec, _read_csv, main
 from gpcalib.discrepancy import DiscrepancySpec, SGASP
+from gpcalib.emulator import emulator_fit
 from gpcalib.kernels import KernelSpec
 from gpcalib.models import builtin_model, sine_truth
 
@@ -297,6 +299,139 @@ class TestEmulatorModelConfig:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         med = summary["posterior"]["theta_1"]["median"]
         assert 25.0 <= med <= 35.0
+
+
+def _write_runs(path, seed=0, D=30):
+    rng = np.random.default_rng(seed)
+    design = np.column_stack([rng.uniform(size=D), rng.uniform(25.0, 35.0, size=D)])
+    runs = np.sin(design[:, 1] * design[:, 0])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x1", "t1", "y"])
+        for row, val in zip(design, runs):
+            w.writerow([f"{v:.16e}" for v in row] + [f"{val:.16e}"])
+
+
+class TestEmulatorReuse:
+    @pytest.fixture
+    def calibrated(self, sine_files):
+        tmp_path, data_path, pred_path, *_ = sine_files
+        runs_path = tmp_path / "runs.csv"
+        _write_runs(runs_path)
+        model = {"emulator_design": str(runs_path), "p_x": 1, "theta_bounds": [[25.0, 35.0]]}
+        path, _ = _config(tmp_path, data_path, {"model": model, "predict": str(pred_path)})
+        assert main(["calibrate", "--config", str(path)]) == 0
+        outdir = tmp_path / "out"
+        (outdir / "posterior.csv").write_text(
+            "theta_1,psi_1,sigma2_delta,eta\n"
+            + ",".join(f"{v:.16e}" for v in [31.0, 2.0, 1.0, 0.05]) + "\n"
+        )
+        return path, runs_path, outdir
+
+    def test_calibrate_stores_the_fitted_ranges(self, calibrated):
+        _, runs_path, outdir = calibrated
+        stored = json.loads((outdir / "emulator.json").read_text())
+        header, M = _read_csv(str(runs_path))
+        em = emulator_fit(M[:, :-1], M[:, -1])
+        assert stored["ranges"] == em.kernel.ranges.tolist()
+        assert stored["design_shape"] == [30, 3]
+
+    def test_predict_never_optimizes(self, calibrated, monkeypatch):
+        path, *_ = calibrated
+        calls = []
+        start = emulator._multistart
+        monkeypatch.setattr(emulator, "_multistart", lambda *a, **k: calls.append(1) or start(*a, **k))
+        assert main(["predict", "--config", str(path)]) == 0
+        assert calls == []
+
+    def test_missing_emulator_file(self, calibrated, capsys):
+        path, _, outdir = calibrated
+        (outdir / "emulator.json").unlink()
+        assert main(["predict", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (outdir / "prediction.csv").exists()
+
+    def test_changed_design_is_rejected(self, calibrated, capsys):
+        path, runs_path, outdir = calibrated
+        _write_runs(runs_path, seed=1)
+        assert main(["predict", "--config", str(path)]) == 2
+        assert "another emulator design" in capsys.readouterr().err
+        assert not (outdir / "prediction.csv").exists()
+
+    def test_l2_predict_stays_a_config_error(self, calibrated):
+        path, _, outdir = calibrated
+        (outdir / "emulator.json").unlink()
+        cfg = json.loads(path.read_text())
+        cfg["mode"] = "l2"
+        path.write_text(json.dumps(cfg))
+        assert main(["predict", "--config", str(path)]) == 1
+
+
+class TestPredictInputChecks:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [31.0, -1.0, 1.0, 0.05],
+            [31.0, 2.0, float("nan"), 0.05],
+            [31.0, 2.0, 1.0, float("nan")],
+            [31.0, 2.0, 0.0, 0.05],
+            [31.0, 2.0, 1.0, -0.1],
+            [1e9, 2.0, 1.0, 0.05],
+            [31.0, float("inf"), 1.0, 0.05],
+        ],
+    )
+    def test_bad_posterior_row(self, sine_files, capsys, row):
+        tmp_path, data_path, pred_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, {"predict": str(pred_path)})
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        good = ",".join(f"{v:.16e}" for v in [31.0, 2.0, 1.0, 0.05])
+        (outdir / "posterior.csv").write_text(
+            "theta_1,psi_1,sigma2_delta,eta\n" + good + "\n" + ",".join(map(repr, row)) + "\n"
+        )
+        assert main(["predict", "--config", str(path)]) == 2
+        assert "parameter row 2" in capsys.readouterr().err
+        assert not (outdir / "prediction.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"theta": [31.0], "beta": [], "psi": [-1.0], "sigma2_delta": 1.0, "eta": 0.05},
+            {"theta": [99.0], "beta": [], "psi": [2.0], "sigma2_delta": 1.0, "eta": 0.05},
+            {"theta": [31.0], "beta": [], "psi": [2.0, 1.0], "sigma2_delta": 1.0, "eta": 0.05},
+            {"theta": [31.0], "beta": [], "psi": [2.0], "sigma2_delta": 1.0},
+        ],
+    )
+    def test_bad_mle_file(self, sine_files, capsys, payload):
+        tmp_path, data_path, pred_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, {"predict": str(pred_path)})
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "mle.json").write_text(json.dumps(payload))
+        assert main(["predict", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1\n0.5\nnan\n", "must be finite"),
+            ("x1\n0.5\ninf\n", "must be finite"),
+            ("x1,x2\n0.5,0.5\n", "2 input columns"),
+        ],
+    )
+    def test_bad_prediction_inputs(self, sine_files, capsys, text, message):
+        tmp_path, data_path, pred_path, *_ = sine_files
+        pred_path.write_text(text)
+        path, _ = _config(tmp_path, data_path, {"predict": str(pred_path)})
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "posterior.csv").write_text(
+            "theta_1,psi_1,sigma2_delta,eta\n"
+            + ",".join(f"{v:.16e}" for v in [31.0, 2.0, 1.0, 0.05]) + "\n"
+        )
+        assert main(["predict", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
 
 
 class TestEmulatorDesignErrors:

@@ -147,6 +147,30 @@ class TestScaledCrossCov:
         np.testing.assert_allclose(c_z, np.diag(joint_cov[8:, 8:]), atol=1e-10)
 
 
+    def test_default_constraints_build_two_kernel_matrices(self, monkeypatch):
+        calls = []
+        corr = discrepancy.corr_matrix
+        monkeypatch.setattr(discrepancy, "corr_matrix", lambda *a: calls.append(1) or corr(*a))
+        scaled_cross_cov(np.linspace(0, 1, 9)[:, None], np.array([[0.33], [0.71]]), _sgasp_spec())
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("lam_per_n", [1 / 8, 1 / 2, 2.0])
+    def test_default_constraints_match_explicit_design(self, p, lam_per_n):
+        # the identity path against the general constraint-point formula
+        rng = np.random.default_rng(int(40 + 10 * p + 8 * lam_per_n))
+        X = rng.uniform(size=(11, p))
+        Xs = rng.uniform(size=(7, p))
+        kern = KernelSpec("matern52", rng.uniform(0.2, 0.8, size=p))
+        lam = lam_per_n * X.shape[0]
+        r_z, c_z = scaled_cross_cov(X, Xs, DiscrepancySpec(SGASP, kern, lam=lam))
+        r_ref, c_ref = scaled_cross_cov(
+            X, Xs, DiscrepancySpec(SGASP, kern, constraint_points=X, lam=lam)
+        )
+        np.testing.assert_allclose(r_z, r_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c_z, c_ref, rtol=0, atol=1e-12)
+
+
 def _toy_model(kind="linear"):
     if kind == "linear":
         return ComputerModel(

@@ -61,6 +61,18 @@ class TestEmulatorFit:
         np.testing.assert_allclose(m1, m2, atol=1e-10)
         np.testing.assert_allclose(v1, v2, atol=1e-10)
 
+    def test_fixed_ranges_reproduce_the_fit_exactly(self):
+        rng = np.random.default_rng(4)
+        design = np.column_stack([rng.uniform(size=12), rng.uniform(1, 3, size=12)])
+        em = emulator_fit(design, np.sin(design[:, 1] * design[:, 0]), seed=4)
+        again = emulator_fit(em.design, em.outputs, ranges=em.kernel.ranges)
+        assert np.array_equal(again.kernel.ranges, em.kernel.ranges)
+        for got, want in zip(again._gls, em._gls):
+            assert np.array_equal(got, want)
+        # kept as given: 1 / (1 / 1.94718889) is not 1.94718889 in floating point
+        fixed = emulator_fit(design, em.outputs, ranges=[0.5, 1.94718889])
+        assert np.array_equal(fixed.kernel.ranges, [0.5, 1.94718889])
+
     def test_row_permutation_refit_is_stable(self):
         # the refit re-estimates the ranges; optimizer noise stays tiny
         em, x, y = _fit_1d(seed=3)
@@ -175,6 +187,14 @@ class TestAsComputerModel:
         model = as_computer_model(em, p_x=1, theta_bounds=[[25.0, 35.0]])
         got = model.evaluate(design[:1, :1], design[0, 1:])
         assert np.isclose(got[0], y[0], atol=1e-6)
+
+    def test_evaluator_is_the_predictive_mean(self):
+        rng = np.random.default_rng(11)
+        design = np.column_stack([rng.uniform(size=15), rng.uniform(0, 4, size=15)])
+        em = emulator_fit(design, np.cos(design[:, 1] * design[:, 0]), seed=11)
+        model = as_computer_model(em, p_x=1, theta_bounds=[[0.0, 4.0]])
+        X = rng.uniform(size=(20, 1))
+        assert np.array_equal(model.evaluate(X, [1.7]), emulator_predict(em, X, [1.7])[0])
 
     def test_deterministic(self):
         em, x, y = _fit_1d(seed=9, D=6)
