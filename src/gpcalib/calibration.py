@@ -16,21 +16,36 @@ where ``K`` is the discrepancy correlation matrix of the chosen mode and
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import expit
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
-from .kernels import corr_matrix
-from .linalg import LOG_2PI, cholesky_with_jitter
+from .kernels import _distances, _product_corr, corr_matrix
+from .linalg import LOG_2PI, _shifted, cholesky_with_jitter
 
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
 #: to a finite coordinate and back exactly.
 ETA_FLOOR = 1e-12
+
+#: The largest inverse range whose range ``1 / psi`` overflows to infinity.
+PSI_OVERFLOW = 2.0**-1024
+
+
+def _lru(cache: OrderedDict, key: bytes, make):
+    """``cache[key]``, made by ``make()`` on a miss; keeps the 4 keys used last."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    hit = cache[key] = make()
+    if len(cache) > 4:
+        cache.popitem(last=False)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -142,8 +157,8 @@ class CalibParams:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         beta = np.asarray(self.beta_delta, dtype=float).reshape(-1)
         psi = np.atleast_1d(np.asarray(self.psi_delta, dtype=float))
-        if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
-            raise ValueError("psi_delta must be positive")
+        if np.any(psi <= PSI_OVERFLOW) or not np.all(np.isfinite(psi)):
+            raise ValueError("psi_delta must be positive, with a finite range 1/psi_delta")
         if not self.sigma2_delta > 0:
             raise ValueError("sigma2_delta must be positive")
         if self.eta < 0:
@@ -231,6 +246,21 @@ class LikelihoodCore:
     Splitting the computation into a correlation part (depends on psi, eta
     and, in orthogonal mode, theta) and a mean part (theta, beta) lets
     samplers re-use the Cholesky factor across mean-only updates.
+
+    Everything that depends only on the design is computed once, here: the
+    per-axis distance matrices of the design (and, for explicit sgasp
+    constraint points, of the constraint points and constraint-to-design),
+    and in ogasp mode the quadrature grid, its cell volume, the per-axis lag
+    vectors and the design-to-grid distances.  A proposal then goes from
+    (psi, eta, theta) to kernel values and one factorization.  In ogasp mode
+    the pieces that depend on psi alone (``corr(X, X)``, ``corr(X, grid)``
+    and the grid's Toeplitz factors) are cached under the bytes of psi, and
+    the weighted gradient ``Dw``, which depends on theta alone, under the
+    bytes of theta, each for the 4 keys used last; so a theta move
+    evaluates no kernel and a psi move no gradient.  The computer model's
+    values at the design are kept for the last theta.  psi is not checked
+    here: each must exceed :data:`PSI_OVERFLOW`, as :class:`CalibParams`
+    and the sampler ensure.
     """
 
     def __init__(self, data: FieldDataset, model: ComputerModel, spec: DiscrepancySpec):
@@ -240,11 +270,24 @@ class LikelihoodCore:
             pts = spec.constraint_points
             if np.any(pts < data.domain[:, 0]) or np.any(pts > data.domain[:, 1]):
                 raise ValueError("constraint points must lie inside the domain")
+        X = data.X
         self.data = data
         self.model = model
         self.spec = spec
-        self.H = basis_matrix(data.X, spec)
+        self.H = basis_matrix(X, spec)
         self._theta_cache: tuple[bytes, np.ndarray] | None = None
+        self._dists = _distances(X, X)
+        if spec.mode == dm.SGASP:
+            XC, lam = spec.resolved_constraints(X)
+            self._c = XC.shape[0] / lam
+            if spec.constraint_points is not None:
+                self._dists_C = _distances(XC, XC)
+                self._dists_CX = _distances(XC, X)
+        if spec.mode == dm.OGASP:
+            self._grid = dm._ogasp_grid(data.domain, spec.quad_points, data.p)
+            self._dists_grid = _distances(X, self._grid.points)
+            self._psi_parts = OrderedDict()
+            self._grads = OrderedDict()
 
     @property
     def corr_depends_on_theta(self) -> bool:
@@ -263,19 +306,42 @@ class LikelihoodCore:
 
     def corr_target(self, psi, theta=None) -> np.ndarray:
         """Discrepancy correlation matrix K for the current mode."""
-        kern = self.spec.kernel.with_ranges(1.0 / np.asarray(psi, dtype=float))
-        spec = self.spec.with_kernel(kern)
-        X = self.data.X
-        if spec.mode == dm.GASP:
-            return corr_matrix(X, X, kern)
-        if spec.mode == dm.SGASP:
-            return dm.scaled_cov(X, spec)
+        if self.spec.mode == dm.OGASP:
+            C, g, _, LG = self._ogasp_parts(psi, theta)
+            return dm._ogasp_corr(C, g, g, LG)
+        gamma = 1.0 / np.atleast_1d(np.asarray(psi, dtype=float))
+        kernel = self.spec.kernel
+        R = _product_corr(self._dists, kernel, gamma)
+        if self.spec.mode == dm.GASP:
+            return R
+        if self.spec.constraint_points is None:
+            return dm._scaled_default(R, self._c)[0]
+        RC = _product_corr(self._dists_C, kernel, gamma)
+        return dm._scaled_explicit(R, RC, _product_corr(self._dists_CX, kernel, gamma), self._c)
+
+    def _ogasp_parts(self, psi, theta):
+        """``(corr(X, X), g, Dw, LG)`` in ogasp mode: the base correlation, the
+        gradient features ``g = corr(X, grid) Dw``, the weighted gradient and
+        the factor of the gradient Gram (``discrepancy._projection``)."""
         if theta is None:
             raise ValueError("orthogonal mode needs theta to build the correlation")
-        grad = self.model.grad_fn(theta)
-        return dm.ogasp_kernel(
-            X, X, kern, grad, self.data.domain, spec.quad_points
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        kernel, grid = self.spec.kernel, self._grid
+
+        def psi_parts():
+            gamma = 1.0 / psi
+            return (
+                _product_corr(self._dists, kernel, gamma),
+                _product_corr(self._dists_grid, kernel, gamma),
+                dm._toeplitz_factors(kernel, gamma, grid.lags),
+            )
+
+        C, CXg, factors = _lru(self._psi_parts, psi.tobytes(), psi_parts)
+        Dw = _lru(
+            self._grads, theta.tobytes(), lambda: dm._weighted_grad(self.model.grad_fn(theta), grid)
         )
+        return C, CXg @ Dw, Dw, dm._projection(Dw, factors, grid.volume2)
 
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
@@ -284,9 +350,7 @@ class LikelihoodCore:
     @staticmethod
     def factor(K, eta):
         """Cholesky factor of ``K + eta I`` and the jitter used."""
-        if eta > 0:
-            K = K + eta * np.eye(K.shape[0])
-        return cholesky_with_jitter(K)
+        return cholesky_with_jitter(_shifted(K, eta) if eta > 0 else K)
 
     @staticmethod
     def quad_form(L, resid) -> float:
@@ -301,13 +365,17 @@ class LikelihoodCore:
     @staticmethod
     def logdet_half(L) -> float:
         """``log |L L'| / 2``, the sum of the log diagonal of ``L``."""
-        return float(np.sum(np.log(np.diag(L))))
+        return float(np.log(np.diag(L)).sum())
 
-    def loglik_from_chol(self, L, resid, sigma2: float, logdet: float | None = None) -> float:
+    def loglik_from_chol(
+        self, L, resid, sigma2: float, logdet: float | None = None, quad: float | None = None
+    ) -> float:
         """Log-likelihood at ``sigma2``; ``logdet`` is :meth:`logdet_half` of ``L``
-        when the caller already has it."""
+        and ``quad`` :meth:`quad_form` of ``L`` and ``resid`` when the caller
+        already has them."""
         n = self.data.n
-        quad = self.quad_form(L, resid)
+        if quad is None:
+            quad = self.quad_form(L, resid)
         if logdet is None:
             logdet = self.logdet_half(L)
         return -0.5 * n * (LOG_2PI + np.log(sigma2)) - logdet - 0.5 * quad / sigma2
@@ -326,7 +394,13 @@ class LikelihoodCore:
         quad = self.quad_form(L, resid)
         return -0.5 * n * np.log(2 * np.pi * sigma2_fixed) - logdet - 0.5 * quad / sigma2_fixed
 
+    def _check_psi(self, psi) -> None:
+        """Reject inverse ranges that do not match the data dimension."""
+        if np.size(psi) != self.data.p:
+            raise ValueError("psi_delta length does not match the data dimension")
+
     def loglik(self, params: CalibParams) -> float:
+        self._check_psi(params.psi_delta)
         L, _ = self.corr_chol(params.psi_delta, params.eta, params.theta)
         resid = self.data.y - self.mean_vector(params.theta, params.beta_delta)
         return self.loglik_from_chol(L, resid, params.sigma2_delta)
@@ -373,6 +447,11 @@ def _log_prior(prior: PriorSpec, theta, psi, sigma2, eta, theta_bounds=None) -> 
     if not t > 0:
         return -np.inf
     return lp_theta + prior.jr_a * np.log(t) - prior.jr_b * t - np.log(sigma2)
+
+
+def _logistic(x):
+    """``1 / (1 + exp(-x))``; 0 where ``exp(-x)`` overflows."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -425,7 +504,7 @@ class ParamTransform:
         of the theta coordinates; exponentials may overflow to inf.
         """
         pt, q, px = self.p_theta, self.n_basis, self.p_x
-        u = expit(z[..., :pt])
+        u = _logistic(z[..., :pt])
         theta = self._lower + self._width * u
         sigma2 = np.exp(z[..., pt + q + px])
         eta = np.maximum(np.exp(z[..., pt + q + px + 1]) - ETA_FLOOR, 0.0)
@@ -433,8 +512,8 @@ class ParamTransform:
 
     def _log_jacobian_at(self, z, u) -> float:
         """:meth:`log_jacobian` given ``u`` from :meth:`_split`."""
-        lj_theta = float(np.sum(self._log_width + np.log(u) + np.log1p(-u)))
-        return lj_theta + float(np.sum(z[self.p_theta + self.n_basis :]))
+        lj_theta = float((self._log_width + np.log(u) + np.log1p(-u)).sum())
+        return lj_theta + float(z[self.p_theta + self.n_basis :].sum())
 
     def from_vector(self, z) -> CalibParams:
         z = np.asarray(z, dtype=float).reshape(-1)
@@ -446,7 +525,7 @@ class ParamTransform:
     def log_jacobian(self, z) -> float:
         """log |d(original)/d(transformed)| at the transformed point z."""
         z = np.asarray(z, dtype=float).reshape(-1)
-        return self._log_jacobian_at(z, expit(z[: self.p_theta]))
+        return self._log_jacobian_at(z, _logistic(z[: self.p_theta]))
 
 
 def predict(
@@ -465,7 +544,9 @@ def predict(
     correlation ``r`` and the prior correlation ``c0`` of the mode, two
     triangular solves ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)`` give the
     conditional discrepancy mean ``V' w`` and ``c* = c0 - sum_i V_i^2``.  In
-    ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``.
+    ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``; in
+    sgasp mode with the default constraint points one factor of ``R + c I``
+    does.
     """
     return _predict(LikelihoodCore(data, model, spec), params, Xstar)
 
@@ -476,13 +557,19 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != data.p:
         raise ValueError("prediction inputs do not match the data dimension")
+    core._check_psi(params.psi_delta)
     kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
 
     if spec.mode == dm.OGASP:
-        grad = model.grad_fn(params.theta)
-        projection = dm._projection(kern, grad, data.domain, spec.quad_points)
-        r, c0 = dm._ogasp_cross(data.X, Xstar, kern, projection)
-        L, _ = core.factor(dm._ogasp_corr(data.X, data.X, kern, projection), params.eta)
+        C, g, Dw, LG = core._ogasp_parts(params.psi_delta, params.theta)
+        g_star = corr_matrix(Xstar, core._grid.points, kern) @ Dw
+        r, c0 = dm._ogasp_cross(corr_matrix(data.X, Xstar, kern), g, g_star, LG)
+        L, _ = core.factor(dm._ogasp_corr(C, g, g, LG), params.eta)
+    elif spec.mode == dm.SGASP and spec.constraint_points is None:
+        # one factor of R + cI gives both K = R_z and the cross-covariance
+        Rz, Lc = dm._scaled_default(_product_corr(core._dists, spec.kernel, kern.ranges), core._c)
+        r, c0 = dm._scaled_cross_default(Lc, core._c, corr_matrix(data.X, Xstar, kern))
+        L, _ = core.factor(Rz, params.eta)
     else:
         if spec.mode == dm.GASP:
             r = corr_matrix(data.X, Xstar, kern)

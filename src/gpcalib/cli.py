@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .baselines import l2_calibrate, ls_calibrate
-from .calibration import CalibParams, ComputerModel, FieldDataset, predict
+from .calibration import PSI_OVERFLOW, CalibParams, ComputerModel, FieldDataset, predict
 from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from .emulator import as_computer_model, emulator_fit
 from .experiments import EXPERIMENTS, _write_csv
@@ -496,7 +496,7 @@ def _check_param_rows(where: str, M, model, data, spec):
     theta, psi = M[:, :pt], M[:, pt + q : pt + q + px]
     bad = (
         ~np.all(np.isfinite(M), axis=1)
-        | np.any(psi <= 0, axis=1)
+        | np.any(psi <= PSI_OVERFLOW, axis=1)
         | (M[:, -2] <= 0)
         | (M[:, -1] < 0)
         | np.any(theta < model.theta_bounds[:, 0], axis=1)

@@ -16,14 +16,14 @@ Three priors for the discrepancy between reality and a computer model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, toeplitz
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .kernels import KernelSpec, _corr_1d, corr_matrix
-from .linalg import NumericalError, cholesky_with_jitter
+from .linalg import NumericalError, _shifted, cholesky_with_jitter
 
 GASP = "gasp"
 SGASP = "sgasp"
@@ -97,12 +97,30 @@ class DiscrepancySpec:
         )
 
 
-def _constraint_chol(XC: np.ndarray, lam: float, kernel: KernelSpec):
-    """Cholesky factor of R^C + (N_C / lambda) I over the constraint points."""
-    NC = XC.shape[0]
-    RC = corr_matrix(XC, XC, kernel)
-    L, _ = cholesky_with_jitter(RC + (NC / lam) * np.eye(NC))
+def _constraint_chol(RC: np.ndarray, c: float):
+    """Cholesky factor of R^C + c I, the constraint-point correlation plus
+    ``c = N_C / lambda``."""
+    L, _ = cholesky_with_jitter(_shifted(RC, c))
     return L
+
+
+def _scaled_default(R: np.ndarray, c: float):
+    """``(R_z, L)``: ``R_z = c (R + c I)^-1 R``, symmetrized, and ``L L' = R + c I``."""
+    L = _constraint_chol(R, c)
+    Rz = c * dpotrs(L, R, lower=1)[0]
+    return 0.5 * (Rz + Rz.T), L
+
+
+def _scaled_explicit(R: np.ndarray, RC: np.ndarray, rC: np.ndarray, c: float) -> np.ndarray:
+    """``R_z = R - rC' (RC + c I)^-1 rC``, symmetrized."""
+    Rz = R - rC.T @ dpotrs(_constraint_chol(RC, c), rC, lower=1)[0]
+    return 0.5 * (Rz + Rz.T)
+
+
+def _scaled_cross_default(L: np.ndarray, c: float, r_star: np.ndarray):
+    """``(c (R + c I)^-1 r*, 1 - ||L^-1 r*||^2)`` for ``L`` from :func:`_scaled_default`."""
+    V = dtrtrs(L, r_star, lower=1)[0]
+    return c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
 
 
 def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
@@ -120,15 +138,10 @@ def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     XC, lam = spec.resolved_constraints(X)
     R = corr_matrix(X, X, spec.kernel)
+    c = XC.shape[0] / lam
     if spec.constraint_points is None:
-        c = X.shape[0] / lam
-        L, _ = cholesky_with_jitter(R + c * np.eye(X.shape[0]))
-        Rz = c * dpotrs(L, R, lower=1)[0]
-    else:
-        rC = corr_matrix(XC, X, spec.kernel)
-        L = _constraint_chol(XC, lam, spec.kernel)
-        Rz = R - rC.T @ cho_solve((L, True), rC)
-    return 0.5 * (Rz + Rz.T)
+        return _scaled_default(R, c)[0]
+    return _scaled_explicit(R, corr_matrix(XC, XC, spec.kernel), corr_matrix(XC, X, spec.kernel), c)
 
 
 def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
@@ -152,17 +165,15 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     XC, lam = spec.resolved_constraints(X)
+    c = XC.shape[0] / lam
     r_data_star = corr_matrix(X, Xstar, spec.kernel)
     if spec.constraint_points is None:
-        c = X.shape[0] / lam
-        L, _ = cholesky_with_jitter(corr_matrix(X, X, spec.kernel) + c * np.eye(X.shape[0]))
-        V = dtrtrs(L, r_data_star, lower=1)[0]
-        r_z = c * dtrtrs(L, V, lower=1, trans=1)[0]
-        return r_z, 1.0 - np.einsum("ij,ij->j", V, V)
-    L = _constraint_chol(XC, lam, spec.kernel)
+        L = _constraint_chol(corr_matrix(X, X, spec.kernel), c)
+        return _scaled_cross_default(L, c, r_data_star)
+    L = _constraint_chol(corr_matrix(XC, XC, spec.kernel), c)
     rC_data = corr_matrix(XC, X, spec.kernel)
     rC_star = corr_matrix(XC, Xstar, spec.kernel)
-    solved = cho_solve((L, True), rC_star)
+    solved = dpotrs(L, rC_star, lower=1)[0]
     r_z = r_data_star - rC_data.T @ solved
     c_z_diag = 1.0 - np.einsum("ij,ij->j", rC_star, solved)
     return r_z, c_z_diag
@@ -200,46 +211,69 @@ def default_quad_points(p: int) -> int:
     return {1: 200, 2: 40}.get(p, 10)
 
 
-def _grid_corr_apply(V, kernel: KernelSpec, domain, quad_points: int) -> np.ndarray:
+class _OgaspGrid(NamedTuple):
+    """What the ogasp integrals take from the domain alone: the midpoint grid
+    (N, p), its cell volume, one lag vector ``k h_l`` (k = 0..q-1) per axis
+    and the squared domain volume that scales the ridge of G."""
+
+    points: np.ndarray
+    weight: float
+    lags: list
+    volume2: float
+
+
+def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
+    """:class:`_OgaspGrid` of a domain; ``quad_points=None`` takes the default."""
+    domain = np.atleast_2d(np.asarray(domain, dtype=float))
+    if quad_points is None:
+        quad_points = default_quad_points(p)
+    grid, w = quadrature_grid(domain, quad_points)
+    if grid.shape[1] != p:
+        raise ValueError("domain does not match the kernel dimension")
+    spacing = (domain[:, 1] - domain[:, 0]) / quad_points
+    lags = [np.arange(quad_points) * h for h in spacing]
+    return _OgaspGrid(grid, w, lags, float(np.prod(domain[:, 1] - domain[:, 0])) ** 2)
+
+
+def _weighted_grad(model_grad, grid: _OgaspGrid) -> np.ndarray:
+    """The model gradient on the grid times the cell volume, ``Dw = D w`` (N, p_theta)."""
+    D = np.atleast_2d(np.asarray(model_grad(grid.points), dtype=float))
+    if D.shape[0] != grid.points.shape[0]:
+        D = D.T
+    if D.shape[0] != grid.points.shape[0]:
+        raise ValueError("model_grad must return one row per grid point")
+    return D * grid.weight
+
+
+def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
+    """Per-axis Toeplitz factors of the grid correlation at ranges ``gammas``."""
+    return [toeplitz(_corr_1d(lag, kernel, gammas[l], l)) for l, lag in enumerate(lags)]
+
+
+def _grid_corr_apply(V, factors) -> np.ndarray:
     """``corr_matrix(grid, grid, kernel) @ V`` on the midpoint grid, never formed.
 
     The grid is a tensor product of equispaced axes and the kernel a product
     kernel, so the grid correlation is the Kronecker product of one symmetric
-    Toeplitz matrix per axis, built from the q lag values ``c_l(k h_l)``.  Each
-    factor acts on its own axis of ``V`` reshaped to ``(q,) * p + (m,)``,
-    which matches the C-order rows of :func:`quadrature_grid`.
+    Toeplitz matrix per axis (:func:`_toeplitz_factors`).  Each factor acts on
+    its own axis of ``V`` reshaped to ``(q,) * p + (m,)``, which matches the
+    C-order rows of :func:`quadrature_grid`.
     """
-    q = quad_points
-    p = kernel.dim
-    spacing = (domain[:, 1] - domain[:, 0]) / q
-    V = np.asarray(V, dtype=float).reshape((q,) * p + (-1,))
-    for l in range(p):
-        T = toeplitz(_corr_1d(np.arange(q) * spacing[l], kernel, l))
+    q, p = factors[0].shape[0], len(factors)
+    V = V.reshape((q,) * p + (-1,))
+    for l, T in enumerate(factors):
         V = np.moveaxis(np.tensordot(T, V, axes=(1, l)), 0, l)
     return V.reshape(q**p, -1)
 
 
-def _projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None):
-    """Quadrature grid, weighted gradient ``Dw = D w`` and Cholesky factor of G.
+def _projection(Dw, factors, volume2: float) -> np.ndarray:
+    """Cholesky factor of ``G = Dw' C_grid Dw`` plus a small ridge.
 
-    ``G = Dw' C_grid Dw`` is the quadrature of the gradient Gram integral,
-    plus a small ridge; ``C_grid`` is applied per axis by
-    :func:`_grid_corr_apply`.
+    ``G`` is the quadrature of the gradient Gram integral; ``C_grid`` is
+    applied per axis by :func:`_grid_corr_apply`.
     """
-    domain = np.atleast_2d(np.asarray(domain, dtype=float))
-    if quad_points is None:
-        quad_points = default_quad_points(kernel.dim)
-    grid, w = quadrature_grid(domain, quad_points)
-    if grid.shape[1] != kernel.dim:
-        raise ValueError("domain does not match the kernel dimension")
-    D = np.atleast_2d(np.asarray(model_grad(grid), dtype=float))
-    if D.shape[0] != grid.shape[0]:
-        D = D.T
-    if D.shape[0] != grid.shape[0]:
-        raise ValueError("model_grad must return one row per grid point")
-    p_theta = D.shape[1]
-    Dw = D * w
-    G = Dw.T @ _grid_corr_apply(Dw, kernel, domain, quad_points)
+    p_theta = Dw.shape[1]
+    G = Dw.T @ _grid_corr_apply(Dw, factors)
     trace = float(np.trace(G))
     if not trace > 0:
         raise NumericalError(
@@ -250,7 +284,6 @@ def _projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None)
     # squared domain volume, the gradient-free magnitude of G) so the
     # correction vanishes, rather than staying scale-invariant, as the
     # gradient magnitude goes to zero
-    volume2 = float(np.prod(domain[:, 1] - domain[:, 0])) ** 2
     G = G + (1e-10 * trace / p_theta + 1e-12 * volume2) * np.eye(p_theta)
     try:
         LG, _ = cholesky_with_jitter(G)
@@ -258,7 +291,15 @@ def _projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None)
         raise NumericalError(
             "gradient projection matrix is singular; increase quad_points"
         ) from err
-    return grid, Dw, LG
+    return LG
+
+
+def _grid_projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None):
+    """Grid points, weighted gradient ``Dw`` and :func:`_projection` at ``kernel``."""
+    grid = _ogasp_grid(domain, quad_points, kernel.dim)
+    Dw = _weighted_grad(model_grad, grid)
+    LG = _projection(Dw, _toeplitz_factors(kernel, kernel.ranges, grid.lags), grid.volume2)
+    return grid.points, Dw, LG
 
 
 def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
@@ -285,18 +326,17 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
     same = Xb is Xa
     Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
     Xb = Xa if same else np.atleast_2d(np.asarray(Xb, dtype=float))
-    projection = _projection(base_kernel, model_grad, domain, quad_points)
-    return _ogasp_corr(Xa, Xb, base_kernel, projection)
-
-
-def _ogasp_corr(Xa, Xb, base_kernel: KernelSpec, projection) -> np.ndarray:
-    """:func:`ogasp_kernel` on 2-D inputs given :func:`_projection`'s result;
-    ``Xb is Xa`` reuses the gradient features."""
-    grid, Dw, LG = projection
+    grid, Dw, LG = _grid_projection(base_kernel, model_grad, domain, quad_points)
     g_a = corr_matrix(Xa, grid, base_kernel) @ Dw
-    g_b = g_a if Xb is Xa else corr_matrix(Xb, grid, base_kernel) @ Dw
-    C = corr_matrix(Xa, Xb, base_kernel)
-    return C - g_a @ cho_solve((LG, True), g_b.T)
+    g_b = g_a if same else corr_matrix(Xb, grid, base_kernel) @ Dw
+    return _ogasp_corr(corr_matrix(Xa, Xb, base_kernel), g_a, g_b, LG)
+
+
+def _ogasp_corr(C, g_a, g_b, LG) -> np.ndarray:
+    """``C - g_a G^-1 g_b'``: :func:`ogasp_kernel` from the base correlation
+    ``C``, the gradient features ``g = corr(X, grid) Dw`` of both point sets
+    and :func:`_projection`."""
+    return C - g_a @ dpotrs(LG, g_b.T, lower=1)[0]
 
 
 def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
@@ -310,19 +350,17 @@ def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    projection = _projection(base_kernel, model_grad, domain, quad_points)
-    return _ogasp_cross(X, Xstar, base_kernel, projection)
-
-
-def _ogasp_cross(X, Xstar, base_kernel: KernelSpec, projection):
-    """:func:`ogasp_cross_cov` on 2-D inputs given :func:`_projection`'s result."""
-    grid, Dw, LG = projection
+    grid, Dw, LG = _grid_projection(base_kernel, model_grad, domain, quad_points)
     g = corr_matrix(X, grid, base_kernel) @ Dw
     g_star = corr_matrix(Xstar, grid, base_kernel) @ Dw
-    solved = cho_solve((LG, True), g_star.T)
-    r_o = corr_matrix(X, Xstar, base_kernel) - g @ solved
-    c_o_diag = 1.0 - np.einsum("ij,ji->i", g_star, solved)
-    return r_o, c_o_diag
+    return _ogasp_cross(corr_matrix(X, Xstar, base_kernel), g, g_star, LG)
+
+
+def _ogasp_cross(C_star, g, g_star, LG):
+    """:func:`ogasp_cross_cov` from the base cross-correlation ``C_star``, the
+    gradient features of both point sets and :func:`_projection`."""
+    solved = dpotrs(LG, g_star.T, lower=1)[0]
+    return C_star - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
 
 
 def model_grad_fd(model, theta, step: float = 1e-4):

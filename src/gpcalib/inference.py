@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
+    PSI_OVERFLOW,
     CalibParams,
     ComputerModel,
     FieldDataset,
@@ -18,6 +19,7 @@ from .calibration import (
     PredictiveResult,
     PriorSpec,
     _log_prior,
+    _lru,
     _predict,
     initial_params,
 )
@@ -260,13 +262,8 @@ class AdaptiveRWSampler:
                 else:
                     accepted = 0
                 if adapting:
-                    self.scales[name] = float(
-                        np.clip(
-                            self.scales[name] * np.exp(step_size * (alpha - self.target)),
-                            1e-6,
-                            1e4,
-                        )
-                    )
+                    scale = float(self.scales[name] * np.exp(step_size * (alpha - self.target)))
+                    self.scales[name] = min(max(scale, 1e-6), 1e4)
                 else:
                     self._proposed[name] += 1
                     self._accepted[name] += accepted
@@ -328,7 +325,9 @@ class _CalibPosterior:
 
     Correlation factors and their log-determinants are cached under the psi
     and eta coordinates (plus theta in orthogonal mode), residuals under the
-    theta and beta coordinates, so a block move reuses what it left unchanged.
+    theta and beta coordinates, and the residual quadratic form under every
+    coordinate but log sigma2, so a block move or a sigma2 draw reuses what
+    it left unchanged.
     """
 
     def __init__(self, core: LikelihoodCore, prior: PriorSpec, tr: ParamTransform):
@@ -339,19 +338,10 @@ class _CalibPosterior:
         corr = np.r_[pt + q : pt + q + px, pt + q + px + 1]
         self._corr_idx = np.r_[:pt, corr] if core.corr_depends_on_theta else corr
         self._mean_end = pt + q
+        self._sigma2_idx = pt + q + px
         self._chol = OrderedDict()
         self._resid = OrderedDict()
-
-    @staticmethod
-    def _lru(cache: OrderedDict, key: bytes, make):
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
-        hit = cache[key] = make()
-        if len(cache) > 4:
-            cache.popitem(last=False)
-        return hit
+        self._quad = OrderedDict()
 
     def _factor(self, z, theta, psi, eta):
         """(L, log-determinant) of the correlation at ``z``."""
@@ -360,26 +350,34 @@ class _CalibPosterior:
             L, _ = self.core.corr_chol(psi, eta, theta)
             return L, self.core.logdet_half(L)
 
-        return self._lru(self._chol, z[self._corr_idx].tobytes(), make)
+        return _lru(self._chol, z[self._corr_idx].tobytes(), make)
 
     def _residual(self, z, theta, beta) -> np.ndarray:
         def make():
             return self.core.data.y - self.core.mean_vector(theta, beta)
 
-        return self._lru(self._resid, z[: self._mean_end].tobytes(), make)
+        return _lru(self._resid, z[: self._mean_end].tobytes(), make)
+
+    def _quad_key(self, z) -> bytes:
+        s = self._sigma2_idx
+        return z[:s].tobytes() + z[s + 1 :].tobytes()
 
     def quad_at(self, z) -> float:
         """Residual quadratic form ``resid' (K + eta I)^-1 resid`` at ``z``."""
-        _, theta, beta, psi, _, eta = self.tr._split(z)
-        L, _ = self._factor(z, theta, psi, eta)
-        return self.core.quad_form(L, self._residual(z, theta, beta))
+
+        def make():
+            _, theta, beta, psi, _, eta = self.tr._split(z)
+            L, _ = self._factor(z, theta, psi, eta)
+            return self.core.quad_form(L, self._residual(z, theta, beta))
+
+        return _lru(self._quad, self._quad_key(z), make)
 
     def __call__(self, z) -> float:
         if not np.isfinite(z).all():
             return -np.inf
         u, theta, beta, psi, sigma2, eta = self.tr._split(z)
-        if not ((psi > 0).all() and np.isfinite(psi).all() and np.isfinite(eta)):
-            return -np.inf  # exp over- or underflow
+        if not ((psi > PSI_OVERFLOW).all() and np.isfinite(psi).all() and np.isfinite(eta)):
+            return -np.inf  # exp over- or underflow, or a range 1/psi that overflows
         lp = _log_prior(self.prior, theta, psi, sigma2, eta, self.tr.theta_bounds)
         if not np.isfinite(lp):
             return -np.inf
@@ -388,8 +386,9 @@ class _CalibPosterior:
             L, logdet = self._factor(z, theta, psi, eta)
         except NumericalError:
             return -np.inf
-        ll = self.core.loglik_from_chol(L, self._residual(z, theta, beta), sigma2, logdet)
-        return ll + lp
+        resid = self._residual(z, theta, beta)
+        quad = _lru(self._quad, self._quad_key(z), lambda: self.core.quad_form(L, resid))
+        return self.core.loglik_from_chol(L, resid, sigma2, logdet, quad) + lp
 
 
 def mcmc_run(

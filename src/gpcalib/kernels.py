@@ -90,6 +90,11 @@ def matern52(d, gamma: float):
     d = _check_distance(d)
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be finite and positive")
+    return _matern52(d, gamma)
+
+
+def _matern52(d, gamma):
+    """:func:`matern52` on checked arguments."""
     # exp(-u) underflows to 0 near u = 745; the cap keeps u * u finite there
     u = np.minimum(np.sqrt(5.0) * d / gamma, 1e3)
     return (1.0 + u + u * u / 3.0) * np.exp(-u)
@@ -106,15 +111,36 @@ def pow_exp(d, gamma: float, nu: float = DEFAULT_ROUGHNESS):
         raise ValueError("gamma must be finite and positive")
     if not 0 < nu <= 2:
         raise ValueError("nu must lie in (0, 2]")
+    return _pow_exp(d, gamma, nu)
+
+
+def _pow_exp(d, gamma, nu):
+    """:func:`pow_exp` on checked arguments."""
     scaled = d / gamma
     out = np.exp(-np.where(scaled > 0, scaled, 1.0) ** nu)
     return np.where(scaled > 0, out, 1.0)
 
 
-def _corr_1d(d, spec: KernelSpec, dim: int):
+def _corr_1d(d, spec: KernelSpec, gamma, dim: int):
+    """One-dimensional correlation of ``spec``'s family along axis ``dim`` at
+    range ``gamma``, unchecked."""
     if spec.family == MATERN52:
-        return matern52(d, spec.ranges[dim])
-    return pow_exp(d, spec.ranges[dim], spec.roughness[dim])
+        return _matern52(d, gamma)
+    return _pow_exp(d, gamma, spec.roughness[dim])
+
+
+def _distances(X1, X2) -> list[np.ndarray]:
+    """Checked per-axis distance matrices ``|X1[i, l] - X2[j, l]|`` of 2-D designs."""
+    return [_check_distance(np.abs(X1[:, l, None] - X2[None, :, l])) for l in range(X1.shape[1])]
+
+
+def _product_corr(dists, spec: KernelSpec, gammas) -> np.ndarray:
+    """Product correlation from per-axis distance matrices (see :func:`_distances`)
+    with ``spec``'s family and roughness at ranges ``gammas``, unchecked."""
+    out = _corr_1d(dists[0], spec, gammas[0], 0)
+    for l in range(1, len(dists)):
+        out *= _corr_1d(dists[l], spec, gammas[l], l)
+    return out
 
 
 def corr_matrix(X1, X2, spec: KernelSpec) -> np.ndarray:
@@ -137,8 +163,4 @@ def corr_matrix(X1, X2, spec: KernelSpec) -> np.ndarray:
         raise ValueError(
             f"designs have {X1.shape[1]} and {X2.shape[1]} columns, spec expects {spec.dim}"
         )
-    out = np.ones((X1.shape[0], X2.shape[0]))
-    for l in range(spec.dim):
-        d = np.abs(X1[:, l, None] - X2[None, :, l])
-        out *= _corr_1d(d, spec, l)
-    return out
+    return _product_corr(_distances(X1, X2), spec, spec.ranges)

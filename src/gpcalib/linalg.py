@@ -24,10 +24,20 @@ class NumericalError(RuntimeError):
         self.jitter = jitter
 
 
+def _shifted(A: np.ndarray, shift: float) -> np.ndarray:
+    """A copy of the square ``A`` with ``shift`` added to its diagonal
+    (``A + shift * I`` without forming ``I``)."""
+    A = A.copy()
+    A.flat[:: A.shape[0] + 1] += shift
+    return A
+
+
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A``, escalating diagonal jitter on failure.
 
-    A non-finite ``A`` raises :class:`NumericalError`.
+    ``A`` itself is tried first; only when that fails are the ladder's
+    multiples of the mean diagonal added.  A non-finite ``A`` raises
+    :class:`NumericalError`.
 
     Returns
     -------
@@ -37,14 +47,17 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NumericalError("matrix to factor is not finite")
+    L, info = dpotrf(A, lower=1)
+    if info == 0:
+        return L, 0.0
     scale = float(np.mean(np.diag(A)))
     last = 0.0
-    for level in JITTER_LADDER:
+    for level in JITTER_LADDER[1:]:
         jitter = level * scale
         last = jitter
-        L, info = dpotrf(A + jitter * np.eye(A.shape[0]) if jitter > 0 else A, lower=1)
+        L, info = dpotrf(_shifted(A, jitter) if jitter > 0 else A, lower=1)
         if info == 0:
             return L, jitter
     raise NumericalError(

@@ -9,6 +9,7 @@ from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
     FieldDataset,
+    LikelihoodCore,
     ParamTransform,
     PriorSpec,
     log_prior,
@@ -16,7 +17,7 @@ from gpcalib.calibration import (
     mean_basis_eval,
     predict,
 )
-from gpcalib import discrepancy
+from gpcalib import discrepancy, kernels
 from gpcalib.discrepancy import (
     DiscrepancySpec,
     GASP,
@@ -407,3 +408,173 @@ class TestParamTransform:
         tr = ParamTransform([[0.0, 1.0]], n_basis=0, p_x=1)
         z = tr.to_vector(CalibParams([0.5], [], [np.e], 1.0, 0.0))
         assert np.isclose(z[1], 1.0, rtol=1e-12)
+
+    @given(
+        # below u = 1e-300 the logit passes -709, where exp(-z) overflows
+        st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=2, max_size=2),
+        st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=1),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-4, 1e4),
+        st.floats(0.0, 10.0),
+    )
+    def test_round_trip_property(self, u, beta, psi, sigma2, eta):
+        lower, width = np.array([0.0, -3.0]), np.array([10.0, 7.0])
+        tr = ParamTransform(np.column_stack([lower, lower + width]), n_basis=1, p_x=1)
+        theta = lower + width * np.asarray(u)
+        assume(np.all(theta > lower) and np.all(theta < lower + width))
+        params = CalibParams(theta, beta, [psi], sigma2, eta)
+        back = tr.from_vector(tr.to_vector(params))
+        assert np.all(np.abs(back.theta - params.theta) <= 1e-12 * width)
+        assert np.array_equal(back.beta_delta, params.beta_delta)
+        np.testing.assert_allclose(back.psi_delta, params.psi_delta, rtol=1e-12)
+        assert back.sigma2_delta == pytest.approx(params.sigma2_delta, rel=1e-12)
+        assert back.eta == pytest.approx(params.eta, rel=1e-9, abs=1e-12)
+
+    @given(st.lists(st.sampled_from([-745.0, -700.0, 0.0, 700.0, 745.0]), min_size=6, max_size=6))
+    def test_split_is_finite_or_minus_inf_at_extremes(self, z):
+        # layout: two logit thetas, beta, log psi, log sigma2, log(eta + floor)
+        tr = ParamTransform([[0.0, 10.0], [-3.0, 4.0]], n_basis=1, p_x=1)
+        z = np.asarray(z)
+        with np.errstate(over="ignore", divide="ignore"):
+            u, theta, beta, psi, sigma2, eta = tr._split(z)
+            log_jac = tr._log_jacobian_at(z, u)
+            assert log_jac == tr.log_jacobian(z)
+        assert np.all((u >= 0) & (u <= 1))
+        assert np.all(np.isfinite(theta))
+        assert np.all(theta >= tr.theta_bounds[:, 0]) and np.all(theta <= tr.theta_bounds[:, 1])
+        for value in (psi, sigma2, eta):
+            assert not np.any(np.isnan(value)) and np.all(value >= 0)
+        assert np.isfinite(log_jac) or log_jac == -np.inf
+        assert np.isfinite(log_jac) == bool(np.all((u > 0) & (u < 1)))
+
+
+def _kernel(family, p):
+    return KernelSpec(family, [0.5] * p, None if family == "matern52" else [1.4] * p)
+
+
+def _public_target(core, psi, theta):
+    """The correlation of ``core``'s mode from the public builders."""
+    data, spec = core.data, core.spec
+    kern = spec.kernel.with_ranges(1.0 / np.asarray(psi, dtype=float))
+    if spec.mode == GASP:
+        return corr_matrix(data.X, data.X, kern)
+    if spec.mode == SGASP:
+        return scaled_cov(data.X, spec.with_kernel(kern))
+    grad = core.model.grad_fn(theta)
+    return ogasp_kernel(data.X, data.X, kern, grad, data.domain, spec.quad_points)
+
+
+def _ogasp_model(p, analytic):
+    def evaluate(X, th):
+        X = np.atleast_2d(X)
+        return np.sin(th[0] * X[:, 0]) + th[1] * X[:, -1] ** 2
+
+    def grad(X, th):
+        X = np.atleast_2d(X)
+        return np.column_stack([X[:, 0] * np.cos(th[0] * X[:, 0]), X[:, -1] ** 2])
+
+    return ComputerModel(
+        evaluator=evaluate,
+        theta_bounds=[[0.5, 5.0], [-1.0, 1.0]],
+        vectorized=True,
+        theta_grad=grad if analytic else None,
+    )
+
+
+#: psi-only and theta-only moves, with returns to earlier values, so that a
+#: stale or mixed-up cache entry would show
+_MOVES = [
+    ([2.0, 1.5], [2.2, 0.1]),
+    ([3.5, 0.7], [2.2, 0.1]),
+    ([3.5, 0.7], [1.1, -0.4]),
+    ([2.0, 1.5], [1.1, -0.4]),
+    ([2.0, 1.5], [2.2, 0.1]),
+    ([3.5, 0.7], [1.1, -0.4]),
+    ([9.0, 4.0], [4.0, 0.9]),
+]
+
+
+class TestLikelihoodCoreTarget:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("family", ["matern52", "pow_exp"])
+    @pytest.mark.parametrize(
+        "mode, extra",
+        [
+            (GASP, {}),
+            (SGASP, {}),
+            (SGASP, {"lam": 2.5}),
+            (SGASP, {"constraint_points": "grid", "lam": 4.0}),
+            (OGASP, {"quad_points": 12, "analytic": True}),
+            (OGASP, {"quad_points": 12, "analytic": False}),
+        ],
+    )
+    def test_equals_public_builders(self, mode, extra, family, p):
+        extra = dict(extra)
+        data = _dataset(n=9, seed=3, p=p)
+        model = _ogasp_model(p, extra.pop("analytic", True))
+        if extra.get("constraint_points") == "grid":
+            extra["constraint_points"] = np.random.default_rng(4).uniform(size=(7, p))
+        spec = DiscrepancySpec(mode, _kernel(family, p), **extra)
+        core = LikelihoodCore(data, model, spec)
+        for psi, theta in _MOVES:
+            psi = psi[:p]
+            got = core.corr_target(np.array(psi), np.array(theta))
+            assert np.array_equal(got, _public_target(core, psi, theta))
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP])
+    def test_sampler_builds_no_spec_objects(self, mode, monkeypatch):
+        data = _dataset(n=8, seed=5)
+        model = _ogasp_model(1, True)
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]))
+        built = []
+        for cls in (KernelSpec, DiscrepancySpec):
+            init = cls.__post_init__
+            monkeypatch.setattr(
+                cls, "__post_init__", lambda self, init=init: built.append(1) or init(self)
+            )
+        from gpcalib.inference import mcmc_run
+
+        mcmc_run(data, model, spec, S=40, burn_in=20, seed=0)
+        assert built == []
+
+    def test_ogasp_chain_builds_one_grid(self, monkeypatch):
+        data = _dataset(n=8, seed=5)
+        calls = []
+        grid = discrepancy.quadrature_grid
+        monkeypatch.setattr(discrepancy, "quadrature_grid", lambda *a: calls.append(1) or grid(*a))
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]), quad_points=30)
+        from gpcalib.inference import mcmc_run
+
+        mcmc_run(data, _ogasp_model(1, True), spec, S=40, burn_in=20, seed=0)
+        assert len(calls) == 1
+
+    def test_ogasp_theta_move_evaluates_no_kernel(self, monkeypatch):
+        data = _dataset(n=8, seed=6)
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]), quad_points=30)
+        base = _ogasp_model(1, True)
+        grad_calls = []
+        model = ComputerModel(
+            evaluator=base.evaluator,
+            theta_bounds=base.theta_bounds,
+            vectorized=True,
+            theta_grad=lambda X, th: grad_calls.append(1) or base.theta_grad(X, th),
+        )
+        core = LikelihoodCore(data, model, spec)
+        psi = np.array([2.0])
+        core.corr_chol(psi, 0.1, np.array([2.2, 0.1]))
+        kernel_calls = []
+        matern = kernels._matern52
+        monkeypatch.setattr(kernels, "_matern52", lambda *a: kernel_calls.append(1) or matern(*a))
+        grad_calls.clear()
+        theta = np.array([1.3, -0.5])
+        got = core.corr_target(psi, theta)  # theta move
+        assert kernel_calls == [] and grad_calls == [1]
+        core.corr_target(np.array([3.0]), theta)  # psi move
+        assert kernel_calls != [] and grad_calls == [1]
+        assert np.array_equal(got, _public_target(core, psi, theta))
+
+    def test_tiny_inverse_range_is_rejected(self):
+        # 1/psi overflows to inf below 2**-1024, though psi itself is positive
+        with pytest.raises(ValueError, match="psi_delta"):
+            CalibParams([1.0], [], [np.exp(-720.0)], 1.0, 0.1)
+        CalibParams([1.0], [], [np.exp(-700.0)], 1.0, 0.1)

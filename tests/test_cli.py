@@ -378,6 +378,7 @@ class TestPredictInputChecks:
             [31.0, 2.0, 1.0, -0.1],
             [1e9, 2.0, 1.0, 0.05],
             [31.0, float("inf"), 1.0, 0.05],
+            [31.0, 1e-310, 1.0, 0.05],  # positive, but 1/psi overflows
         ],
     )
     def test_bad_posterior_row(self, sine_files, capsys, row):

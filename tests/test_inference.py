@@ -338,6 +338,17 @@ class TestCalibPosterior:
         z[3] = 702.0
         assert post(z) < sane - 1e100
 
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_tiny_inverse_range_scores_minus_inf(self, mode):
+        # log psi = -720: psi is positive, but the range 1/psi overflows to inf
+        # and used to stop the chain with a ValueError
+        *_, post = _posterior_case(mode)
+        z = _random_z(np.random.default_rng(2))
+        z[3] = -720.0
+        assert post(z) == -np.inf
+        z[3] = -700.0  # the range is finite here
+        assert np.isfinite(post(z))
+
     def test_mcmc_scores_two_blocks_per_iteration(self, monkeypatch):
         calls = []
         score = _CalibPosterior.__call__

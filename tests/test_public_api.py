@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import gpcalib
 
 PUBLIC_NAMES = {
@@ -61,10 +63,12 @@ def test_all_is_pinned():
     assert set(gpcalib.__all__) == PUBLIC_NAMES
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # inference._multistart imports scipy.optimize when it runs
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_import_leaves_module_unloaded(module):
+    # inference._multistart imports scipy.optimize when it runs; the library
+    # uses no scipy.special
     src = os.path.dirname(os.path.dirname(os.path.abspath(gpcalib.__file__)))
-    code = "import sys, gpcalib; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, gpcalib; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
