@@ -16,7 +16,6 @@ where ``K`` is the discrepancy correlation matrix of the chosen mode and
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +24,6 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
-from .kernels import _distances, _product_corr, corr_matrix
 from .linalg import LOG_2PI, _shifted, cholesky_with_jitter
 
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
@@ -34,18 +32,6 @@ ETA_FLOOR = 1e-12
 
 #: The largest inverse range whose range ``1 / psi`` overflows to infinity.
 PSI_OVERFLOW = 2.0**-1024
-
-
-def _lru(cache: OrderedDict, key: bytes, make):
-    """``cache[key]``, made by ``make()`` on a miss; keeps the 4 keys used last."""
-    hit = cache.get(key)
-    if hit is not None:
-        cache.move_to_end(key)
-        return hit
-    hit = cache[key] = make()
-    if len(cache) > 4:
-        cache.popitem(last=False)
-    return hit
 
 
 @dataclass(frozen=True)
@@ -247,20 +233,16 @@ class LikelihoodCore:
     and, in orthogonal mode, theta) and a mean part (theta, beta) lets
     samplers re-use the Cholesky factor across mean-only updates.
 
-    Everything that depends only on the design is computed once, here: the
-    per-axis distance matrices of the design (and, for explicit sgasp
-    constraint points, of the constraint points and constraint-to-design),
-    and in ogasp mode the quadrature grid, its cell volume, the per-axis lag
-    vectors and the design-to-grid distances.  A proposal then goes from
-    (psi, eta, theta) to kernel values and one factorization.  In ogasp mode
-    the pieces that depend on psi alone (``corr(X, X)``, ``corr(X, grid)``
-    and the grid's Toeplitz factors) are cached under the bytes of psi, and
-    the weighted gradient ``Dw``, which depends on theta alone, under the
-    bytes of theta, each for the 4 keys used last; so a theta move
-    evaluates no kernel and a psi move no gradient.  The computer model's
-    values at the design are kept for the last theta.  psi is not checked
-    here: each must exceed :data:`PSI_OVERFLOW`, as :class:`CalibParams`
-    and the sampler ensure.
+    The mode's correlation comes from ``cov``, a ``discrepancy._ModeCov``
+    over the design built once here: it caches the design-only constants
+    (distances, the sgasp shrinkage, the ogasp grid) and, in ogasp mode, the
+    pieces that depend on the ranges alone under the bytes of ``1 / psi``
+    and the weighted gradient under the bytes of theta, each for the 4 keys
+    used last.  A proposal then goes from (psi, eta, theta) to kernel values
+    and one factorization.  The computer model's values at the design are
+    kept for the last theta, under its bytes.  psi is not checked here: each
+    must exceed :data:`PSI_OVERFLOW`, as :class:`CalibParams` and the sampler
+    ensure.
     """
 
     def __init__(self, data: FieldDataset, model: ComputerModel, spec: DiscrepancySpec):
@@ -270,24 +252,12 @@ class LikelihoodCore:
             pts = spec.constraint_points
             if np.any(pts < data.domain[:, 0]) or np.any(pts > data.domain[:, 1]):
                 raise ValueError("constraint points must lie inside the domain")
-        X = data.X
         self.data = data
         self.model = model
         self.spec = spec
-        self.H = basis_matrix(X, spec)
+        self.H = basis_matrix(data.X, spec)
         self._theta_cache: tuple[bytes, np.ndarray] | None = None
-        self._dists = _distances(X, X)
-        if spec.mode == dm.SGASP:
-            XC, lam = spec.resolved_constraints(X)
-            self._c = XC.shape[0] / lam
-            if spec.constraint_points is not None:
-                self._dists_C = _distances(XC, XC)
-                self._dists_CX = _distances(XC, X)
-        if spec.mode == dm.OGASP:
-            self._grid = dm._ogasp_grid(data.domain, spec.quad_points, data.p)
-            self._dists_grid = _distances(X, self._grid.points)
-            self._psi_parts = OrderedDict()
-            self._grads = OrderedDict()
+        self.cov = dm._ModeCov(spec, data.X, data.domain, model.grad_fn)
 
     @property
     def corr_depends_on_theta(self) -> bool:
@@ -306,42 +276,7 @@ class LikelihoodCore:
 
     def corr_target(self, psi, theta=None) -> np.ndarray:
         """Discrepancy correlation matrix K for the current mode."""
-        if self.spec.mode == dm.OGASP:
-            C, g, _, LG = self._ogasp_parts(psi, theta)
-            return dm._ogasp_corr(C, g, g, LG)
-        gamma = 1.0 / np.atleast_1d(np.asarray(psi, dtype=float))
-        kernel = self.spec.kernel
-        R = _product_corr(self._dists, kernel, gamma)
-        if self.spec.mode == dm.GASP:
-            return R
-        if self.spec.constraint_points is None:
-            return dm._scaled_default(R, self._c)[0]
-        RC = _product_corr(self._dists_C, kernel, gamma)
-        return dm._scaled_explicit(R, RC, _product_corr(self._dists_CX, kernel, gamma), self._c)
-
-    def _ogasp_parts(self, psi, theta):
-        """``(corr(X, X), g, Dw, LG)`` in ogasp mode: the base correlation, the
-        gradient features ``g = corr(X, grid) Dw``, the weighted gradient and
-        the factor of the gradient Gram (``discrepancy._projection``)."""
-        if theta is None:
-            raise ValueError("orthogonal mode needs theta to build the correlation")
-        psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kernel, grid = self.spec.kernel, self._grid
-
-        def psi_parts():
-            gamma = 1.0 / psi
-            return (
-                _product_corr(self._dists, kernel, gamma),
-                _product_corr(self._dists_grid, kernel, gamma),
-                dm._toeplitz_factors(kernel, gamma, grid.lags),
-            )
-
-        C, CXg, factors = _lru(self._psi_parts, psi.tobytes(), psi_parts)
-        Dw = _lru(
-            self._grads, theta.tobytes(), lambda: dm._weighted_grad(self.model.grad_fn(theta), grid)
-        )
-        return C, CXg @ Dw, Dw, dm._projection(Dw, factors, grid.volume2)
+        return self.cov.corr(1.0 / np.atleast_1d(np.asarray(psi, dtype=float)), theta)
 
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
@@ -545,8 +480,8 @@ def predict(
     triangular solves ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)`` give the
     conditional discrepancy mean ``V' w`` and ``c* = c0 - sum_i V_i^2``.  In
     ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``; in
-    sgasp mode with the default constraint points one factor of ``R + c I``
-    does.
+    sgasp mode one factor of ``RC + c I`` does (``R + c I`` with the default
+    constraint points).
     """
     return _predict(LikelihoodCore(data, model, spec), params, Xstar)
 
@@ -558,25 +493,8 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
     if Xstar.shape[1] != data.p:
         raise ValueError("prediction inputs do not match the data dimension")
     core._check_psi(params.psi_delta)
-    kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
-
-    if spec.mode == dm.OGASP:
-        C, g, Dw, LG = core._ogasp_parts(params.psi_delta, params.theta)
-        g_star = corr_matrix(Xstar, core._grid.points, kern) @ Dw
-        r, c0 = dm._ogasp_cross(corr_matrix(data.X, Xstar, kern), g, g_star, LG)
-        L, _ = core.factor(dm._ogasp_corr(C, g, g, LG), params.eta)
-    elif spec.mode == dm.SGASP and spec.constraint_points is None:
-        # one factor of R + cI gives both K = R_z and the cross-covariance
-        Rz, Lc = dm._scaled_default(_product_corr(core._dists, spec.kernel, kern.ranges), core._c)
-        r, c0 = dm._scaled_cross_default(Lc, core._c, corr_matrix(data.X, Xstar, kern))
-        L, _ = core.factor(Rz, params.eta)
-    else:
-        if spec.mode == dm.GASP:
-            r = corr_matrix(data.X, Xstar, kern)
-            c0 = np.ones(Xstar.shape[0])
-        else:
-            r, c0 = dm.scaled_cross_cov(data.X, Xstar, spec.with_kernel(kern))
-        L, _ = core.corr_chol(params.psi_delta, params.eta)
+    K, r, c0 = core.cov.cross(1.0 / params.psi_delta, params.theta, Xstar)
+    L, _ = core.factor(K, params.eta)
 
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)
     V = dtrtrs(L, r, lower=1)[0]

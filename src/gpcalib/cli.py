@@ -24,6 +24,7 @@ from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from .emulator import as_computer_model, emulator_fit
 from .experiments import EXPERIMENTS, _write_csv
 from .inference import (
+    MIN_SUMMARY_SAMPLES,
     OptimizationError,
     PosteriorChain,
     _param_names,
@@ -141,8 +142,11 @@ def load_config(path: str) -> dict:
             name = key if section is None else f"{section}.{key}"
             raise ConfigError(f"{name} must be {what}, got {where[key]!r}")
     mcmc = cfg.get("mcmc", {})
-    if not mcmc.get("burn_in", 10_000) < mcmc.get("samples", 50_000):
-        raise ConfigError("mcmc.burn_in must be below mcmc.samples")
+    if mcmc.get("samples", 50_000) - mcmc.get("burn_in", 10_000) < MIN_SUMMARY_SAMPLES:
+        raise ConfigError(
+            f"mcmc.samples must exceed mcmc.burn_in by at least {MIN_SUMMARY_SAMPLES}, "
+            "the post-burn-in samples a posterior summary needs"
+        )
     return cfg
 
 

@@ -15,6 +15,7 @@ Three priors for the discrepancy between reality and a computer model:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .kernels import KernelSpec, _corr_1d, corr_matrix
+from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
 from .linalg import NumericalError, _shifted, cholesky_with_jitter
 
 GASP = "gasp"
@@ -97,30 +98,144 @@ class DiscrepancySpec:
         )
 
 
-def _constraint_chol(RC: np.ndarray, c: float):
-    """Cholesky factor of R^C + c I, the constraint-point correlation plus
-    ``c = N_C / lambda``."""
-    L, _ = cholesky_with_jitter(_shifted(RC, c))
-    return L
+def _lru(cache: OrderedDict, key: bytes, make):
+    """``cache[key]``, made by ``make()`` on a miss; keeps the 4 keys used last."""
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    hit = cache[key] = make()
+    if len(cache) > 4:
+        cache.popitem(last=False)
+    return hit
 
 
-def _scaled_default(R: np.ndarray, c: float):
-    """``(R_z, L)``: ``R_z = c (R + c I)^-1 R``, symmetrized, and ``L L' = R + c I``."""
-    L = _constraint_chol(R, c)
-    Rz = c * dpotrs(L, R, lower=1)[0]
-    return 0.5 * (Rz + Rz.T), L
+def _points(X, dim: int) -> np.ndarray:
+    """``X`` as a 2-D float array with ``dim`` columns; ``ValueError`` otherwise."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != dim:
+        raise ValueError(f"points have {X.shape[1]} columns, the kernel expects {dim}")
+    return X
 
 
-def _scaled_explicit(R: np.ndarray, RC: np.ndarray, rC: np.ndarray, c: float) -> np.ndarray:
-    """``R_z = R - rC' (RC + c I)^-1 rC``, symmetrized."""
-    Rz = R - rC.T @ dpotrs(_constraint_chol(RC, c), rC, lower=1)[0]
-    return 0.5 * (Rz + Rz.T)
+class _ModeCov:
+    """The discrepancy correlation of one mode over a fixed design ``X``.
 
+    :meth:`corr` and :meth:`cross` are the only place the package decides,
+    by mode, which base correlations to build and how to combine them; the
+    public builders, the likelihood, prediction and the emulator all call
+    them.  The ranges ``gamma`` are passed per call and not checked (finite
+    and positive); ``spec.kernel`` supplies the family, roughness and
+    dimension.
 
-def _scaled_cross_default(L: np.ndarray, c: float, r_star: np.ndarray):
-    """``(c (R + c I)^-1 r*, 1 - ||L^-1 r*||^2)`` for ``L`` from :func:`_scaled_default`."""
-    V = dtrtrs(L, r_star, lower=1)[0]
-    return c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
+    Cached at construction, from the design alone: the per-axis distance
+    matrices of ``X``; in sgasp mode ``c = N_C / lambda`` and, for explicit
+    constraint points, the distances over the constraint points and from
+    them to ``X``; in ogasp mode the quadrature grid of ``domain``, its cell
+    volume, per-axis lags and the ``X``-to-grid distances.  In ogasp mode the
+    pieces that depend on ``gamma`` alone (``corr(X, X)``, ``corr(X, grid)``
+    and the grid's Toeplitz factors) are cached under the bytes of
+    ``gamma``, and the weighted gradient ``Dw = D w`` from
+    ``grad_at(theta)``, which depends on ``theta`` alone, under the bytes of
+    ``theta``, each for the 4 keys used last; so a theta move evaluates no
+    kernel and a gamma move no gradient.
+    """
+
+    def __init__(self, spec: DiscrepancySpec, X, domain=None, grad_at=None):
+        self.mode, self.kernel = spec.mode, spec.kernel
+        self.X = X = _points(X, spec.kernel.dim)
+        self._dists = _distances(X, X)
+        if spec.mode == SGASP:
+            XC, lam = spec.resolved_constraints(X)
+            self._c = XC.shape[0] / lam
+            self._XC = None if spec.constraint_points is None else XC
+            if self._XC is not None:
+                self._dists_C = _distances(XC, XC)
+                self._dists_CX = _distances(XC, X)
+        elif spec.mode == OGASP:
+            self._grid = _ogasp_grid(domain, spec.quad_points, spec.kernel.dim)
+            self._dists_grid = _distances(X, self._grid.points)
+            self._grad_at = grad_at
+            self._gamma_parts = OrderedDict()
+            self._grads = OrderedDict()
+
+    def corr(self, gamma, theta=None) -> np.ndarray:
+        """Correlation ``K`` over the design at ranges ``gamma`` (and, in ogasp
+        mode, at the model parameters ``theta``)."""
+        if self.mode == GASP:
+            return _product_corr(self._dists, self.kernel, gamma)
+        return (self._scaled(gamma) if self.mode == SGASP else self._ogasp(gamma, theta))[0]
+
+    def cross(self, gamma, theta, Xstar):
+        """``(K, r, c0)``: :meth:`corr`, the cross-correlation (n, k) between
+        the design and ``Xstar`` and the prior variance (k,) at ``Xstar``, all
+        under the mode's transform and from one factorization of it."""
+        Xstar = _points(Xstar, self.kernel.dim)
+        r = self.base_cross(gamma, Xstar)
+        if self.mode == GASP:
+            return _product_corr(self._dists, self.kernel, gamma), r, np.ones(Xstar.shape[0])
+        if self.mode == OGASP:
+            K, g, Dw, LG = self._ogasp(gamma, theta)
+            g_star = _product_corr(_distances(Xstar, self._grid.points), self.kernel, gamma) @ Dw
+            solved = dpotrs(LG, g_star.T, lower=1)[0]
+            return K, r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
+        K, L, rC = self._scaled(gamma)
+        if self._XC is None:
+            # r_z = c (R + c I)^-1 r*, c_z = 1 - ||L^-1 r*||^2
+            V = dtrtrs(L, r, lower=1)[0]
+            return K, self._c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
+        rC_star = _product_corr(_distances(self._XC, Xstar), self.kernel, gamma)
+        solved = dpotrs(L, rC_star, lower=1)[0]
+        return K, r - rC.T @ solved, 1.0 - np.einsum("ij,ij->j", rC_star, solved)
+
+    def base_cross(self, gamma, Xstar) -> np.ndarray:
+        """Base correlation (n, k) between the design and the 2-D ``Xstar``."""
+        return _product_corr(_distances(self.X, Xstar), self.kernel, gamma)
+
+    def _scaled(self, gamma):
+        """``(R_z, L, rC)`` in sgasp mode, with ``L L' = RC + c I`` and ``rC`` the
+        constraint-to-design correlation (``R`` for the default constraint
+        points, where ``R_z = c (R + c I)^-1 R``)."""
+        R = _product_corr(self._dists, self.kernel, gamma)
+        if self._XC is None:
+            L, _ = cholesky_with_jitter(_shifted(R, self._c))
+            Rz, rC = self._c * dpotrs(L, R, lower=1)[0], R
+        else:
+            RC = _product_corr(self._dists_C, self.kernel, gamma)
+            L, _ = cholesky_with_jitter(_shifted(RC, self._c))
+            rC = _product_corr(self._dists_CX, self.kernel, gamma)
+            Rz = R - rC.T @ dpotrs(L, rC, lower=1)[0]
+        return 0.5 * (Rz + Rz.T), L, rC
+
+    def _ogasp(self, gamma, theta):
+        """``(K, g, Dw, LG)`` in ogasp mode: ``K = C - g G^-1 g'`` from the base
+        correlation ``C``, the gradient features ``g = corr(X, grid) Dw``, the
+        weighted gradient and the factor ``LG`` of :func:`_projection`."""
+        if theta is None:
+            raise ValueError("orthogonal mode needs theta to build the correlation")
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        kernel, grid = self.kernel, self._grid
+
+        def gamma_parts():
+            return (
+                _product_corr(self._dists, kernel, gamma),
+                _product_corr(self._dists_grid, kernel, gamma),
+                _toeplitz_factors(kernel, gamma, grid.lags),
+            )
+
+        def weighted_grad():
+            D = np.atleast_2d(np.asarray(self._grad_at(theta)(grid.points), dtype=float))
+            if D.shape[0] != grid.points.shape[0]:
+                D = D.T
+            if D.shape[0] != grid.points.shape[0]:
+                raise ValueError("model_grad must return one row per grid point")
+            return D * grid.weight
+
+        C, CXg, factors = _lru(self._gamma_parts, gamma.tobytes(), gamma_parts)
+        Dw = _lru(self._grads, theta.tobytes(), weighted_grad)
+        g = CXg @ Dw
+        LG = _projection(Dw, factors, grid.volume2)
+        return C - g @ dpotrs(LG, g.T, lower=1)[0], g, Dw, LG
 
 
 def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
@@ -135,13 +250,7 @@ def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
     """
     if spec.mode != SGASP:
         raise ValueError("scaled_cov requires sgasp mode")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    XC, lam = spec.resolved_constraints(X)
-    R = corr_matrix(X, X, spec.kernel)
-    c = XC.shape[0] / lam
-    if spec.constraint_points is None:
-        return _scaled_default(R, c)[0]
-    return _scaled_explicit(R, corr_matrix(XC, XC, spec.kernel), corr_matrix(XC, X, spec.kernel), c)
+    return _ModeCov(spec, X).corr(spec.kernel.ranges)
 
 
 def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
@@ -151,8 +260,8 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     with ``c = N_C / lambda``.  With the default constraint points (the
     design, so ``RC = rC = R`` and ``rC* = r*``) these are the identities
     ``r_z = c (R + c I)^-1 r*`` and ``c_z = 1 - ||L^-1 r*||^2`` with
-    ``L L' = R + c I``: one ``corr_matrix(X, X)``, one ``corr_matrix(X, Xstar)``,
-    one factorization and two triangular solves.
+    ``L L' = R + c I``: one correlation matrix over the design, one to
+    ``Xstar`` and one factorization.
 
     Returns
     -------
@@ -162,21 +271,7 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     """
     if spec.mode != SGASP:
         raise ValueError("scaled_cross_cov requires sgasp mode")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    XC, lam = spec.resolved_constraints(X)
-    c = XC.shape[0] / lam
-    r_data_star = corr_matrix(X, Xstar, spec.kernel)
-    if spec.constraint_points is None:
-        L = _constraint_chol(corr_matrix(X, X, spec.kernel), c)
-        return _scaled_cross_default(L, c, r_data_star)
-    L = _constraint_chol(corr_matrix(XC, XC, spec.kernel), c)
-    rC_data = corr_matrix(XC, X, spec.kernel)
-    rC_star = corr_matrix(XC, Xstar, spec.kernel)
-    solved = dpotrs(L, rC_star, lower=1)[0]
-    r_z = r_data_star - rC_data.T @ solved
-    c_z_diag = 1.0 - np.einsum("ij,ij->j", rC_star, solved)
-    return r_z, c_z_diag
+    return _ModeCov(spec, X).cross(spec.kernel.ranges, None, Xstar)[1:]
 
 
 def _check_quad_points(quad_points) -> int:
@@ -235,16 +330,6 @@ def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
     return _OgaspGrid(grid, w, lags, float(np.prod(domain[:, 1] - domain[:, 0])) ** 2)
 
 
-def _weighted_grad(model_grad, grid: _OgaspGrid) -> np.ndarray:
-    """The model gradient on the grid times the cell volume, ``Dw = D w`` (N, p_theta)."""
-    D = np.atleast_2d(np.asarray(model_grad(grid.points), dtype=float))
-    if D.shape[0] != grid.points.shape[0]:
-        D = D.T
-    if D.shape[0] != grid.points.shape[0]:
-        raise ValueError("model_grad must return one row per grid point")
-    return D * grid.weight
-
-
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
     """Per-axis Toeplitz factors of the grid correlation at ranges ``gammas``."""
     return [toeplitz(_corr_1d(lag, kernel, gammas[l], l)) for l, lag in enumerate(lags)]
@@ -294,12 +379,10 @@ def _projection(Dw, factors, volume2: float) -> np.ndarray:
     return LG
 
 
-def _grid_projection(kernel: KernelSpec, model_grad, domain, quad_points: int | None):
-    """Grid points, weighted gradient ``Dw`` and :func:`_projection` at ``kernel``."""
-    grid = _ogasp_grid(domain, quad_points, kernel.dim)
-    Dw = _weighted_grad(model_grad, grid)
-    LG = _projection(Dw, _toeplitz_factors(kernel, kernel.ranges, grid.lags), grid.volume2)
-    return grid.points, Dw, LG
+def _ogasp_cov(X, base_kernel: KernelSpec, model_grad, domain, quad_points) -> _ModeCov:
+    """:class:`_ModeCov` of the orthogonal process with a fixed ``model_grad``."""
+    spec = DiscrepancySpec(OGASP, base_kernel, quad_points=quad_points)
+    return _ModeCov(spec, X, domain, lambda theta: model_grad)
 
 
 def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
@@ -323,20 +406,10 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
         Maps an (m, p) array of inputs to the (m, p_theta) array of
         derivatives of the computer model with respect to its parameters.
     """
-    same = Xb is Xa
-    Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
-    Xb = Xa if same else np.atleast_2d(np.asarray(Xb, dtype=float))
-    grid, Dw, LG = _grid_projection(base_kernel, model_grad, domain, quad_points)
-    g_a = corr_matrix(Xa, grid, base_kernel) @ Dw
-    g_b = g_a if same else corr_matrix(Xb, grid, base_kernel) @ Dw
-    return _ogasp_corr(corr_matrix(Xa, Xb, base_kernel), g_a, g_b, LG)
-
-
-def _ogasp_corr(C, g_a, g_b, LG) -> np.ndarray:
-    """``C - g_a G^-1 g_b'``: :func:`ogasp_kernel` from the base correlation
-    ``C``, the gradient features ``g = corr(X, grid) Dw`` of both point sets
-    and :func:`_projection`."""
-    return C - g_a @ dpotrs(LG, g_b.T, lower=1)[0]
+    cov = _ogasp_cov(Xa, base_kernel, model_grad, domain, quad_points)
+    if Xb is Xa:
+        return cov.corr(base_kernel.ranges, ())
+    return cov.cross(base_kernel.ranges, (), Xb)[1]
 
 
 def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
@@ -348,19 +421,8 @@ def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_
         of ``ogasp_kernel(Xstar, Xstar, ...)`` (k,), the latter as
         ``1 - sum_j g_*[:, j] (G^-1 g_*')[j, :]`` without the k x k matrix.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    grid, Dw, LG = _grid_projection(base_kernel, model_grad, domain, quad_points)
-    g = corr_matrix(X, grid, base_kernel) @ Dw
-    g_star = corr_matrix(Xstar, grid, base_kernel) @ Dw
-    return _ogasp_cross(corr_matrix(X, Xstar, base_kernel), g, g_star, LG)
-
-
-def _ogasp_cross(C_star, g, g_star, LG):
-    """:func:`ogasp_cross_cov` from the base cross-correlation ``C_star``, the
-    gradient features of both point sets and :func:`_projection`."""
-    solved = dpotrs(LG, g_star.T, lower=1)[0]
-    return C_star - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
+    cov = _ogasp_cov(X, base_kernel, model_grad, domain, quad_points)
+    return cov.cross(base_kernel.ranges, (), Xstar)[1:]
 
 
 def model_grad_fd(model, theta, step: float = 1e-4):

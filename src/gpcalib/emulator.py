@@ -17,9 +17,9 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .calibration import ComputerModel
-from .discrepancy import DiscrepancySpec, SGASP, scaled_cov, scaled_cross_cov
+from .discrepancy import GASP, SGASP, DiscrepancySpec, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
-from .kernels import KernelSpec, corr_matrix
+from .kernels import KernelSpec
 from .linalg import NumericalError, cholesky_with_jitter
 
 
@@ -84,7 +84,8 @@ class EmulatorModel:
     """Fitted emulator state.
 
     ``design`` stacks the variable inputs and parameters column-wise; the
-    mean basis functions act on that joint input.
+    mean basis functions act on that joint input.  ``_cov`` holds the
+    design's distances; the ranges are passed to it per call.
     """
 
     design: np.ndarray
@@ -92,6 +93,7 @@ class EmulatorModel:
     mean_basis: Sequence[Callable]
     kernel: KernelSpec
     _gls: _GLS = field(repr=False)
+    _cov: _ModeCov = field(repr=False)
 
     @property
     def beta_hat(self) -> np.ndarray:
@@ -156,13 +158,12 @@ def emulator_fit(
     lengths = np.where(lengths > 0, lengths, 1.0)
     C = lengths * D ** (-1.0 / p)
     a, b = 0.5 - p, 1.0
+    cov = _ModeCov(DiscrepancySpec(GASP, KernelSpec("matern52", np.ones(p))), design)
 
     def objective(log_psi) -> float:
         psi = np.exp(log_psi)
-        kern = KernelSpec("matern52", 1.0 / psi)
         try:
-            R = corr_matrix(design, design, kern)
-            L, _ = cholesky_with_jitter(R)
+            L, _ = cholesky_with_jitter(cov.corr(1.0 / psi))
             lp = _gls(L, H, outputs).log_marginal
         except (NumericalError, np.linalg.LinAlgError):
             return _BAD_OBJECTIVE
@@ -173,7 +174,7 @@ def emulator_fit(
         return -lp
 
     if ranges is not None:
-        return _finalize(design, outputs, mean_basis, ranges, H)
+        return _finalize(design, outputs, mean_basis, ranges, H, cov)
 
     results, best = _multistart(
         objective,
@@ -186,18 +187,19 @@ def emulator_fit(
     )
     if best is None or not results[best].fun < _BAD_OBJECTIVE / 2:
         raise NumericalError("emulator range optimization failed from every start")
-    return _finalize(design, outputs, mean_basis, 1.0 / np.exp(results[best].x), H)
+    return _finalize(design, outputs, mean_basis, 1.0 / np.exp(results[best].x), H, cov)
 
 
-def _finalize(design, outputs, mean_basis, ranges, H) -> EmulatorModel:
+def _finalize(design, outputs, mean_basis, ranges, H, cov: _ModeCov) -> EmulatorModel:
     kern = KernelSpec("matern52", ranges)
-    L, _ = cholesky_with_jitter(corr_matrix(design, design, kern))
+    L, _ = cholesky_with_jitter(cov.corr(kern.ranges))
     return EmulatorModel(
         design=design,
         outputs=outputs,
         mean_basis=mean_basis,
         kernel=kern,
         _gls=_gls(L, H, outputs),
+        _cov=cov,
     )
 
 
@@ -222,7 +224,7 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
     degrees of freedom are the number of runs minus the trend dimension.
     """
     Z = _joint_inputs(model, xstar, thetastar)
-    r = corr_matrix(model.design, Z, model.kernel)
+    r = model._cov.base_cross(model.kernel.ranges, Z)
     mean, variance = _student_t(model._gls, model.basis(Z), r, 1.0)
     return mean, variance, model.dof
 
@@ -230,7 +232,7 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
 def _emulator_mean(model: EmulatorModel, xstar, thetastar):
     """``emulator_predict(model, xstar, thetastar)[0]`` without the variance."""
     Z = _joint_inputs(model, xstar, thetastar)
-    return _kriging_mean(model._gls, model.basis(Z), corr_matrix(model.design, Z, model.kernel))
+    return _kriging_mean(model._gls, model.basis(Z), model._cov.base_cross(model.kernel.ranges, Z))
 
 
 def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = None):
@@ -239,14 +241,14 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
     Applies the discretized L2 shrinkage with constraint points at the
     design (scaling ``lam``, default half the number of runs) to the fitted
     kernel, then re-estimates the trend by generalized least squares under
-    the transformed correlation.
+    the transformed correlation.  One factorization of ``R + c I`` serves the
+    transformed correlation, the cross-correlation and the prior variance.
     """
-    Z = np.atleast_2d(np.asarray(xstar, dtype=float))
-    D = model.n_design
-    spec = DiscrepancySpec(SGASP, model.kernel, lam=lam if lam is not None else D / 2.0)
-    L, _ = cholesky_with_jitter(scaled_cov(model.design, spec))
+    Z = _joint_inputs(model, xstar, None)
+    cov = _ModeCov(DiscrepancySpec(SGASP, model.kernel, lam=lam), model.design)
+    K, rz, cz = cov.cross(model.kernel.ranges, None, Z)
+    L, _ = cholesky_with_jitter(K)
     gls = _gls(L, model.basis(model.design), model.outputs)
-    rz, cz = scaled_cross_cov(model.design, Z, spec)
     mean, variance = _student_t(gls, model.basis(Z), rz, cz)
     return mean, variance, model.dof
 

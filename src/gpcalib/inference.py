@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import (
+    ETA_FLOOR,
     PSI_OVERFLOW,
     CalibParams,
     ComputerModel,
@@ -19,11 +20,10 @@ from .calibration import (
     PredictiveResult,
     PriorSpec,
     _log_prior,
-    _lru,
     _predict,
     initial_params,
 )
-from .discrepancy import DiscrepancySpec
+from .discrepancy import DiscrepancySpec, _lru
 from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
@@ -153,7 +153,7 @@ def mle_fit(
         if prior is not None:
             t = float(prior.jr_C @ params.psi_delta + params.eta)
             ll += prior.jr_a * np.log(t) - prior.jr_b * t
-            ll += float(np.sum(np.log(params.psi_delta))) + np.log(params.eta + 1e-12)
+            ll += float(np.sum(np.log(params.psi_delta))) + np.log(params.eta + ETA_FLOOR)
         if not np.isfinite(ll):
             return _BAD_OBJECTIVE
         return -ll
@@ -464,11 +464,15 @@ def mcmc_run(
     )
 
 
+#: Fewest post-burn-in samples :func:`posterior_summary` summarizes.
+MIN_SUMMARY_SAMPLES = 100
+
+
 def posterior_summary(chain: PosteriorChain) -> dict:
     """Medians, means and central 95% intervals on post-burn-in samples."""
     kept = chain.post_burn_in()
-    if kept.shape[0] < 100:
-        raise ValueError("need at least 100 post-burn-in samples to summarize")
+    if kept.shape[0] < MIN_SUMMARY_SAMPLES:
+        raise ValueError(f"need at least {MIN_SUMMARY_SAMPLES} post-burn-in samples to summarize")
     out = {}
     for j, name in enumerate(chain.param_names):
         col = kept[:, j]

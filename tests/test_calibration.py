@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gpcalib.calibration import (
     CalibParams,
@@ -28,7 +28,7 @@ from gpcalib.discrepancy import (
     scaled_cov,
 )
 from gpcalib.kernels import KernelSpec, corr_matrix
-from oracles import MVNModel, gp_condition, mvn_logdensity
+from oracles import MVNModel, gp_condition, mvn_logdensity, scaled_cov_three_kernels
 
 
 def _constant_model(bounds=((0.0, 10.0),)):
@@ -272,6 +272,19 @@ class TestPredict:
         out = predict(params, data, model, spec, xstar)
         np.testing.assert_allclose(out.full_mean, mean_oracle, atol=1e-8)
         np.testing.assert_allclose(out.variance, var_oracle, atol=1e-8)
+
+    def test_explicit_constraints_factor_once(self, monkeypatch):
+        # K, the cross-covariance and the prior variance share one factor of RC + c I
+        data = _dataset(n=8, seed=10)
+        spec = DiscrepancySpec(
+            SGASP, KernelSpec("matern52", [0.5]), constraint_points=[[0.1], [0.4], [0.7], [0.95]], lam=3.0
+        )
+        calls = []
+        chol = discrepancy.cholesky_with_jitter
+        monkeypatch.setattr(discrepancy, "cholesky_with_jitter", lambda *a: calls.append(1) or chol(*a))
+        params = CalibParams([1.0], [], [2.0], 1.0, 0.05)
+        predict(params, data, _constant_model(), spec, np.linspace(0, 1, 7)[:, None])
+        assert len(calls) == 1
 
     def test_variance_at_least_noise(self):
         data = _dataset(n=10, seed=9)
@@ -578,3 +591,44 @@ class TestLikelihoodCoreTarget:
         with pytest.raises(ValueError, match="psi_delta"):
             CalibParams([1.0], [], [np.exp(-720.0)], 1.0, 0.1)
         CalibParams([1.0], [], [np.exp(-700.0)], 1.0, 0.1)
+
+
+#: cases of the covariance property test: the mode, and for sgasp whether lambda
+#: and the constraint points are given
+_PROPERTY_CASES = ["gasp", "sgasp", "sgasp_lam", "sgasp_points", "ogasp"]
+
+
+class TestModeCovProperties:
+    @settings(max_examples=200)
+    @given(
+        case=st.sampled_from(_PROPERTY_CASES),
+        p=st.integers(1, 3),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        lam_per_n=st.floats(0.05, 20.0),
+    )
+    def test_corr_target_is_symmetric_psd(self, case, p, n, seed, log_scale, lam_per_n):
+        # ranges from 1e-2 to 1e2 times the domain length, eta = 0
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, p))
+        data = FieldDataset(X, rng.normal(size=n), [[0.0, 1.0]] * p)
+        extra = {}
+        if case == "sgasp_lam":
+            extra["lam"] = lam_per_n * n
+        elif case == "sgasp_points":
+            extra = {"constraint_points": rng.uniform(size=(int(rng.integers(2, 9)), p)), "lam": lam_per_n * n}
+        mode = case.split("_")[0]
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5] * p), **extra)
+        core = LikelihoodCore(data, _ogasp_model(p, True), spec)
+        gamma = 10.0 ** np.asarray(log_scale[:p])
+        theta = np.array([2.2, 0.1])
+        K = core.corr_target(1.0 / gamma, theta)
+        assert np.all(np.isfinite(K))
+        np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10 * n
+        kern = spec.kernel.with_ranges(gamma)
+        if mode == SGASP and "constraint_points" not in extra:
+            if np.linalg.cond(corr_matrix(X, X, kern)) < 1e8:
+                lam = extra.get("lam", n / 2.0)
+                np.testing.assert_allclose(K, scaled_cov_three_kernels(X, kern, lam), rtol=0, atol=1e-12)

@@ -127,6 +127,7 @@ class TestConfigValidation:
             {"domain": "abc"},
             {"mcmc": {"samples": "x"}},
             {"mcmc": {"samples": 500, "burn_in": 500}},
+            {"mcmc": {"samples": 150, "burn_in": 100}},
             {"mcmc": {"samples": 600, "burn_in": 100, "thin": 0}},
             {"mle": {"sigma2_fixed": -1}},
             {"mle": {"n_starts": 0}},

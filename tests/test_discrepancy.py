@@ -19,6 +19,7 @@ from gpcalib.discrepancy import (
     scaled_cross_cov,
 )
 from gpcalib import discrepancy
+from gpcalib.emulator import emulator_fit, emulator_predict_scaled
 from gpcalib.kernels import KernelSpec, corr_matrix
 from oracles import gp_condition, scaled_cov_three_kernels
 
@@ -105,8 +106,8 @@ class TestScaledCov:
 
     def test_default_constraints_build_one_kernel_matrix(self, monkeypatch):
         calls = []
-        corr = discrepancy.corr_matrix
-        monkeypatch.setattr(discrepancy, "corr_matrix", lambda *a: calls.append(1) or corr(*a))
+        corr = discrepancy._product_corr
+        monkeypatch.setattr(discrepancy, "_product_corr", lambda *a: calls.append(1) or corr(*a))
         scaled_cov(np.linspace(0, 1, 9)[:, None], _sgasp_spec())
         assert len(calls) == 1
 
@@ -149,8 +150,8 @@ class TestScaledCrossCov:
 
     def test_default_constraints_build_two_kernel_matrices(self, monkeypatch):
         calls = []
-        corr = discrepancy.corr_matrix
-        monkeypatch.setattr(discrepancy, "corr_matrix", lambda *a: calls.append(1) or corr(*a))
+        corr = discrepancy._product_corr
+        monkeypatch.setattr(discrepancy, "_product_corr", lambda *a: calls.append(1) or corr(*a))
         scaled_cross_cov(np.linspace(0, 1, 9)[:, None], np.array([[0.33], [0.71]]), _sgasp_spec())
         assert len(calls) == 2
 
@@ -169,6 +170,55 @@ class TestScaledCrossCov:
         )
         np.testing.assert_allclose(r_z, r_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(c_z, c_ref, rtol=0, atol=1e-12)
+
+
+_K2 = KernelSpec("matern52", [0.4, 0.6])
+
+
+def _grad_xy(Z):
+    return np.column_stack([Z[:, 0], Z[:, 1] ** 2])
+
+
+def _emulator_scaled(X, Xs):
+    em = emulator_fit(X, np.sin(3 * X[:, 0]) * X[:, 1], ranges=[0.4, 0.6])
+    return emulator_predict_scaled(em, Xs)
+
+
+_DOMAIN2 = [[0.0, 1.0], [0.0, 1.0]]
+
+#: each public entry point of the mode covariance builder, as (name, call on
+#: a design X and new points Xs, the point sets that reach it); the emulator
+#: words the error as ``emulator_predict`` does
+_BUILDERS = [
+    ("scaled_cov", lambda X, Xs: scaled_cov(X, DiscrepancySpec(SGASP, _K2)), ["X"]),
+    ("scaled_cross_cov", lambda X, Xs: scaled_cross_cov(X, Xs, DiscrepancySpec(SGASP, _K2)), ["X", "Xs"]),
+    (
+        "scaled_cross_cov_points",
+        lambda X, Xs: scaled_cross_cov(X, Xs, DiscrepancySpec(SGASP, _K2, constraint_points=[[0.2, 0.3]])),
+        ["X", "Xs"],
+    ),
+    ("ogasp_kernel_same", lambda X, Xs: ogasp_kernel(X, X, _K2, _grad_xy, _DOMAIN2, 8), ["X"]),
+    ("ogasp_kernel", lambda X, Xs: ogasp_kernel(X, Xs, _K2, _grad_xy, _DOMAIN2, 8), ["X", "Xs"]),
+    ("ogasp_cross_cov", lambda X, Xs: ogasp_cross_cov(X, Xs, _K2, _grad_xy, _DOMAIN2, 8), ["X", "Xs"]),
+    ("emulator_predict_scaled", _emulator_scaled, ["Xs"]),
+]
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize(
+    "name, build, where",
+    [(name, build, where) for name, build, wheres in _BUILDERS for where in wheres],
+    ids=[f"{name}-{where}" for name, _, wheres in _BUILDERS for where in wheres],
+)
+def test_builders_reject_points_of_another_width(name, build, where, width):
+    # the per-axis distances would silently drop extra columns of the second set
+    rng = np.random.default_rng(50)
+    points = {"X": rng.uniform(size=(6, 2)), "Xs": rng.uniform(size=(3, 2))}
+    build(points["X"], points["Xs"])
+    points[where] = rng.uniform(size=(points[where].shape[0], width))
+    match = "do not match the design dimension" if name.startswith("emulator") else "columns"
+    with pytest.raises(ValueError, match=match):
+        build(points["X"], points["Xs"])
 
 
 def _toy_model(kind="linear"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpcalib import discrepancy
 from gpcalib.calibration import FieldDataset
 from gpcalib.discrepancy import DiscrepancySpec, SGASP, scaled_cov
 from gpcalib.inference import mcmc_run, posterior_summary
@@ -171,6 +172,16 @@ class TestScaledPrediction:
         np.testing.assert_allclose(mean, mean_oracle, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(var, s2 * c, rtol=1e-8, atol=1e-10)
         assert dof == D - 1
+
+    @pytest.mark.parametrize("lam", [None, 2.5])
+    def test_factors_constraint_matrix_once(self, lam, monkeypatch):
+        # the shrunk correlation, cross-correlation and prior variance share one factor
+        em, _, _ = _fit_1d(seed=4, D=6)
+        calls = []
+        chol = discrepancy.cholesky_with_jitter
+        monkeypatch.setattr(discrepancy, "cholesky_with_jitter", lambda *a: calls.append(1) or chol(*a))
+        emulator_predict_scaled(em, np.array([[0.13], [0.47]]), lam=lam)
+        assert len(calls) == 1
 
     def test_interpolates_design(self):
         em, x, y = _fit_1d(seed=7, D=8)
