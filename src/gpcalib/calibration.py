@@ -235,14 +235,14 @@ class LikelihoodCore:
 
     The mode's correlation comes from ``cov``, a ``discrepancy._ModeCov``
     over the design built once here: it caches the design-only constants
-    (distances, the sgasp shrinkage, the ogasp grid) and, in ogasp mode, the
-    pieces that depend on the ranges alone under the bytes of ``1 / psi``
-    and the weighted gradient under the bytes of theta, each for the 4 keys
-    used last.  A proposal then goes from (psi, eta, theta) to kernel values
-    and one factorization.  The computer model's values at the design are
-    kept for the last theta, under its bytes.  psi is not checked here: each
-    must exceed :data:`PSI_OVERFLOW`, as :class:`CalibParams` and the sampler
-    ensure.
+    (distances, the sgasp shrinkage, the ogasp grid), the pieces that depend
+    on the ranges alone under the bytes of ``1 / psi``, in ogasp mode the
+    weighted gradient under the bytes of theta, and prediction's distances to
+    ``Xstar`` under its bytes, each for the 4 keys used last.  A proposal
+    then goes from (psi, eta, theta) to kernel values and one factorization.
+    The model's values at the design are kept for the last theta, under its
+    bytes.  psi is not checked here: each must exceed :data:`PSI_OVERFLOW`,
+    as :class:`CalibParams` and the sampler ensure.
     """
 
     def __init__(self, data: FieldDataset, model: ComputerModel, spec: DiscrepancySpec):
@@ -493,8 +493,8 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
     if Xstar.shape[1] != data.p:
         raise ValueError("prediction inputs do not match the data dimension")
     core._check_psi(params.psi_delta)
-    K, r, c0 = core.cov.cross(1.0 / params.psi_delta, params.theta, Xstar)
-    L, _ = core.factor(K, params.eta)
+    L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
+    r, c0 = core.cov.cross(params.gamma(), params.theta, Xstar)
 
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)
     V = dtrtrs(L, r, lower=1)[0]

@@ -166,6 +166,8 @@ def _read_csv(path: str):
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: {len(row)} values, the header has {len(header)}")
                 try:
                     rows.append([float(c) for c in row])
                 except ValueError as err:
@@ -174,10 +176,7 @@ def _read_csv(path: str):
         raise DataError(f"data file not found: {path}") from err
     if not rows:
         raise DataError(f"{path}: no data rows")
-    matrix = np.asarray(rows, dtype=float)
-    if matrix.shape[1] != len(header):
-        raise DataError(f"{path}: rows do not match the header width")
-    return [h.strip() for h in header], matrix
+    return [h.strip() for h in header], np.asarray(rows, dtype=float)
 
 
 def _expect_header(header, prefix_cols, tail, path):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -128,23 +129,25 @@ class _ModeCov:
     and positive); ``spec.kernel`` supplies the family, roughness and
     dimension.
 
-    Cached at construction, from the design alone: the per-axis distance
-    matrices of ``X``; in sgasp mode ``c = N_C / lambda`` and, for explicit
-    constraint points, the distances over the constraint points and from
-    them to ``X``; in ogasp mode the quadrature grid of ``domain``, its cell
-    volume, per-axis lags and the ``X``-to-grid distances.  In ogasp mode the
-    pieces that depend on ``gamma`` alone (``corr(X, X)``, ``corr(X, grid)``
-    and the grid's Toeplitz factors) are cached under the bytes of
-    ``gamma``, and the weighted gradient ``Dw = D w`` from
-    ``grad_at(theta)``, which depends on ``theta`` alone, under the bytes of
-    ``theta``, each for the 4 keys used last; so a theta move evaluates no
-    kernel and a gamma move no gradient.
+    Cached from the design alone: the per-axis distances of ``X`` (on first
+    use); in sgasp mode ``c = N_C / lambda`` and, for explicit constraint
+    points, their distances among themselves and to ``X``; in ogasp mode the
+    quadrature grid of ``domain``, its cell volume, per-axis lags and the
+    ``X``-to-grid distances.  Cached per key, each for the 4 keys used last:
+    under the bytes of ``Xstar``, its distances from ``X`` and from the ogasp
+    grid or the explicit constraint points; under the bytes of ``gamma``,
+    ``corr(X, X)`` and the pieces :meth:`cross` needs (sgasp ``L`` and
+    ``rC``, ogasp ``corr(X, grid)`` and the grid's Toeplitz factors); in
+    ogasp mode the weighted gradient ``Dw = D w`` from ``grad_at(theta)``
+    under the bytes of ``theta`` and the projection under those of
+    ``(gamma, theta)``.  So :meth:`corr` and :meth:`cross` share one factor,
+    :meth:`cross` forms no ``K``, a theta move evaluates no kernel.
     """
 
     def __init__(self, spec: DiscrepancySpec, X, domain=None, grad_at=None):
         self.mode, self.kernel = spec.mode, spec.kernel
         self.X = X = _points(X, spec.kernel.dim)
-        self._dists = _distances(X, X)
+        self._stars, self._bases, self._gamma_parts = OrderedDict(), OrderedDict(), OrderedDict()
         if spec.mode == SGASP:
             XC, lam = spec.resolved_constraints(X)
             self._c = XC.shape[0] / lam
@@ -156,72 +159,92 @@ class _ModeCov:
             self._grid = _ogasp_grid(domain, spec.quad_points, spec.kernel.dim)
             self._dists_grid = _distances(X, self._grid.points)
             self._grad_at = grad_at
-            self._gamma_parts = OrderedDict()
-            self._grads = OrderedDict()
+            self._grads, self._projections = OrderedDict(), OrderedDict()
 
     def corr(self, gamma, theta=None) -> np.ndarray:
         """Correlation ``K`` over the design at ranges ``gamma`` (and, in ogasp
         mode, at the model parameters ``theta``)."""
         if self.mode == GASP:
             return _product_corr(self._dists, self.kernel, gamma)
-        return (self._scaled(gamma) if self.mode == SGASP else self._ogasp(gamma, theta))[0]
+        if self.mode == OGASP:
+            g, _, LG = self._ogasp(gamma, theta)
+            return self._base(gamma) - g @ dpotrs(LG, g.T, lower=1)[0]
+        L, rC = self._parts(gamma)
+        if self._XC is None:
+            Rz = self._c * dpotrs(L, rC, lower=1)[0]
+        else:
+            Rz = self._base(gamma) - rC.T @ dpotrs(L, rC, lower=1)[0]
+        return 0.5 * (Rz + Rz.T)
 
     def cross(self, gamma, theta, Xstar):
-        """``(K, r, c0)``: :meth:`corr`, the cross-correlation (n, k) between
-        the design and ``Xstar`` and the prior variance (k,) at ``Xstar``, all
-        under the mode's transform and from one factorization of it."""
+        """``(r, c0)``: the cross-correlation (n, k) between the design and
+        ``Xstar`` and the prior variance (k,) at ``Xstar``, under the mode's
+        transform and from the factorization :meth:`corr` uses."""
         Xstar = _points(Xstar, self.kernel.dim)
-        r = self.base_cross(gamma, Xstar)
+        dists, dists_extra = _lru(self._stars, Xstar.tobytes(), lambda: self._star_dists(Xstar))
+        r = _product_corr(dists, self.kernel, gamma)
         if self.mode == GASP:
-            return _product_corr(self._dists, self.kernel, gamma), r, np.ones(Xstar.shape[0])
+            return r, np.ones(Xstar.shape[0])
         if self.mode == OGASP:
-            K, g, Dw, LG = self._ogasp(gamma, theta)
-            g_star = _product_corr(_distances(Xstar, self._grid.points), self.kernel, gamma) @ Dw
+            g, Dw, LG = self._ogasp(gamma, theta)
+            g_star = _product_corr(dists_extra, self.kernel, gamma) @ Dw
             solved = dpotrs(LG, g_star.T, lower=1)[0]
-            return K, r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
-        K, L, rC = self._scaled(gamma)
+            return r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
+        L, rC = self._parts(gamma)
         if self._XC is None:
             # r_z = c (R + c I)^-1 r*, c_z = 1 - ||L^-1 r*||^2
             V = dtrtrs(L, r, lower=1)[0]
-            return K, self._c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
-        rC_star = _product_corr(_distances(self._XC, Xstar), self.kernel, gamma)
+            return self._c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
+        rC_star = _product_corr(dists_extra, self.kernel, gamma)
         solved = dpotrs(L, rC_star, lower=1)[0]
-        return K, r - rC.T @ solved, 1.0 - np.einsum("ij,ij->j", rC_star, solved)
+        return r - rC.T @ solved, 1.0 - np.einsum("ij,ij->j", rC_star, solved)
 
     def base_cross(self, gamma, Xstar) -> np.ndarray:
         """Base correlation (n, k) between the design and the 2-D ``Xstar``."""
         return _product_corr(_distances(self.X, Xstar), self.kernel, gamma)
 
-    def _scaled(self, gamma):
-        """``(R_z, L, rC)`` in sgasp mode, with ``L L' = RC + c I`` and ``rC`` the
-        constraint-to-design correlation (``R`` for the default constraint
-        points, where ``R_z = c (R + c I)^-1 R``)."""
-        R = _product_corr(self._dists, self.kernel, gamma)
-        if self._XC is None:
-            L, _ = cholesky_with_jitter(_shifted(R, self._c))
-            Rz, rC = self._c * dpotrs(L, R, lower=1)[0], R
-        else:
-            RC = _product_corr(self._dists_C, self.kernel, gamma)
-            L, _ = cholesky_with_jitter(_shifted(RC, self._c))
-            rC = _product_corr(self._dists_CX, self.kernel, gamma)
-            Rz = R - rC.T @ dpotrs(L, rC, lower=1)[0]
-        return 0.5 * (Rz + Rz.T), L, rC
+    def _star_dists(self, Xstar):
+        """Distances from the design to ``Xstar``, and the ogasp or explicit sgasp ones."""
+        extra = None
+        if self.mode == OGASP:
+            extra = _distances(Xstar, self._grid.points)
+        elif self.mode == SGASP and self._XC is not None:
+            extra = _distances(self._XC, Xstar)
+        return _distances(self.X, Xstar), extra
+
+    @cached_property
+    def _dists(self):
+        return _distances(self.X, self.X)
+
+    def _base(self, gamma) -> np.ndarray:
+        """``corr(X, X)`` at ``gamma``, cached; gasp's :meth:`corr` forms its own."""
+        return _lru(self._bases, gamma.tobytes(), lambda: _product_corr(self._dists, self.kernel, gamma))
+
+    def _parts(self, gamma):
+        """Cached pieces that depend on ``gamma`` alone: sgasp ``(L, rC)`` with
+        ``L L' = RC + c I`` (``rC = R`` by default), ogasp ``(corr(X, grid), factors)``."""
+        kernel = self.kernel
+
+        def make():
+            if self.mode == OGASP:
+                grid_corr = _product_corr(self._dists_grid, kernel, gamma)
+                return grid_corr, _toeplitz_factors(kernel, gamma, self._grid.lags)
+            if self._XC is None:
+                R = self._base(gamma)
+                return cholesky_with_jitter(_shifted(R, self._c))[0], R
+            L, _ = cholesky_with_jitter(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
+            return L, _product_corr(self._dists_CX, kernel, gamma)
+
+        return _lru(self._gamma_parts, gamma.tobytes(), make)
 
     def _ogasp(self, gamma, theta):
-        """``(K, g, Dw, LG)`` in ogasp mode: ``K = C - g G^-1 g'`` from the base
-        correlation ``C``, the gradient features ``g = corr(X, grid) Dw``, the
-        weighted gradient and the factor ``LG`` of :func:`_projection`."""
+        """``(g, Dw, LG)`` in ogasp mode, so that ``K = C - g G^-1 g'`` for the
+        base correlation ``C``: the gradient features ``g = corr(X, grid) Dw``,
+        the weighted gradient and the factor ``LG`` of :func:`_projection`."""
         if theta is None:
             raise ValueError("orthogonal mode needs theta to build the correlation")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        kernel, grid = self.kernel, self._grid
-
-        def gamma_parts():
-            return (
-                _product_corr(self._dists, kernel, gamma),
-                _product_corr(self._dists_grid, kernel, gamma),
-                _toeplitz_factors(kernel, gamma, grid.lags),
-            )
+        grid = self._grid
 
         def weighted_grad():
             D = np.atleast_2d(np.asarray(self._grad_at(theta)(grid.points), dtype=float))
@@ -231,11 +254,12 @@ class _ModeCov:
                 raise ValueError("model_grad must return one row per grid point")
             return D * grid.weight
 
-        C, CXg, factors = _lru(self._gamma_parts, gamma.tobytes(), gamma_parts)
-        Dw = _lru(self._grads, theta.tobytes(), weighted_grad)
-        g = CXg @ Dw
-        LG = _projection(Dw, factors, grid.volume2)
-        return C - g @ dpotrs(LG, g.T, lower=1)[0], g, Dw, LG
+        def projection():
+            CXg, factors = self._parts(gamma)
+            Dw = _lru(self._grads, theta.tobytes(), weighted_grad)
+            return CXg @ Dw, Dw, _projection(Dw, factors, grid.volume2)
+
+        return _lru(self._projections, gamma.tobytes() + theta.tobytes(), projection)
 
 
 def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
@@ -271,7 +295,7 @@ def scaled_cross_cov(X, Xstar, spec: DiscrepancySpec):
     """
     if spec.mode != SGASP:
         raise ValueError("scaled_cross_cov requires sgasp mode")
-    return _ModeCov(spec, X).cross(spec.kernel.ranges, None, Xstar)[1:]
+    return _ModeCov(spec, X).cross(spec.kernel.ranges, None, Xstar)
 
 
 def _check_quad_points(quad_points) -> int:
@@ -409,7 +433,7 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
     cov = _ogasp_cov(Xa, base_kernel, model_grad, domain, quad_points)
     if Xb is Xa:
         return cov.corr(base_kernel.ranges, ())
-    return cov.cross(base_kernel.ranges, (), Xb)[1]
+    return cov.cross(base_kernel.ranges, (), Xb)[0]
 
 
 def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
@@ -422,7 +446,7 @@ def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_
         ``1 - sum_j g_*[:, j] (G^-1 g_*')[j, :]`` without the k x k matrix.
     """
     cov = _ogasp_cov(X, base_kernel, model_grad, domain, quad_points)
-    return cov.cross(base_kernel.ranges, (), Xstar)[1:]
+    return cov.cross(base_kernel.ranges, (), Xstar)
 
 
 def model_grad_fd(model, theta, step: float = 1e-4):

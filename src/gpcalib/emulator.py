@@ -10,16 +10,17 @@ calibration; its hyperparameters are never revisited there.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .calibration import ComputerModel
-from .discrepancy import GASP, SGASP, DiscrepancySpec, _ModeCov
+from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
 from .linalg import NumericalError, cholesky_with_jitter
 
 
@@ -46,13 +47,13 @@ def _gls(L, H, y) -> _GLS:
     integrated out under the prior ``1/sigma2``, up to a constant.
     """
     D, q = H.shape
-    RinvH = cho_solve((L, True), H)
+    RinvH = dpotrs(L, H, lower=1)[0]
     M = H.T @ RinvH
     LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
-    Rinvy = cho_solve((L, True), y)
-    beta = cho_solve((LM, True), H.T @ Rinvy)
+    Rinvy = dpotrs(L, y, lower=1)[0]
+    beta = dpotrs(LM, H.T @ Rinvy, lower=1)[0]
     resid = y - H @ beta
-    alpha = cho_solve((L, True), resid)
+    alpha = dpotrs(L, resid, lower=1)[0]
     quad = float(resid @ alpha)
     log_marginal = (
         -float(np.sum(np.log(np.diag(L))))
@@ -72,9 +73,10 @@ def _student_t(gls: _GLS, h, r, c0):
     """Student-t predictive mean and variance at new points with trend basis
     ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
     mean = _kriging_mean(gls, h, r)
-    Rinv_r = cho_solve((gls.L, True), r)
+    Rinv_r = dpotrs(gls.L, r, lower=1)[0]
     u = h.T - gls.RinvH.T @ r
-    w = solve_triangular(gls.LM, u, lower=True)
+    # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
+    w = dtrtrs(gls.LM.T, u, lower=0, trans=1)[0]
     cstar = c0 - np.einsum("ij,ij->j", r, Rinv_r) + np.einsum("ij,ij->j", w, w)
     return mean, gls.sigma2 * np.maximum(cstar, 0.0)
 
@@ -85,7 +87,7 @@ class EmulatorModel:
 
     ``design`` stacks the variable inputs and parameters column-wise; the
     mean basis functions act on that joint input.  ``_cov`` holds the
-    design's distances; the ranges are passed to it per call.
+    design's distances, nothing per input; the ranges are passed per call.
     """
 
     design: np.ndarray
@@ -121,6 +123,8 @@ def _prepare_design(design, outputs):
     outputs = np.atleast_1d(np.asarray(outputs, dtype=float))
     if design.shape[0] != outputs.size:
         raise ValueError("design and outputs disagree on the number of runs")
+    if not (np.isfinite(design).all() and np.isfinite(outputs).all()):
+        raise ValueError("design and outputs must be finite (no NaN or infinity)")
     if np.unique(design, axis=0).shape[0] != design.shape[0]:
         raise ValueError("design rows must be distinct")
     return design, outputs
@@ -229,12 +233,6 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
     return mean, variance, model.dof
 
 
-def _emulator_mean(model: EmulatorModel, xstar, thetastar):
-    """``emulator_predict(model, xstar, thetastar)[0]`` without the variance."""
-    Z = _joint_inputs(model, xstar, thetastar)
-    return _kriging_mean(model._gls, model.basis(Z), model._cov.base_cross(model.kernel.ranges, Z))
-
-
 def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = None):
     """Predictive mean/variance under the shrunk (scaled-process) covariance.
 
@@ -246,8 +244,8 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
     """
     Z = _joint_inputs(model, xstar, None)
     cov = _ModeCov(DiscrepancySpec(SGASP, model.kernel, lam=lam), model.design)
-    K, rz, cz = cov.cross(model.kernel.ranges, None, Z)
-    L, _ = cholesky_with_jitter(K)
+    L, _ = cholesky_with_jitter(cov.corr(model.kernel.ranges))
+    rz, cz = cov.cross(model.kernel.ranges, None, Z)
     gls = _gls(L, model.basis(model.design), model.outputs)
     mean, variance = _student_t(gls, model.basis(Z), rz, cz)
     return mean, variance, model.dof
@@ -256,14 +254,32 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
 def as_computer_model(model: EmulatorModel, p_x: int, theta_bounds) -> ComputerModel:
     """Wrap a fitted emulator as a calibration computer model.
 
-    The evaluator is the (deterministic) predictive mean; the Student-t
-    variance is never computed.
+    The evaluator is the predictive mean ``emulator_predict(model, X,
+    theta)[0]``, bit for bit; the Student-t variance is never computed.  The
+    correlation over the first ``p_x`` (variable-input) axes depends on ``X``
+    alone and is cached under the bytes of ``X`` for the 4 inputs used last;
+    a call multiplies the theta-axis factors into a copy of it, in axis
+    order as the product kernel does.
     """
     theta_bounds = np.atleast_2d(np.asarray(theta_bounds, dtype=float))
-    if p_x + theta_bounds.shape[0] != model.design.shape[1]:
+    design, kernel = model.design, model.kernel
+    if p_x + theta_bounds.shape[0] != design.shape[1]:
         raise ValueError("p_x plus the parameter count must match the design columns")
-    return ComputerModel(
-        evaluator=lambda X, theta: _emulator_mean(model, X, theta),
-        theta_bounds=theta_bounds,
-        vectorized=True,
-    )
+    x_corrs = OrderedDict()
+
+    def x_corr(X):
+        return _product_corr(_distances(design[:, :p_x], X), kernel, kernel.ranges)
+
+    def mean(X, theta):
+        if X.shape[1] != p_x:
+            raise ValueError(f"inputs have {X.shape[1]} columns, the emulator takes p_x = {p_x}")
+        Z = _joint_inputs(model, X, theta)
+        if p_x:
+            r = _lru(x_corrs, X.tobytes(), lambda: x_corr(X)).copy()
+        else:  # a zero-width X has no bytes to key on, and no factor to cache
+            r = np.ones((len(design), len(X)))
+        for l, d in enumerate(_distances(design[:, p_x:], Z[:1, p_x:]), start=p_x):
+            r *= _corr_1d(d, kernel, kernel.ranges[l], l)
+        return _kriging_mean(model._gls, model.basis(Z), r)
+
+    return ComputerModel(evaluator=mean, theta_bounds=theta_bounds, vectorized=True)

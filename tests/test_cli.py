@@ -111,6 +111,16 @@ class TestConfigValidation:
         path, _ = _config(tmp_path, bad, {})
         assert main(["calibrate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("row", ["0.2", "0.2,0.1,0.5"])
+    def test_ragged_row_is_a_data_error(self, sine_files, capsys, row):
+        tmp_path, *_ = sine_files
+        bad = tmp_path / "ragged.csv"
+        bad.write_text(f"x1,y\n0.1,0.3\n{row}\n0.3,0.2\n")
+        path, _ = _config(tmp_path, bad, {})
+        assert main(["calibrate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{bad}:3:" in err
+
     def test_infinite_domain_is_a_data_error(self, sine_files):
         tmp_path, data_path, *_ = sine_files
         path, _ = _config(tmp_path, data_path, {"domain": [[0.0, float("inf")]]})
@@ -442,6 +452,10 @@ class TestEmulatorDesignErrors:
         [
             (["0.1,1,0.3"] * 5, "design rows must be distinct"),
             (["0.1,1,0.3", "0.5,2,0.1", "0.9,3,0.7"], "need more design runs"),
+            (["0.1,1,nan", "0.5,2,0.1", "0.9,3,0.7", "0.3,4,0.2", "0.7,1.5,0.4"],
+             "design and outputs must be finite"),
+            (["inf,1,0.3", "0.5,2,0.1", "0.9,3,0.7", "0.3,4,0.2", "0.7,1.5,0.4"],
+             "design and outputs must be finite"),
         ],
     )
     def test_bad_design_is_a_data_error(self, sine_files, capsys, rows, message):

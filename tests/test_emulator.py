@@ -1,11 +1,13 @@
 """Emulator checks: interpolation, Student-t formulas, calibration plug-in."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from gpcalib import discrepancy
+from gpcalib import discrepancy, emulator
 from gpcalib.calibration import FieldDataset
-from gpcalib.discrepancy import DiscrepancySpec, SGASP, scaled_cov
+from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP, scaled_cov
 from gpcalib.inference import mcmc_run, posterior_summary
 from gpcalib.kernels import KernelSpec, corr_matrix
 from gpcalib.design import maximin_lhd, scale_to_domain
@@ -35,6 +37,24 @@ class TestEmulatorFit:
         em = emulator_fit(X, y, mean_basis=basis, seed=1)
         assert em.sigma2_hat / np.var(y) < 1e-8
         np.testing.assert_allclose(em.beta_hat, coef, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["design", "outputs"])
+    def test_non_finite_runs_are_rejected(self, where, bad):
+        # rejected up front, before any distance, warning or factorization
+        rng = np.random.default_rng(2)
+        design = rng.uniform(size=(10, 2))
+        y = design.sum(axis=1)
+        if where == "design":
+            design[3, 1] = bad
+        else:
+            y[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="design and outputs must be finite"):
+                emulator_fit(design, y, ranges=[0.5, 0.5])
+            with pytest.raises(ValueError, match="design and outputs must be finite"):
+                emulator_fit(design, y, n_starts=1)
 
     def test_dof(self):
         em, _, _ = _fit_1d()
@@ -206,6 +226,55 @@ class TestAsComputerModel:
         model = as_computer_model(em, p_x=1, theta_bounds=[[0.0, 4.0]])
         X = rng.uniform(size=(20, 1))
         assert np.array_equal(model.evaluate(X, [1.7]), emulator_predict(em, X, [1.7])[0])
+
+    @pytest.mark.parametrize("p_theta", [1, 2])
+    @pytest.mark.parametrize("p_x", [0, 1, 2])
+    def test_evaluator_is_bitwise_the_predictive_mean(self, p_x, p_theta):
+        # the x-axis factor is cached per input set and the theta-axis factors
+        # multiplied into it in axis order, as the full product kernel does
+        rng = np.random.default_rng(10 * p_x + p_theta)
+        p = p_x + p_theta
+        design = rng.uniform(size=(14, p))
+        em = emulator_fit(design, np.sin(design @ np.arange(1.0, p + 1)), ranges=np.full(p, 0.4))
+        model = as_computer_model(em, p_x=p_x, theta_bounds=[[0.0, 1.0]] * p_theta)
+        inputs = [rng.uniform(size=(m, p_x)) for m in (7, 3)]
+        for X in inputs + inputs:  # the second pass reuses the cached factors
+            theta = rng.uniform(size=p_theta)
+            assert np.array_equal(model.evaluate(X, theta), emulator_predict(em, X, theta)[0])
+
+    def test_field_inputs_get_their_distances_once_per_chain(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        design = np.column_stack([rng.uniform(size=20), rng.uniform(0, 4, size=20)])
+        em = emulator_fit(design, np.cos(design[:, 1] * design[:, 0]), ranges=[0.3, 1.5])
+        model = as_computer_model(em, p_x=1, theta_bounds=[[0.0, 4.0]])
+        x = np.linspace(0, 1, 12)[:, None]
+        data = FieldDataset(x, np.cos(2.0 * x[:, 0]) + 0.1 * rng.standard_normal(12), [[0.0, 1.0]])
+        rows = []
+        dists = emulator._distances
+        monkeypatch.setattr(emulator, "_distances", lambda A, B: rows.append(len(B)) or dists(A, B))
+        mcmc_run(data, model, DiscrepancySpec(GASP, KernelSpec("matern52", [0.5])), S=300, burn_in=100)
+        # one x-axis set for the 12 field inputs; one theta row per new theta
+        assert rows.count(12) == 1
+        assert rows.count(1) > 50 and len(rows) == rows.count(1) + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_is_rejected(self, bad):
+        design = np.column_stack([np.linspace(0, 1, 8), np.random.default_rng(3).uniform(size=8)])
+        em = emulator_fit(design, np.sin(3 * design.sum(axis=1)), ranges=[0.3, 0.3])
+        model = as_computer_model(em, p_x=1, theta_bounds=[[0.0, 1.0]])
+        X = np.linspace(0, 1, 5)[:, None]
+        model.evaluate(X, [0.5])  # caches the x-axis factor of X
+        with pytest.raises(ValueError, match="finite"):
+            model.evaluate(X, [bad])
+
+    def test_inputs_must_have_p_x_columns(self):
+        # joint inputs with an empty theta would read the first row's theta
+        # for every row, unlike emulator_predict
+        design = np.random.default_rng(4).uniform(size=(9, 2))
+        em = emulator_fit(design, design.sum(axis=1), ranges=[0.3, 0.3])
+        model = as_computer_model(em, p_x=1, theta_bounds=[[0.0, 1.0]])
+        with pytest.raises(ValueError, match="p_x = 1"):
+            model.evaluate(design[:3], [])
 
     def test_deterministic(self):
         em, x, y = _fit_1d(seed=9, D=6)

@@ -6,6 +6,7 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult
 
+from gpcalib import discrepancy
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
@@ -420,6 +421,28 @@ class TestPredictPosterior:
         np.testing.assert_allclose(got.model_mean, want.model_mean, rtol=1e-12)
         np.testing.assert_allclose(got.full_mean, want.full_mean, rtol=1e-12)
         np.testing.assert_allclose(got.variance, want.variance, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mode, points, kinds",
+        [(GASP, None, 1), (SGASP, None, 1), (SGASP, [[0.1], [0.5], [0.9]], 2), (OGASP, None, 2)],
+    )
+    def test_distances_to_inputs_formed_once_per_call(self, monkeypatch, mode, points, kinds):
+        # the design to Xstar, and for ogasp Xstar to the grid or for explicit
+        # constraint points those to Xstar: once per call, not per sample
+        data, model = _sine_data(n=10, seed=4)
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]), constraint_points=points, quad_points=50)
+        chain = _chain_from([[30.0 + i, 1.5 + 0.2 * i, 1.0, 0.05] for i in range(4)])
+        Xs = np.linspace(0.03, 0.97, 11)[:, None]
+        calls = []
+        dists = discrepancy._distances
+
+        def counting(A, B):
+            calls.extend(1 for M in (A, B) if M.shape == Xs.shape and np.array_equal(M, Xs))
+            return dists(A, B)
+
+        monkeypatch.setattr(discrepancy, "_distances", counting)
+        predict_posterior(chain, data, model, spec, Xs, thin=1)
+        assert len(calls) == kinds
 
     def test_two_equal_samples_match_single(self):
         data, model = _sine_data(n=10, seed=9)
