@@ -24,7 +24,7 @@ from .calibration import (
 from .design import scale_to_domain
 from .discrepancy import GASP, DiscrepancySpec
 from .emulator import _intercept
-from .inference import MleResult, _multistart, mle_fit
+from .inference import MleResult, OptimizationError, _multistart, mle_fit
 from .kernels import KernelSpec
 
 
@@ -82,9 +82,10 @@ def _multistart_theta(objective, bounds, n_starts: int, seed: int):
     results, best = _multistart(
         objective, bounds, n_starts, seed, [tuple(b) for b in bounds], {"ftol": 1e-12}
     )
+    per_start = list(enumerate(results))
     if best is None:
-        raise RuntimeError("theta optimization failed from every start")
-    return np.atleast_1d(results[best].x), float(results[best].fun), list(enumerate(results))
+        raise OptimizationError("theta optimization failed from every start", per_start)
+    return np.atleast_1d(results[best].x), float(results[best].fun), per_start
 
 
 @dataclass

@@ -143,12 +143,14 @@ class CalibParams:
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         beta = np.asarray(self.beta_delta, dtype=float).reshape(-1)
         psi = np.atleast_1d(np.asarray(self.psi_delta, dtype=float))
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(beta))):
+            raise ValueError("theta and beta_delta must be finite")
         if np.any(psi <= PSI_OVERFLOW) or not np.all(np.isfinite(psi)):
             raise ValueError("psi_delta must be positive, with a finite range 1/psi_delta")
-        if not self.sigma2_delta > 0:
-            raise ValueError("sigma2_delta must be positive")
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not 0 < self.sigma2_delta < np.inf:
+            raise ValueError("sigma2_delta must be positive and finite")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError("eta must be non-negative and finite")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "beta_delta", beta)
         object.__setattr__(self, "psi_delta", psi)
@@ -378,10 +380,16 @@ def _log_prior(prior: PriorSpec, theta, psi, sigma2, eta, theta_bounds=None) -> 
         lp_theta = float(prior.theta_log_prior(theta))
         if not np.isfinite(lp_theta):
             return -np.inf
+    return _jr_log_prior(prior, psi, eta, lp_theta) - np.log(sigma2)
+
+
+def _jr_log_prior(prior: PriorSpec, psi, eta=0.0, lp=0.0) -> float:
+    """``lp + a log t - b t``, the log jointly robust prior at ``(psi, eta)`` added
+    to ``lp`` in that order; -inf off its support."""
     t = float(prior.jr_C @ psi + eta)
     if not t > 0:
         return -np.inf
-    return lp_theta + prior.jr_a * np.log(t) - prior.jr_b * t - np.log(sigma2)
+    return lp + prior.jr_a * np.log(t) - prior.jr_b * t
 
 
 def _logistic(x):
@@ -391,10 +399,13 @@ def _logistic(x):
 
 @dataclass(frozen=True)
 class ParamTransform:
-    """Bijection between CalibParams and an unconstrained vector.
+    """Bijection between CalibParams and an unconstrained vector; the one owner
+    of the vector layout, which chain rows and ``posterior.csv`` share.
 
-    Layout: scaled-logit theta per component, beta unchanged, log psi per
-    dimension, log sigma2, log(eta + floor).
+    Layout (:attr:`names`): theta, beta, psi blocks at ``theta_slice``,
+    ``beta_slice`` and ``psi_slice``, then sigma2 and eta at ``sigma2_index``
+    and ``eta_index``.  Transformed: scaled-logit theta, beta unchanged,
+    log psi, log sigma2, log(eta + floor).
     """
 
     theta_bounds: np.ndarray
@@ -403,22 +414,40 @@ class ParamTransform:
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
-        object.__setattr__(self, "theta_bounds", bounds)
-        object.__setattr__(self, "_lower", bounds[:, 0])
-        object.__setattr__(self, "_width", bounds[:, 1] - bounds[:, 0])
-        object.__setattr__(self, "_log_width", np.log(self._width))
+        theta_end = bounds.shape[0]
+        beta_end = theta_end + self.n_basis
+        psi_end = beta_end + self.p_x
+        width = bounds[:, 1] - bounds[:, 0]
+        sizes = (("theta", theta_end), ("beta", self.n_basis), ("psi", self.p_x))
+        layout = {
+            "theta_bounds": bounds,
+            "theta_slice": slice(0, theta_end),
+            "beta_slice": slice(theta_end, beta_end),
+            "psi_slice": slice(beta_end, psi_end),
+            "sigma2_index": psi_end,
+            "eta_index": psi_end + 1,
+            "p_theta": theta_end,
+            "dim": psi_end + 2,
+            "names": [f"{b}_{i+1}" for b, k in sizes for i in range(k)] + ["sigma2_delta", "eta"],
+            "_lower": bounds[:, 0],
+            "_width": width,
+            "_log_width": np.log(width),
+        }
+        for name, value in layout.items():
+            object.__setattr__(self, name, value)
 
-    @property
-    def p_theta(self) -> int:
-        return self.theta_bounds.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.p_theta + self.n_basis + self.p_x + 2
+    def unpack(self, row) -> CalibParams:
+        """The parameters of a length-``dim`` row on the original scale."""
+        return CalibParams(
+            row[self.theta_slice],
+            row[self.beta_slice],
+            row[self.psi_slice],
+            row[self.sigma2_index],
+            row[self.eta_index],
+        )
 
     def to_vector(self, params: CalibParams) -> np.ndarray:
-        a, b = self.theta_bounds[:, 0], self.theta_bounds[:, 1]
-        u = (params.theta - a) / (b - a)
+        u = (params.theta - self._lower) / self._width
         if np.any(u <= 0) or np.any(u >= 1):
             raise ValueError("theta must be strictly inside its box to transform")
         z_theta = np.log(u) - np.log1p(-u)
@@ -438,29 +467,28 @@ class ParamTransform:
         Returns ``(u, theta, beta, psi, sigma2, eta)`` with ``u`` the logistic
         of the theta coordinates; exponentials may overflow to inf.
         """
-        pt, q, px = self.p_theta, self.n_basis, self.p_x
-        u = _logistic(z[..., :pt])
+        u = _logistic(z[..., self.theta_slice])
         theta = self._lower + self._width * u
-        sigma2 = np.exp(z[..., pt + q + px])
-        eta = np.maximum(np.exp(z[..., pt + q + px + 1]) - ETA_FLOOR, 0.0)
-        return u, theta, z[..., pt : pt + q], np.exp(z[..., pt + q : pt + q + px]), sigma2, eta
+        sigma2 = np.exp(z[..., self.sigma2_index])
+        eta = np.maximum(np.exp(z[..., self.eta_index]) - ETA_FLOOR, 0.0)
+        return u, theta, z[..., self.beta_slice], np.exp(z[..., self.psi_slice]), sigma2, eta
 
     def _log_jacobian_at(self, z, u) -> float:
         """:meth:`log_jacobian` given ``u`` from :meth:`_split`."""
         lj_theta = float((self._log_width + np.log(u) + np.log1p(-u)).sum())
-        return lj_theta + float(z[self.p_theta + self.n_basis :].sum())
+        # psi, sigma2 and eta are the log-scale coordinates, from psi on
+        return lj_theta + float(z[self.psi_slice.start :].sum())
 
     def from_vector(self, z) -> CalibParams:
         z = np.asarray(z, dtype=float).reshape(-1)
         if z.size != self.dim:
             raise ValueError(f"expected vector of length {self.dim}, got {z.size}")
-        _, theta, beta, psi, sigma2, eta = self._split(z)
-        return CalibParams(theta, beta, psi, sigma2, eta)
+        return CalibParams(*self._split(z)[1:])
 
     def log_jacobian(self, z) -> float:
         """log |d(original)/d(transformed)| at the transformed point z."""
         z = np.asarray(z, dtype=float).reshape(-1)
-        return self._log_jacobian_at(z, _logistic(z[: self.p_theta]))
+        return self._log_jacobian_at(z, _logistic(z[self.theta_slice]))
 
 
 def predict(

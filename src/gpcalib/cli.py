@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .baselines import l2_calibrate, ls_calibrate
-from .calibration import PSI_OVERFLOW, CalibParams, ComputerModel, FieldDataset, predict
+from .calibration import PSI_OVERFLOW, CalibParams, ComputerModel, FieldDataset, ParamTransform, predict
 from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from .emulator import as_computer_model, emulator_fit
 from .experiments import EXPERIMENTS, _write_csv
@@ -27,7 +27,6 @@ from .inference import (
     MIN_SUMMARY_SAMPLES,
     OptimizationError,
     PosteriorChain,
-    _param_names,
     mcmc_run,
     mle_fit,
     posterior_summary,
@@ -493,17 +492,16 @@ def cmd_calibrate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _check_param_rows(where: str, M, model, data, spec):
-    """Reject parameter rows (``_param_names`` layout) that no fit can produce."""
-    pt, q, px = model.p_theta, spec.n_basis, data.p
-    theta, psi = M[:, :pt], M[:, pt + q : pt + q + px]
+def _check_param_rows(where: str, M, tr: ParamTransform):
+    """Reject parameter rows (``tr``'s layout) that no fit can produce."""
+    theta, psi = M[:, tr.theta_slice], M[:, tr.psi_slice]
     bad = (
         ~np.all(np.isfinite(M), axis=1)
         | np.any(psi <= PSI_OVERFLOW, axis=1)
-        | (M[:, -2] <= 0)
-        | (M[:, -1] < 0)
-        | np.any(theta < model.theta_bounds[:, 0], axis=1)
-        | np.any(theta > model.theta_bounds[:, 1], axis=1)
+        | (M[:, tr.sigma2_index] <= 0)
+        | (M[:, tr.eta_index] < 0)
+        | np.any(theta < tr.theta_bounds[:, 0], axis=1)
+        | np.any(theta > tr.theta_bounds[:, 1], axis=1)
     )
     if bad.any():
         raise DataError(
@@ -512,28 +510,27 @@ def _check_param_rows(where: str, M, model, data, spec):
         )
 
 
-def _load_chain(cfg, outdir, model, data, spec) -> PosteriorChain | None:
+def _load_chain(cfg, outdir, tr: ParamTransform) -> PosteriorChain | None:
     path = os.path.join(outdir, "posterior.csv")
     if not os.path.exists(path):
         return None
     header, M = _read_csv(path)
-    names = _param_names(model.p_theta, spec.n_basis, data.p)
-    if header != names:
-        raise DataError(f"{path}: expected header {','.join(names)}, got {','.join(header)}")
-    _check_param_rows(path, M, model, data, spec)
+    if header != tr.names:
+        raise DataError(f"{path}: expected header {','.join(tr.names)}, got {','.join(header)}")
+    _check_param_rows(path, M, tr)
     return PosteriorChain(
         samples=M,
         burn_in=0,
         acceptance_rates={},
         rng_seed=int(cfg.get("mcmc", {}).get("seed", 0)),
         param_names=header,
-        theta_bounds=model.theta_bounds,
-        n_basis=spec.n_basis,
-        p_x=data.p,
+        theta_bounds=tr.theta_bounds,
+        n_basis=tr.n_basis,
+        p_x=tr.p_x,
     )
 
 
-def _load_mle(outdir, model, data, spec) -> CalibParams:
+def _load_mle(outdir, tr: ParamTransform) -> CalibParams:
     path = os.path.join(outdir, "mle.json")
     if not os.path.exists(path):
         raise DataError(f"no posterior.csv or mle.json under {outdir}; run calibrate first")
@@ -544,10 +541,11 @@ def _load_mle(outdir, model, data, spec) -> CalibParams:
         parts = [np.asarray(payload[k], dtype=float).reshape(-1) for k in keys]
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: needs numeric {', '.join(keys)}") from err
-    if [v.size for v in parts] != [model.p_theta, spec.n_basis, data.p, 1, 1]:
+    if [v.size for v in parts] != [tr.p_theta, tr.n_basis, tr.p_x, 1, 1]:
         raise DataError(f"{path}: parameter lengths do not match the model")
-    _check_param_rows(path, np.concatenate(parts)[None, :], model, data, spec)
-    return CalibParams(*parts[:3], parts[3][0], parts[4][0])
+    row = np.concatenate(parts)
+    _check_param_rows(path, row[None, :], tr)
+    return tr.unpack(row)
 
 
 def _prediction_inputs(cfg, data: FieldDataset):
@@ -574,11 +572,12 @@ def cmd_predict(cfg: dict) -> int:
     model = _build_model(cfg, fit_emulator=False)
     spec = _build_spec(cfg, data)
     Xstar = _prediction_inputs(cfg, data)
-    chain = _load_chain(cfg, outdir, model, data, spec)
+    tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
+    chain = _load_chain(cfg, outdir, tr)
     if chain is not None:
         out = predict_posterior(chain, data, model, spec, Xstar, thin=1)
     else:
-        out = predict(_load_mle(outdir, model, data, spec), data, model, spec, Xstar)
+        out = predict(_load_mle(outdir, tr), data, model, spec, Xstar)
     _prediction_table(outdir, Xstar, out)
     _maybe_truth_mse(cfg, outdir, Xstar, out)
     return EXIT_OK

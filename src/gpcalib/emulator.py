@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .calibration import ComputerModel
+from .calibration import ComputerModel, PriorSpec, _jr_log_prior
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
@@ -160,8 +160,7 @@ def emulator_fit(
 
     lengths = design.max(axis=0) - design.min(axis=0)
     lengths = np.where(lengths > 0, lengths, 1.0)
-    C = lengths * D ** (-1.0 / p)
-    a, b = 0.5 - p, 1.0
+    prior = PriorSpec(0.5 - p, 1.0, lengths * D ** (-1.0 / p))
     cov = _ModeCov(DiscrepancySpec(GASP, KernelSpec("matern52", np.ones(p))), design)
 
     def objective(log_psi) -> float:
@@ -171,8 +170,7 @@ def emulator_fit(
             lp = _gls(L, H, outputs).log_marginal
         except (NumericalError, np.linalg.LinAlgError):
             return _BAD_OBJECTIVE
-        t = float(C @ psi)
-        lp += a * np.log(t) - b * t + float(np.sum(log_psi))
+        lp += _jr_log_prior(prior, psi) + float(np.sum(log_psi))
         if not np.isfinite(lp):
             return _BAD_OBJECTIVE
         return -lp

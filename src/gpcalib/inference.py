@@ -19,6 +19,7 @@ from .calibration import (
     ParamTransform,
     PredictiveResult,
     PriorSpec,
+    _jr_log_prior,
     _log_prior,
     _predict,
     initial_params,
@@ -79,27 +80,18 @@ class MleResult:
     sigma2_profiled: bool = True
 
 
-def _param_names(p_theta: int, n_basis: int, p_x: int) -> list[str]:
-    names = [f"theta_{i+1}" for i in range(p_theta)]
-    names += [f"beta_{i+1}" for i in range(n_basis)]
-    names += [f"psi_{i+1}" for i in range(p_x)]
-    names += ["sigma2_delta", "eta"]
-    return names
-
-
 def _search_box(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
     """Start ranges and optimizer bounds over the transformed free coordinates."""
-    pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
     ybar, ystd = float(np.mean(data.y)), float(np.std(data.y)) + 1e-9
     lengths = data.lengths
     box = np.zeros((tr.dim, 4))
     # theta start range: central 98% of the box, mapped through the logit
-    box[:pt] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
-    box[pt : pt + q] = [ybar - 2 * ystd, ybar + 2 * ystd, -1e6, 1e6]
-    box[pt + q : pt + q + px] = np.column_stack(
+    box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
+    box[tr.beta_slice] = [ybar - 2 * ystd, ybar + 2 * ystd, -1e6, 1e6]
+    box[tr.psi_slice] = np.column_stack(
         [np.log(0.5 / lengths), np.log(50.0 / lengths), np.log(1e-2 / lengths), np.log(1e4 / lengths)]
     )
-    box[pt + q + px + 1] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
+    box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
     box = box[free_idx]
     return box[:, :2], [tuple(row) for row in box[:, 2:]]
 
@@ -124,7 +116,6 @@ def mle_fit(
     """
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
 
     base = initial_params(data, model, spec)
     if sigma2_fixed is not None:
@@ -133,12 +124,9 @@ def mle_fit(
         base = CalibParams(base.theta, base.beta_delta, base.psi_delta, sigma2_fixed, base.eta)
     z_template = tr.to_vector(base)
 
-    free = []
+    free_idx = np.r_[tr.beta_slice, tr.psi_slice, tr.eta_index]
     if optimize_theta:
-        free.extend(range(pt))
-    free.extend(range(pt, pt + q + px))  # beta and psi
-    free.append(pt + q + px + 1)  # eta
-    free_idx = np.asarray(free, dtype=int)
+        free_idx = np.r_[tr.theta_slice, free_idx]
 
     def objective(zfree) -> float:
         z = z_template.copy()
@@ -151,8 +139,7 @@ def mle_fit(
         resid = data.y - core.mean_vector(params.theta, params.beta_delta)
         ll = core.fit_loglik(L, resid, sigma2_fixed)
         if prior is not None:
-            t = float(prior.jr_C @ params.psi_delta + params.eta)
-            ll += prior.jr_a * np.log(t) - prior.jr_b * t
+            ll += _jr_log_prior(prior, params.psi_delta, params.eta)
             ll += float(np.sum(np.log(params.psi_delta))) + np.log(params.eta + ETA_FLOOR)
         if not np.isfinite(ll):
             return _BAD_OBJECTIVE
@@ -299,6 +286,7 @@ class PosteriorChain:
             raise ValueError("samples must be a 2-D array")
         if not 0 <= self.burn_in < self.samples.shape[0]:
             raise ValueError("need samples beyond the burn-in")
+        self._transform = ParamTransform(self.theta_bounds, self.n_basis, self.p_x)
 
     @property
     def n_samples(self) -> int:
@@ -308,16 +296,7 @@ class PosteriorChain:
         return self.samples[self.burn_in :]
 
     def params_at(self, i: int) -> CalibParams:
-        row = self.samples[i]
-        pt = self.theta_bounds.shape[0]
-        q, px = self.n_basis, self.p_x
-        return CalibParams(
-            theta=row[:pt],
-            beta_delta=row[pt : pt + q],
-            psi_delta=row[pt + q : pt + q + px],
-            sigma2_delta=row[pt + q + px],
-            eta=row[pt + q + px + 1],
-        )
+        return self._transform.unpack(self.samples[i])
 
 
 class _CalibPosterior:
@@ -334,11 +313,8 @@ class _CalibPosterior:
         self.core = core
         self.prior = prior
         self.tr = tr
-        pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
-        corr = np.r_[pt + q : pt + q + px, pt + q + px + 1]
-        self._corr_idx = np.r_[:pt, corr] if core.corr_depends_on_theta else corr
-        self._mean_end = pt + q
-        self._sigma2_idx = pt + q + px
+        corr = np.r_[tr.psi_slice, tr.eta_index]
+        self._corr_idx = np.r_[tr.theta_slice, corr] if core.corr_depends_on_theta else corr
         self._chol = OrderedDict()
         self._resid = OrderedDict()
         self._quad = OrderedDict()
@@ -356,10 +332,10 @@ class _CalibPosterior:
         def make():
             return self.core.data.y - self.core.mean_vector(theta, beta)
 
-        return _lru(self._resid, z[: self._mean_end].tobytes(), make)
+        return _lru(self._resid, z[: self.tr.beta_slice.stop].tobytes(), make)
 
     def _quad_key(self, z) -> bytes:
-        s = self._sigma2_idx
+        s = self.tr.sigma2_index
         return z[:s].tobytes() + z[s + 1 :].tobytes()
 
     def quad_at(self, z) -> float:
@@ -418,7 +394,6 @@ def mcmc_run(
         prior = PriorSpec.default(data)
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    pt, q, px = tr.p_theta, tr.n_basis, tr.p_x
     if initial is None:
         initial = initial_params(data, model, spec)
     z0 = tr.to_vector(initial)
@@ -427,14 +402,12 @@ def mcmc_run(
 
     blocks = {}
     if update_theta:
-        blocks["theta"] = np.arange(pt)
-    if q > 0:
-        blocks["beta"] = np.arange(pt, pt + q)
+        blocks["theta"] = np.r_[tr.theta_slice]
+    if tr.n_basis > 0:
+        blocks["beta"] = np.r_[tr.beta_slice]
     if update_corr:
-        blocks["corr"] = np.concatenate(
-            [np.arange(pt + q, pt + q + px), [pt + q + px + 1]]
-        )
-    sigma2_idx = pt + q + px
+        blocks["corr"] = np.r_[tr.psi_slice, tr.eta_index]
+    sigma2_idx = tr.sigma2_index
     n = data.n
 
     def gibbs_sigma2(z, lp, rng):
@@ -456,10 +429,10 @@ def mcmc_run(
         burn_in=burn_in,
         acceptance_rates=sampler.acceptance_rates,
         rng_seed=seed,
-        param_names=_param_names(pt, q, px),
+        param_names=tr.names,
         theta_bounds=model.theta_bounds,
-        n_basis=q,
-        p_x=px,
+        n_basis=tr.n_basis,
+        p_x=tr.p_x,
         proposal_scales=dict(sampler.scales),
     )
 

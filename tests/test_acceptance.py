@@ -123,6 +123,7 @@ class TestCriterion3PlainLimit:
         _report(3, ok, f"max |scaled - plain loglik| = {worst:.2e} <= 1e-6; {elapsed:.1f}s < 10s")
 
 
+@pytest.mark.slow
 class TestCriterion4ParkTable:
     def test_mle_contrast(self, tmp_path):
         t0 = time.time()
@@ -153,6 +154,7 @@ class TestCriterion4ParkTable:
         _report(4, ok, detail + (f"; failed: {failed}" if failed else ""))
 
 
+@pytest.mark.slow
 class TestCriterion5SineTable:
     def test_posterior_calibration_and_baselines(self, tmp_path):
         t0 = time.time()

@@ -6,6 +6,7 @@ import pytest
 from gpcalib.calibration import ComputerModel, FieldDataset
 from gpcalib.design import maximin_lhd, random_lhd, scale_to_domain
 from gpcalib.baselines import _multistart_theta, fit_field_gasp, l2_calibrate, ls_calibrate
+from gpcalib.inference import OptimizationError
 from gpcalib.models import builtin_model, park_truth
 
 
@@ -61,6 +62,18 @@ class TestLsCalibrate:
         data, model = _perfect_setup()
         res = ls_calibrate(data, model, seed=0)
         assert abs(res.theta_hat[0] - 0.62) <= 1e-6
+
+    def test_every_start_failing_raises_with_all_records(self):
+        data, _ = _perfect_setup(n=10)
+        nan_model = ComputerModel(
+            evaluator=lambda X, th: np.full(np.atleast_2d(X).shape[0], np.nan),
+            theta_bounds=[[0.0, 1.0]],
+            vectorized=True,
+        )
+        with pytest.raises(OptimizationError) as err:
+            ls_calibrate(data, nan_model, n_starts=3, seed=0)
+        assert [i for i, _ in err.value.per_start] == [0, 1, 2]
+        assert not any(np.isfinite(res.fun) for _, res in err.value.per_start)
 
     def test_constant_model_closed_form(self):
         rng = np.random.default_rng(4)

@@ -375,6 +375,28 @@ class TestOgaspPredict:
         np.testing.assert_allclose(out.variance, want, rtol=1e-10, atol=1e-12)
 
 
+class TestCalibParams:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("theta", np.nan),
+            ("theta", np.inf),
+            ("beta_delta", np.nan),
+            ("beta_delta", -np.inf),
+            ("psi_delta", np.nan),
+            ("sigma2_delta", np.nan),
+            ("sigma2_delta", np.inf),
+            ("eta", np.nan),
+            ("eta", np.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, name, value):
+        good = dict(theta=[1.0], beta_delta=[0.2], psi_delta=[2.0], sigma2_delta=1.0, eta=0.1)
+        CalibParams(**good)
+        with pytest.raises(ValueError, match=name):
+            CalibParams(**{**good, name: value})
+
+
 class TestParamTransform:
     def _params(self):
         return CalibParams([2.5], [0.3], [np.e, 0.5], 1.7, 0.02)
@@ -442,6 +464,19 @@ class TestParamTransform:
         np.testing.assert_allclose(back.psi_delta, params.psi_delta, rtol=1e-12)
         assert back.sigma2_delta == pytest.approx(params.sigma2_delta, rel=1e-12)
         assert back.eta == pytest.approx(params.eta, rel=1e-9, abs=1e-12)
+
+    def test_layout(self):
+        tr = ParamTransform([[0.0, 10.0], [-3.0, 4.0]], n_basis=1, p_x=2)
+        assert tr.names == ["theta_1", "theta_2", "beta_1", "psi_1", "psi_2", "sigma2_delta", "eta"]
+        assert tr.dim == 7 and tr.p_theta == 2
+
+    def test_unpack_of_split_row_equals_from_vector(self):
+        tr = ParamTransform([[0.0, 10.0], [-3.0, 4.0]], n_basis=1, p_x=2)
+        z = np.array([0.3, -1.2, 0.7, 0.1, -0.4, 0.2, -2.0])
+        row = np.hstack(tr._split(z)[1:])
+        got, want = tr.unpack(row), tr.from_vector(z)
+        for name in ("theta", "beta_delta", "psi_delta", "sigma2_delta", "eta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     @given(st.lists(st.sampled_from([-745.0, -700.0, 0.0, 700.0, 745.0]), min_size=6, max_size=6))
     def test_split_is_finite_or_minus_inf_at_extremes(self, z):

@@ -190,6 +190,30 @@ class TestMcmcRun:
         assert np.all(chain.samples[:, 2] > 0)  # sigma2
         assert np.all(chain.samples[:, 3] >= 0)  # eta
 
+    def test_params_at_reads_columns_by_name(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(size=(12, 2))
+        y = np.sin(3.0 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(12)
+        data = FieldDataset(X, y, [[0.0, 1.0], [0.0, 1.0]])
+        model = ComputerModel(
+            evaluator=lambda X, th: th[0] * X[:, 0] + th[1] * X[:, 1],
+            theta_bounds=[[0.0, 2.0], [-1.0, 1.0]],
+            vectorized=True,
+        )
+        basis = [lambda Z: np.ones(len(Z))]
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5, 0.5]), mean_basis=basis)
+        chain = mcmc_run(data, model, spec, S=60, burn_in=20, seed=3)
+        assert chain.param_names == [
+            "theta_1", "theta_2", "beta_1", "psi_1", "psi_2", "sigma2_delta", "eta"
+        ]
+        for i in (0, 37, 59):
+            col = dict(zip(chain.param_names, chain.samples[i]))
+            params = chain.params_at(i)
+            assert np.array_equal(params.theta, [col["theta_1"], col["theta_2"]])
+            assert np.array_equal(params.beta_delta, [col["beta_1"]])
+            assert np.array_equal(params.psi_delta, [col["psi_1"], col["psi_2"]])
+            assert (params.sigma2_delta, params.eta) == (col["sigma2_delta"], col["eta"])
+
     def test_acceptance_rates_tuned(self):
         data, model = _sine_data(n=20, seed=4)
         spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
