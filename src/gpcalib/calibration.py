@@ -209,12 +209,12 @@ class PredictiveResult:
     variance: np.ndarray
 
 
-def basis_matrix(X, spec: DiscrepancySpec) -> np.ndarray:
-    """Mean-basis design matrix H with one column per basis function."""
+def basis_matrix(X, mean_basis) -> np.ndarray:
+    """Design matrix with one column per function of ``mean_basis``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if spec.n_basis == 0:
+    if len(mean_basis) == 0:
         return np.zeros((X.shape[0], 0))
-    return np.column_stack([np.asarray(h(X), dtype=float).reshape(-1) for h in spec.mean_basis])
+    return np.column_stack([np.asarray(h(X), dtype=float).reshape(-1) for h in mean_basis])
 
 
 def mean_basis_eval(X, spec: DiscrepancySpec, beta) -> np.ndarray:
@@ -225,7 +225,7 @@ def mean_basis_eval(X, spec: DiscrepancySpec, beta) -> np.ndarray:
         return np.zeros(X.shape[0])
     if beta.size != spec.n_basis:
         raise ValueError("beta length does not match the mean basis")
-    return basis_matrix(X, spec) @ beta
+    return basis_matrix(X, spec.mean_basis) @ beta
 
 
 class LikelihoodCore:
@@ -257,7 +257,7 @@ class LikelihoodCore:
         self.data = data
         self.model = model
         self.spec = spec
-        self.H = basis_matrix(data.X, spec)
+        self.H = basis_matrix(data.X, spec.mean_basis)
         self._theta_cache: tuple[bytes, np.ndarray] | None = None
         self.cov = dm._ModeCov(spec, data.X, data.domain, model.grad_fn)
 
@@ -272,6 +272,10 @@ class LikelihoodCore:
         else:
             fm = self.model.evaluate(self.data.X, theta)
             self._theta_cache = (key, fm)
+        return self.with_trend(fm, beta)
+
+    def with_trend(self, fm, beta) -> np.ndarray:
+        """The model values ``fm`` at the design plus the trend ``H beta``."""
         if self.H.shape[1]:
             return fm + self.H @ np.asarray(beta, dtype=float).reshape(-1)
         return fm
@@ -364,32 +368,37 @@ def log_prior(params: CalibParams, prior: PriorSpec, theta_bounds=None) -> float
         raise ValueError("prior C length does not match psi")
     if theta_bounds is not None:
         theta_bounds = np.atleast_2d(np.asarray(theta_bounds, dtype=float))
-    return _log_prior(
-        prior, params.theta, params.psi_delta, params.sigma2_delta, params.eta, theta_bounds
-    )
+    lp_theta = _theta_log_prior(prior, params.theta, theta_bounds)
+    return _jr_log_prior(prior, params.psi_delta, params.eta, lp_theta) - np.log(params.sigma2_delta)
 
 
-def _log_prior(prior: PriorSpec, theta, psi, sigma2, eta, theta_bounds=None) -> float:
-    """:func:`log_prior` on unpacked, unchecked parameters (the sampler's path)."""
+def _theta_log_prior(prior: PriorSpec, theta, theta_bounds=None) -> float:
+    """The theta term of :func:`log_prior` on an unchecked theta: 0 or the
+    user log-density, -inf outside ``theta_bounds`` or where it is not finite."""
     if theta_bounds is not None and not (
         (theta >= theta_bounds[:, 0]).all() and (theta <= theta_bounds[:, 1]).all()
     ):
         return -np.inf
-    lp_theta = 0.0
-    if prior.theta_log_prior is not None:
-        lp_theta = float(prior.theta_log_prior(theta))
-        if not np.isfinite(lp_theta):
-            return -np.inf
-    return _jr_log_prior(prior, psi, eta, lp_theta) - np.log(sigma2)
+    if prior.theta_log_prior is None:
+        return 0.0
+    lp_theta = float(prior.theta_log_prior(theta))
+    return lp_theta if np.isfinite(lp_theta) else -np.inf
+
+
+def _jr_terms(prior: PriorSpec, psi, eta=0.0):
+    """``(a log t, b t)`` with ``t = C psi + eta``: the log jointly robust prior
+    at ``(psi, eta)`` is their difference.  ``None`` off its support."""
+    t = float(prior.jr_C @ psi + eta)
+    if not t > 0:
+        return None
+    return prior.jr_a * np.log(t), prior.jr_b * t
 
 
 def _jr_log_prior(prior: PriorSpec, psi, eta=0.0, lp=0.0) -> float:
     """``lp + a log t - b t``, the log jointly robust prior at ``(psi, eta)`` added
     to ``lp`` in that order; -inf off its support."""
-    t = float(prior.jr_C @ psi + eta)
-    if not t > 0:
-        return -np.inf
-    return lp + prior.jr_a * np.log(t) - prior.jr_b * t
+    terms = _jr_terms(prior, psi, eta)
+    return -np.inf if terms is None else lp + terms[0] - terms[1]
 
 
 def _logistic(x):
@@ -467,15 +476,27 @@ class ParamTransform:
         Returns ``(u, theta, beta, psi, sigma2, eta)`` with ``u`` the logistic
         of the theta coordinates; exponentials may overflow to inf.
         """
-        u = _logistic(z[..., self.theta_slice])
-        theta = self._lower + self._width * u
-        sigma2 = np.exp(z[..., self.sigma2_index])
-        eta = np.maximum(np.exp(z[..., self.eta_index]) - ETA_FLOOR, 0.0)
-        return u, theta, z[..., self.beta_slice], np.exp(z[..., self.psi_slice]), sigma2, eta
+        u, theta = self._theta(z)
+        psi, eta = self._corr(z)
+        return u, theta, z[..., self.beta_slice], psi, np.exp(z[..., self.sigma2_index]), eta
 
-    def _log_jacobian_at(self, z, u) -> float:
-        """:meth:`log_jacobian` given ``u`` from :meth:`_split`."""
-        lj_theta = float((self._log_width + np.log(u) + np.log1p(-u)).sum())
+    def _theta(self, z):
+        """``(u, theta)`` of :meth:`_split`."""
+        u = _logistic(z[..., self.theta_slice])
+        return u, self._lower + self._width * u
+
+    def _corr(self, z):
+        """``(psi, eta)`` of :meth:`_split`."""
+        eta = np.maximum(np.exp(z[..., self.eta_index]) - ETA_FLOOR, 0.0)
+        return np.exp(z[..., self.psi_slice]), eta
+
+    def _theta_log_jacobian(self, u) -> float:
+        """The theta coordinates' term of :meth:`log_jacobian`, given ``u`` from
+        :meth:`_split`."""
+        return float((self._log_width + np.log(u) + np.log1p(-u)).sum())
+
+    def _log_jacobian_at(self, z, lj_theta) -> float:
+        """:meth:`log_jacobian` given its theta term ``lj_theta``."""
         # psi, sigma2 and eta are the log-scale coordinates, from psi on
         return lj_theta + float(z[self.psi_slice.start :].sum())
 
@@ -488,7 +509,7 @@ class ParamTransform:
     def log_jacobian(self, z) -> float:
         """log |d(original)/d(transformed)| at the transformed point z."""
         z = np.asarray(z, dtype=float).reshape(-1)
-        return self._log_jacobian_at(z, _logistic(z[self.theta_slice]))
+        return self._log_jacobian_at(z, self._theta_log_jacobian(_logistic(z[self.theta_slice])))
 
 
 def predict(

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
-from .calibration import ComputerModel, PriorSpec, _jr_log_prior
+from .calibration import ComputerModel, PriorSpec, _jr_log_prior, basis_matrix
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
@@ -48,10 +48,13 @@ def _gls(L, H, y) -> _GLS:
     """
     D, q = H.shape
     RinvH = dpotrs(L, H, lower=1)[0]
-    M = H.T @ RinvH
-    LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / M.shape[0] * np.eye(M.shape[0]))
-    Rinvy = dpotrs(L, y, lower=1)[0]
-    beta = dpotrs(LM, H.T @ Rinvy, lower=1)[0]
+    if q:
+        M = H.T @ RinvH
+        LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / q * np.eye(q))
+        Rinvy = dpotrs(L, y, lower=1)[0]
+        beta = dpotrs(LM, H.T @ Rinvy, lower=1)[0]
+    else:  # an empty basis: a zero trend, nothing to estimate
+        LM, beta = np.zeros((0, 0)), np.zeros(0)
     resid = y - H @ beta
     alpha = dpotrs(L, resid, lower=1)[0]
     quad = float(resid @ alpha)
@@ -74,10 +77,12 @@ def _student_t(gls: _GLS, h, r, c0):
     ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
     mean = _kriging_mean(gls, h, r)
     Rinv_r = dpotrs(gls.L, r, lower=1)[0]
-    u = h.T - gls.RinvH.T @ r
-    # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
-    w = dtrtrs(gls.LM.T, u, lower=0, trans=1)[0]
-    cstar = c0 - np.einsum("ij,ij->j", r, Rinv_r) + np.einsum("ij,ij->j", w, w)
+    cstar = c0 - np.einsum("ij,ij->j", r, Rinv_r)
+    if h.shape[1]:  # the trend estimate's own uncertainty
+        u = h.T - gls.RinvH.T @ r
+        # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
+        w = dtrtrs(gls.LM.T, u, lower=0, trans=1)[0]
+        cstar = cstar + np.einsum("ij,ij->j", w, w)
     return mean, gls.sigma2 * np.maximum(cstar, 0.0)
 
 
@@ -114,8 +119,7 @@ class EmulatorModel:
         return self.n_design - len(self.mean_basis)
 
     def basis(self, Z) -> np.ndarray:
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.column_stack([np.asarray(h(Z), dtype=float).reshape(-1) for h in self.mean_basis])
+        return basis_matrix(Z, self.mean_basis)
 
 
 def _prepare_design(design, outputs):
@@ -142,7 +146,8 @@ def emulator_fit(
 
     The trend coefficients and variance carry the scale-invariant prior
     ``1/sigma2`` and are integrated out; the inverse ranges get the jointly
-    robust prior, evaluated on the log-inverse-range scale.  Passing
+    robust prior, evaluated on the log-inverse-range scale.  The trend
+    defaults to a constant; an empty ``mean_basis`` makes it zero.  Passing
     ``ranges`` skips the range optimization: the kernel keeps exactly those
     ranges, so a fit rebuilt from ``em.kernel.ranges`` equals ``em``.
     """
@@ -154,7 +159,7 @@ def emulator_fit(
     q = len(mean_basis)
     if D <= q + 2:
         raise ValueError("need more design runs than basis functions plus two")
-    H = np.column_stack([np.asarray(h(design), dtype=float).reshape(-1) for h in mean_basis])
+    H = basis_matrix(design, mean_basis)
     if np.linalg.matrix_rank(H) < q:
         raise ValueError("mean basis is rank deficient on the design")
 

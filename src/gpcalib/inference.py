@@ -4,7 +4,7 @@ variance."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +20,12 @@ from .calibration import (
     PredictiveResult,
     PriorSpec,
     _jr_log_prior,
-    _log_prior,
+    _jr_terms,
     _predict,
+    _theta_log_prior,
     initial_params,
 )
-from .discrepancy import DiscrepancySpec, _lru
+from .discrepancy import DiscrepancySpec
 from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
@@ -189,6 +190,11 @@ def mle_fit(
     )
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Adaptive random-walk Metropolis
 # ---------------------------------------------------------------------------
@@ -203,6 +209,9 @@ class AdaptiveRWSampler:
     Metropolis blocks each iteration.  It may move coordinates by an exact
     conditional draw and returns the new point together with its log
     posterior, which the sampler keeps without evaluating ``logpost`` again.
+    A ``logpost`` with ``score(x, block)`` and ``accept()`` methods scores the
+    start as block ``None`` and each proposal as its block, and is told when
+    the proposal it scored last is taken.
     """
 
     def __init__(
@@ -215,48 +224,51 @@ class AdaptiveRWSampler:
         target_accept: float = 0.3,
         gibbs=None,
     ):
-        self.logpost = logpost
+        self._score = getattr(logpost, "score", lambda x, block: logpost(x))
+        self._accept = getattr(logpost, "accept", lambda: None)
         self.blocks = {name: np.asarray(idx, dtype=int) for name, idx in blocks.items()}
         self.x = np.asarray(x0, dtype=float).copy()
         self.rng = rng
         self.scales = {name: float(initial_scale) for name in self.blocks}
         self.target = target_accept
         self.gibbs = gibbs
-        self.lp = float(logpost(self.x))
+        self.lp = float(self._score(self.x, None))
         if not np.isfinite(self.lp):
             raise ValueError("log posterior is not finite at the initial point")
+        self._accept()
         self._accepted = {name: 0 for name in self.blocks}
         self._proposed = {name: 0 for name in self.blocks}
 
     def run(self, n_iter: int, adapt_until: int) -> np.ndarray:
-        dim = self.x.size
-        out = np.empty((n_iter, dim))
+        out = np.empty((n_iter, self.x.size))
+        x, lp, rng, scales, target, gibbs = self.x, self.lp, self.rng, self.scales, self.target, self.gibbs
+        normal, uniform, score, accept = rng.standard_normal, rng.random, self._score, self._accept
+        blocks = [(name, idx, idx.size) for name, idx in self.blocks.items()]
         for i in range(n_iter):
             adapting = i < adapt_until
             step_size = (i + 1) ** -0.6
-            for name, idx in self.blocks.items():
-                prop = self.x.copy()
-                prop[idx] = prop[idx] + self.scales[name] * self.rng.standard_normal(idx.size)
-                lp_new = float(self.logpost(prop))
-                if np.isfinite(lp_new):
-                    alpha = float(np.exp(min(0.0, lp_new - self.lp)))
+            for name, idx, size in blocks:
+                prop = x.copy()
+                prop[idx] = prop[idx] + scales[name] * normal(size)
+                lp_new = float(score(prop, name))
+                if math.isfinite(lp_new):
+                    alpha = float(np.exp(min(0.0, lp_new - lp)))
                 else:
                     alpha = 0.0
-                if self.rng.random() < alpha:
-                    self.x = prop
-                    self.lp = lp_new
-                    accepted = 1
-                else:
-                    accepted = 0
+                taken = uniform() < alpha
+                if taken:
+                    x, lp = prop, lp_new
+                    accept()
                 if adapting:
-                    scale = float(self.scales[name] * np.exp(step_size * (alpha - self.target)))
-                    self.scales[name] = min(max(scale, 1e-6), 1e4)
+                    scale = float(scales[name] * np.exp(step_size * (alpha - target)))
+                    scales[name] = min(max(scale, 1e-6), 1e4)
                 else:
                     self._proposed[name] += 1
-                    self._accepted[name] += accepted
-            if self.gibbs is not None:
-                self.x, self.lp = self.gibbs(self.x, self.lp, self.rng)
-            out[i] = self.x
+                    self._accepted[name] += taken
+            if gibbs is not None:
+                x, lp = gibbs(x, lp, rng)
+            out[i] = x
+        self.x, self.lp = x, lp
         return out
 
     @property
@@ -300,71 +312,78 @@ class PosteriorChain:
 
 
 class _CalibPosterior:
-    """Log posterior on the transformed scale, read straight from the vector.
+    """Log posterior on the transformed scale that carries the current point.
 
-    Correlation factors and their log-determinants are cached under the psi
-    and eta coordinates (plus theta in orthogonal mode), residuals under the
-    theta and beta coordinates, and the residual quadratic form under every
-    coordinate but log sigma2, so a block move or a sigma2 draw reuses what
-    it left unchanged.
+    A value is assembled from four pieces: theta's (theta, its log prior, its
+    log-Jacobian term and the model values ``f(X, theta)``), the
+    correlation's (``a log t`` and ``b t`` of the jointly robust prior, the
+    factor ``L`` of ``K + eta I`` and ``log |L|``), the residual and the
+    quadratic form ``resid' (L L')^-1 resid``.  ``score(z, block)``
+    recomputes the pieces a move of ``block`` changes, takes the rest from
+    the current point and holds the result; ``accept()`` makes it current.
+    ``score(z, None)`` and ``__call__(z)`` compute every piece, and
+    ``__call__`` keeps nothing.
     """
 
     def __init__(self, core: LikelihoodCore, prior: PriorSpec, tr: ParamTransform):
         self.core = core
         self.prior = prior
         self.tr = tr
-        corr = np.r_[tr.psi_slice, tr.eta_index]
-        self._corr_idx = np.r_[tr.theta_slice, corr] if core.corr_depends_on_theta else corr
-        self._chol = OrderedDict()
-        self._resid = OrderedDict()
-        self._quad = OrderedDict()
+        self._theta_moves_corr = core.corr_depends_on_theta
+        self._current = self._pending = None
 
-    def _factor(self, z, theta, psi, eta):
-        """(L, log-determinant) of the correlation at ``z``."""
+    @property
+    def quad(self) -> float:
+        """The quadratic form at the current point."""
+        return self._current[3]
 
-        def make():
-            L, _ = self.core.corr_chol(psi, eta, theta)
-            return L, self.core.logdet_half(L)
-
-        return _lru(self._chol, z[self._corr_idx].tobytes(), make)
-
-    def _residual(self, z, theta, beta) -> np.ndarray:
-        def make():
-            return self.core.data.y - self.core.mean_vector(theta, beta)
-
-        return _lru(self._resid, z[: self.tr.beta_slice.stop].tobytes(), make)
-
-    def _quad_key(self, z) -> bytes:
-        s = self.tr.sigma2_index
-        return z[:s].tobytes() + z[s + 1 :].tobytes()
-
-    def quad_at(self, z) -> float:
-        """Residual quadratic form ``resid' (K + eta I)^-1 resid`` at ``z``."""
-
-        def make():
-            _, theta, beta, psi, _, eta = self.tr._split(z)
-            L, _ = self._factor(z, theta, psi, eta)
-            return self.core.quad_form(L, self._residual(z, theta, beta))
-
-        return _lru(self._quad, self._quad_key(z), make)
+    def _evaluate(self, z, block):
+        """``(log posterior, pieces)`` at ``z``; no pieces where it is -inf."""
+        tr, core = self.tr, self.core
+        theta_piece, corr_piece, resid, _ = self._current or (None,) * 4
+        if not np.isfinite(z).all():
+            return -np.inf, None
+        if block in (None, "theta"):
+            u, theta = tr._theta(z)
+            lp_theta = _theta_log_prior(self.prior, theta, tr.theta_bounds)
+            if lp_theta == -np.inf:
+                return -np.inf, None
+            fm = core.model.evaluate(core.data.X, theta)
+            theta_piece = theta, lp_theta, tr._theta_log_jacobian(u), fm
+        theta, lp_theta, lj_theta, fm = theta_piece
+        if block in (None, "corr") or (block == "theta" and self._theta_moves_corr):
+            psi, eta = tr._corr(z)
+            if not ((psi > PSI_OVERFLOW).all() and np.isfinite(psi).all() and np.isfinite(eta)):
+                return -np.inf, None  # exp over- or underflow, or a range 1/psi that overflows
+            jr = _jr_terms(self.prior, psi, eta)
+            if jr is None:
+                return -np.inf, None
+            try:
+                L, _ = core.corr_chol(psi, eta, theta)
+            except NumericalError:
+                return -np.inf, None
+            corr_piece = jr[0], jr[1], L, core.logdet_half(L)
+        a_log_t, b_t, L, logdet = corr_piece
+        sigma2 = np.exp(z[tr.sigma2_index])
+        lp = lp_theta + a_log_t - b_t - np.log(sigma2)
+        if not np.isfinite(lp):
+            return -np.inf, None
+        lp += tr._log_jacobian_at(z, lj_theta)
+        if block != "corr":
+            resid = core.data.y - core.with_trend(fm, z[tr.beta_slice])
+        quad = core.quad_form(L, resid)
+        lp = core.loglik_from_chol(L, resid, sigma2, logdet, quad) + lp
+        return lp, (theta_piece, corr_piece, resid, quad)
 
     def __call__(self, z) -> float:
-        if not np.isfinite(z).all():
-            return -np.inf
-        u, theta, beta, psi, sigma2, eta = self.tr._split(z)
-        if not ((psi > PSI_OVERFLOW).all() and np.isfinite(psi).all() and np.isfinite(eta)):
-            return -np.inf  # exp over- or underflow, or a range 1/psi that overflows
-        lp = _log_prior(self.prior, theta, psi, sigma2, eta, self.tr.theta_bounds)
-        if not np.isfinite(lp):
-            return -np.inf
-        lp += self.tr._log_jacobian_at(z, u)
-        try:
-            L, logdet = self._factor(z, theta, psi, eta)
-        except NumericalError:
-            return -np.inf
-        resid = self._residual(z, theta, beta)
-        quad = _lru(self._quad, self._quad_key(z), lambda: self.core.quad_form(L, resid))
-        return self.core.loglik_from_chol(L, resid, sigma2, logdet, quad) + lp
+        return self._evaluate(z, None)[0]
+
+    def score(self, z, block) -> float:
+        lp, self._pending = self._evaluate(z, block)
+        return lp
+
+    def accept(self) -> None:
+        self._current = self._pending
 
 
 def mcmc_run(
@@ -388,6 +407,8 @@ def mcmc_run(
     scales adapt during burn-in only.  The returned chain stores every
     iteration in the original parameterization.
     """
+    _check_integer("S", S)
+    _check_integer("burn_in", burn_in)
     if S <= burn_in or burn_in < 0:
         raise ValueError("need S > burn_in >= 0")
     if prior is None:
@@ -411,7 +432,7 @@ def mcmc_run(
     n = data.n
 
     def gibbs_sigma2(z, lp, rng):
-        quad = posterior.quad_at(z)
+        quad = posterior.quad
         s_old = z[sigma2_idx]
         z = z.copy()
         z[sigma2_idx] = s = np.log(quad / 2.0 / rng.gamma(n / 2.0))
@@ -473,6 +494,7 @@ def predict_posterior(
     the per-sample variances plus the across-sample variance of the full
     means (law of total variance).
     """
+    _check_integer("thin", thin)
     if thin < 1:
         raise ValueError("thin must be >= 1")
     core = LikelihoodCore(data, model, spec)

@@ -60,6 +60,24 @@ class TestEmulatorFit:
         em, _, _ = _fit_1d()
         assert em.dof == em.n_design - 1
 
+    def test_empty_basis_is_simple_kriging(self):
+        # no trend: the mean is r' R^-1 y, the variance sigma2 (1 - r' R^-1 r)
+        # with sigma2 = y' R^-1 y / D
+        rng = np.random.default_rng(6)
+        X = rng.uniform(size=(10, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        em = emulator_fit(X, y, mean_basis=[], ranges=[0.3, 0.4])
+        assert em.dof == 10 and em.beta_hat.shape == (0,)
+        Z = rng.uniform(size=(6, 2))
+        mean, var, _ = emulator_predict(em, Z)
+        R, r = corr_matrix(X, X, em.kernel), corr_matrix(X, Z, em.kernel)
+        np.testing.assert_allclose(mean, r.T @ np.linalg.solve(R, y), rtol=1e-10, atol=1e-12)
+        sigma2 = y @ np.linalg.solve(R, y) / 10
+        want = sigma2 * (1 - np.einsum("ij,ij->j", r, np.linalg.solve(R, r)))
+        np.testing.assert_allclose(var, want, rtol=1e-8, atol=1e-12)
+        # the range optimization runs on the zero-trend marginal too
+        assert np.all(np.isfinite(emulator_fit(X, y, mean_basis=[], n_starts=2).kernel.ranges))
+
     def test_rejects_duplicate_design(self):
         with pytest.raises(ValueError):
             emulator_fit([[0.1], [0.1], [0.5], [0.8]], [1.0, 2.0, 3.0, 4.0])

@@ -246,6 +246,13 @@ class TestMcmcRun:
         ks = stats.kstest(draws, stats.invgamma(a=data.n / 2, scale=quad / 2).cdf)
         assert ks.statistic < 0.05
 
+    @pytest.mark.parametrize("name, value", [("S", 20.5), ("burn_in", 5.0), ("S", "30")])
+    def test_rejects_non_integer_counts(self, name, value):
+        data, model = _sine_data()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            mcmc_run(data, model, spec, **{"S": 30, "burn_in": 10, name: value})
+
     def test_rejects_boundary_start(self):
         data, model = _sine_data()
         spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
@@ -376,12 +383,104 @@ class TestCalibPosterior:
 
     def test_mcmc_scores_two_blocks_per_iteration(self, monkeypatch):
         calls = []
-        score = _CalibPosterior.__call__
-        monkeypatch.setattr(_CalibPosterior, "__call__", lambda self, z: calls.append(1) or score(self, z))
+        score = _CalibPosterior.score
+        monkeypatch.setattr(
+            _CalibPosterior, "score", lambda self, z, block: calls.append(block) or score(self, z, block)
+        )
         data, model = _sine_data()
         spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]))
         mcmc_run(data, model, spec, S=60, burn_in=20, seed=1)
         assert len(calls) == 2 * 60 + 1  # theta and corr blocks, plus the start
+        assert calls[:3] == [None, "theta", "corr"]
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_block_scores_equal_full_scores(self, mode):
+        # random block moves, some taken and some not, with log sigma2 moved
+        # in between as the variance draw does: every score equals a fresh
+        # full evaluation, bit for bit
+        data, model, spec, prior, tr, post = _posterior_case(mode)
+        blocks = [
+            ("theta", np.r_[tr.theta_slice]),
+            ("beta", np.r_[tr.beta_slice]),
+            ("corr", np.r_[tr.psi_slice, tr.eta_index]),
+        ]
+        rng = np.random.default_rng(31)
+        z = tr.to_vector(initial_params(data, model, spec))
+        assert post.score(z, None) == post(z)
+        post.accept()
+        taken = 0
+        for _ in range(90):
+            name, idx = blocks[rng.integers(3)]
+            prop = z.copy()
+            prop[idx] += 0.4 * rng.standard_normal(idx.size)
+            got = post.score(prop, name)
+            assert np.isfinite(got) and got == post(prop), name
+            if rng.random() < 0.5:
+                post.accept()
+                z, taken = prop, taken + 1
+            if rng.random() < 0.3:
+                z = z.copy()
+                z[tr.sigma2_index] += rng.normal()
+            assert post.quad == post._evaluate(z, None)[1][3]
+        assert 20 < taken < 70
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_model_and_factor_work_per_proposal(self, mode, monkeypatch):
+        # the model runs once per theta proposal, never for a beta or
+        # correlation move; the correlation is factored once per correlation
+        # proposal, and per theta proposal too where it depends on theta
+        calls = {"evaluate": 0, "corr_chol": 0}
+        for cls, name in ((ComputerModel, "evaluate"), (LikelihoodCore, "corr_chol")):
+            def counting(self, *args, _f=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _f(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        data, model, spec, prior, *_ = _posterior_case(mode)
+        S = 120
+        mcmc_run(data, model, spec, prior, S=S, burn_in=40, seed=4)
+        assert calls["evaluate"] == 1 + 1 + S  # initial_params, the start, theta moves
+        assert calls["corr_chol"] == 1 + S + (S if mode == OGASP else 0)
+
+    @pytest.mark.parametrize(
+        "mode, sums, last, rates",
+        [
+            (
+                GASP,
+                [1058.6019885010066, -87.05578360036783, 119.76438802359202,
+                 170.28584972139865, 471.99230596365385, 19.930184447970174],
+                [10.040887405412427, -0.6826817954946708, 0.9652078677907904,
+                 3.995774595772783, 0.12704994611419987, 0.7668174621889716],
+                [1 / 30, 0.18333333333333332, 0.26666666666666666],
+            ),
+            (
+                SGASP,
+                [1062.248566148572, -62.46671043844372, 96.12061535060988,
+                 135.32640139641074, 497.5470399365443, 14.071118734218576],
+                [10.020930040215037, -0.8665160563848616, 0.8334564478948399,
+                 0.4212389169830266, 0.656310273296408, 0.2405896101934812],
+                [1 / 30, 0.05, 0.35],
+            ),
+            (
+                OGASP,
+                [1098.4034598485807, -88.88548275169576, 89.91095464083884,
+                 420.84903671475735, 582.1683041580853, 39.27944855827673],
+                [10.333802862742152, -0.683346805696533, 0.9498236337022948,
+                 6.614211622961404, 0.05522906853034894, 2.302950955639982],
+                [1 / 30, 0.15, 0.31666666666666665],
+            ),
+        ],
+    )
+    def test_golden_chain(self, mode, sums, last, rates):
+        # a fixed-seed 100-iteration chain through all three blocks and the
+        # variance draw: a change to the sampler's arithmetic or to the order
+        # of its random draws shows here
+        data, model, spec, prior, *_ = _posterior_case(mode)
+        chain = mcmc_run(data, model, spec, prior, S=100, burn_in=40, seed=9)
+        np.testing.assert_allclose(chain.samples.sum(axis=0), sums, rtol=1e-9)
+        np.testing.assert_allclose(chain.samples[-1], last, rtol=1e-9)
+        got = [chain.acceptance_rates[name] for name in ("theta", "beta", "corr")]
+        np.testing.assert_allclose(got, rates, rtol=1e-9)
 
 
 def _chain_from(samples, burn_in=0):
@@ -467,6 +566,13 @@ class TestPredictPosterior:
         monkeypatch.setattr(discrepancy, "_distances", counting)
         predict_posterior(chain, data, model, spec, Xs, thin=1)
         assert len(calls) == kinds
+
+    def test_rejects_non_integer_thin(self):
+        data, model = _sine_data(n=10, seed=8)
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        chain = _chain_from(np.tile([31.0, 2.0, 1.0, 0.05], (4, 1)))
+        with pytest.raises(ValueError, match="^thin must be an integer"):
+            predict_posterior(chain, data, model, spec, [[0.4]], thin=2.5)
 
     def test_two_equal_samples_match_single(self):
         data, model = _sine_data(n=10, seed=9)
