@@ -9,7 +9,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class SurrogateFit:
 
     def predict(self, Xstar) -> PredictiveResult:
         return predict(self.params, self.data, _zero_model(), self.spec, Xstar)
-
-    def mean(self, Xstar) -> np.ndarray:
-        return self.predict(Xstar).full_mean
 
 
 def fit_field_gasp(data: FieldDataset, seed: int = 0, n_starts: int = 10) -> SurrogateFit:
@@ -95,6 +92,10 @@ class L2Result:
     surrogate: SurrogateFit
     per_start: list
 
+    def predict(self, model: ComputerModel, Xstar) -> PredictiveResult:
+        """The field GP's mean and variance; ``model_mean`` is the model at ``theta_hat``."""
+        return replace(self.surrogate.predict(Xstar), model_mean=model.evaluate(Xstar, self.theta_hat))
+
 
 def l2_calibrate(
     data: FieldDataset,
@@ -121,7 +122,7 @@ def l2_calibrate(
     else:
         m = quad_points or 10_000
         grid = scale_to_domain(rng.uniform(size=(m, p)), data.domain)
-    yhat = surrogate.mean(grid)
+    yhat = surrogate.predict(grid).full_mean
     volume = float(np.prod(data.lengths))
 
     def objective(theta):
@@ -146,9 +147,11 @@ class LsResult:
     residual_fit: SurrogateFit
     per_start: list
 
-    def predict_full(self, model: ComputerModel, Xstar) -> np.ndarray:
-        """Computer model at the least-squares parameters plus the residual GP."""
-        return model.evaluate(Xstar, self.theta_hat) + self.residual_fit.mean(Xstar)
+    def predict(self, model: ComputerModel, Xstar) -> PredictiveResult:
+        """The model at ``theta_hat``, plus the residual GP's mean; its variance."""
+        model_mean = model.evaluate(Xstar, self.theta_hat)
+        residual = self.residual_fit.predict(Xstar)
+        return PredictiveResult(model_mean, model_mean + residual.full_mean, residual.variance)
 
 
 def ls_calibrate(

@@ -33,6 +33,8 @@ ETA_FLOOR = 1e-12
 #: The largest inverse range whose range ``1 / psi`` overflows to infinity.
 PSI_OVERFLOW = 2.0**-1024
 
+_GRAD_STEP = 1e-4  # finite-difference step of ComputerModel.grad_fn without theta_grad
+
 
 @dataclass(frozen=True)
 class FieldDataset:
@@ -115,12 +117,12 @@ class ComputerModel:
             return np.asarray(self.evaluator(X, theta), dtype=float).reshape(X.shape[0])
         return np.array([float(self.evaluator(x, theta)) for x in X])
 
-    def grad_fn(self, theta, step: float = 1e-4) -> Callable:
+    def grad_fn(self, theta) -> Callable:
         """Parameter-gradient function at fixed theta (analytic if available)."""
         if self.theta_grad is not None:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
             return lambda X: np.atleast_2d(np.asarray(self.theta_grad(np.atleast_2d(X), theta), dtype=float))
-        return dm.model_grad_fd(self, theta, step)
+        return dm.model_grad_fd(self, theta, _GRAD_STEP)
 
 
 @dataclass(frozen=True)

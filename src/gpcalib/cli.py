@@ -216,13 +216,15 @@ def _write_table(path, header, matrix):
     _write_csv(path, header, np.atleast_2d(matrix))
 
 
-def _update_summary(outdir: str, fields: dict):
+def _update_summary(outdir: str, fields: dict, drop=()):
     path = os.path.join(outdir, "summary.json")
     summary = {}
     if os.path.exists(path):
         with open(path) as fh:
             summary = json.load(fh)
     summary.update(fields)
+    for key in drop:
+        summary.pop(key, None)
     os.makedirs(outdir, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -351,7 +353,9 @@ def _prediction_table(outdir, Xstar, result):
 
 
 def _maybe_truth_mse(cfg, outdir, Xstar, result):
+    """Score ``result`` against the truth file in summary.json; without one, drop old scores."""
     if "truth" not in cfg:
+        _update_summary(outdir, {}, drop=("mse_fm", "mse_fm_delta"))
         return
     Xt, ytrue = read_truth_csv(cfg["truth"])
     if Xt.shape != Xstar.shape or not np.allclose(Xt, Xstar, atol=1e-12):
@@ -373,6 +377,12 @@ def _maybe_truth_mse(cfg, outdir, Xstar, result):
 def cmd_calibrate(cfg: dict) -> int:
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
+    # start afresh, so that predict never reads an earlier run's chain or fit;
+    # emulator.json stays out of this: _build_model writes it for this run
+    for name in ("summary.json", "posterior.csv", "mle.json", "prediction.csv"):
+        path = os.path.join(outdir, name)
+        if os.path.exists(path):
+            os.remove(path)
     data = _build_data(cfg)
     model = _build_model(cfg, fit_emulator=True)
     mode = cfg["mode"]
@@ -381,54 +391,18 @@ def cmd_calibrate(cfg: dict) -> int:
     t0 = time.time()
 
     if mode in ("l2", "ls"):
+        n_starts = int(mle_cfg.get("n_starts", 10))
         if mode == "l2":
-            res = l2_calibrate(
-                data,
-                model,
-                quad_points=cfg.get("quad_points"),
-                seed=seed,
-                n_starts=int(mle_cfg.get("n_starts", 10)),
-            )
-            fields = {
-                "mode": mode,
-                "theta_hat": res.theta_hat.tolist(),
-                "l2_loss": res.l2_loss_at_opt,
-                "seed": seed,
-                "timing_seconds": time.time() - t0,
-            }
-            predictor = res.surrogate
+            res = l2_calibrate(data, model, cfg.get("quad_points"), seed=seed, n_starts=n_starts)
+            loss = {"l2_loss": res.l2_loss_at_opt}
         else:
-            res = ls_calibrate(
-                data, model, n_starts=int(mle_cfg.get("n_starts", 10)), seed=seed
-            )
-            fields = {
-                "mode": mode,
-                "theta_hat": res.theta_hat.tolist(),
-                "sse": res.sse_at_opt,
-                "seed": seed,
-                "timing_seconds": time.time() - t0,
-            }
-            predictor = None
-        _update_summary(outdir, fields)
+            res = ls_calibrate(data, model, n_starts=n_starts, seed=seed)
+            loss = {"sse": res.sse_at_opt}
+        fields = {"mode": mode, "theta_hat": res.theta_hat.tolist(), **loss, "seed": seed}
+        _update_summary(outdir, {**fields, "timing_seconds": time.time() - t0})
         if "predict" in cfg:
-            from .calibration import PredictiveResult
-
             Xstar = _prediction_inputs(cfg, data)
-            model_mean = model.evaluate(Xstar, res.theta_hat)
-            if mode == "l2":
-                surrogate = predictor.predict(Xstar)
-                out = PredictiveResult(
-                    model_mean=model_mean,
-                    full_mean=surrogate.full_mean,
-                    variance=surrogate.variance,
-                )
-            else:
-                resid_pred = res.residual_fit.predict(Xstar)
-                out = PredictiveResult(
-                    model_mean=model_mean,
-                    full_mean=model_mean + resid_pred.full_mean,
-                    variance=resid_pred.variance,
-                )
+            out = res.predict(model, Xstar)
             _prediction_table(outdir, Xstar, out)
             _maybe_truth_mse(cfg, outdir, Xstar, out)
         return EXIT_OK

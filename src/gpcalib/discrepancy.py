@@ -403,12 +403,6 @@ def _projection(Dw, factors, volume2: float) -> np.ndarray:
     return LG
 
 
-def _ogasp_cov(X, base_kernel: KernelSpec, model_grad, domain, quad_points) -> _ModeCov:
-    """:class:`_ModeCov` of the orthogonal process with a fixed ``model_grad``."""
-    spec = DiscrepancySpec(OGASP, base_kernel, quad_points=quad_points)
-    return _ModeCov(spec, X, domain, lambda theta: model_grad)
-
-
 def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
     """Orthogonally-constrained covariance between two sets of points.
 
@@ -430,23 +424,11 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
         Maps an (m, p) array of inputs to the (m, p_theta) array of
         derivatives of the computer model with respect to its parameters.
     """
-    cov = _ogasp_cov(Xa, base_kernel, model_grad, domain, quad_points)
+    spec = DiscrepancySpec(OGASP, base_kernel, quad_points=quad_points)
+    cov = _ModeCov(spec, Xa, domain, lambda theta: model_grad)
     if Xb is Xa:
         return cov.corr(base_kernel.ranges, ())
     return cov.cross(base_kernel.ranges, (), Xb)[0]
-
-
-def ogasp_cross_cov(X, Xstar, base_kernel: KernelSpec, model_grad, domain, quad_points: int | None = None):
-    """Cross-covariance and prior variance of the orthogonal process at new points.
-
-    Returns
-    -------
-    (r_o, c_o_diag) : ``ogasp_kernel(X, Xstar, ...)`` (n, k) and the diagonal
-        of ``ogasp_kernel(Xstar, Xstar, ...)`` (k,), the latter as
-        ``1 - sum_j g_*[:, j] (G^-1 g_*')[j, :]`` without the k x k matrix.
-    """
-    cov = _ogasp_cov(X, base_kernel, model_grad, domain, quad_points)
-    return cov.cross(base_kernel.ranges, (), Xstar)
 
 
 def model_grad_fd(model, theta, step: float = 1e-4):

@@ -209,8 +209,8 @@ def run_sine(
         data = FieldDataset(x, y, [[0.0, 1.0]])
 
         l2 = l2_calibrate(data, model, seed=seed)
-        mse_fm = _mse(ytrue, model.evaluate(Xs, l2.theta_hat))
-        mse_sur = _mse(ytrue, l2.surrogate.mean(Xs))
+        pred = l2.predict(model, Xs)
+        mse_fm, mse_sur = _mse(ytrue, pred.model_mean), _mse(ytrue, pred.full_mean)
         rows.append((str(n), "gasp+l2", float(l2.theta_hat[0]), mse_fm, "", mse_sur))
         results[(n, "gasp+l2")] = {
             "theta_hat": float(l2.theta_hat[0]),
@@ -219,8 +219,8 @@ def run_sine(
         }
 
         ls = ls_calibrate(data, model, seed=seed)
-        mse_fm = _mse(ytrue, model.evaluate(Xs, ls.theta_hat))
-        mse_full = _mse(ytrue, ls.predict_full(model, Xs))
+        pred = ls.predict(model, Xs)
+        mse_fm, mse_full = _mse(ytrue, pred.model_mean), _mse(ytrue, pred.full_mean)
         rows.append((str(n), "ls+gasp", float(ls.theta_hat[0]), mse_fm, mse_full, ""))
         results[(n, "ls+gasp")] = {
             "theta_hat": float(ls.theta_hat[0]),

@@ -30,6 +30,8 @@ from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
 _BAD_OBJECTIVE = 1e10
+_INITIAL_SCALE = 0.1  # every sampler block's random-walk scale before adaptation
+_TARGET_ACCEPT = 0.3  # the acceptance rate that adaptation steers each scale toward
 
 
 class OptimizationError(RuntimeError):
@@ -203,8 +205,8 @@ def _check_integer(name: str, value) -> None:
 class AdaptiveRWSampler:
     """Blockwise Gaussian random-walk Metropolis.
 
-    Proposal scales follow a Robbins-Monro recursion toward the target
-    acceptance rate during the adaptation phase and are frozen afterwards.
+    Proposal scales start at ``_INITIAL_SCALE``, follow a Robbins-Monro recursion
+    toward ``_TARGET_ACCEPT`` during adaptation and are frozen afterwards.
     An optional hook ``gibbs(x, lp, rng) -> (x, lp)`` runs after the
     Metropolis blocks each iteration.  It may move coordinates by an exact
     conditional draw and returns the new point together with its log
@@ -220,8 +222,6 @@ class AdaptiveRWSampler:
         blocks: dict,
         x0,
         rng: np.random.Generator,
-        initial_scale: float = 0.1,
-        target_accept: float = 0.3,
         gibbs=None,
     ):
         self._score = getattr(logpost, "score", lambda x, block: logpost(x))
@@ -229,8 +229,7 @@ class AdaptiveRWSampler:
         self.blocks = {name: np.asarray(idx, dtype=int) for name, idx in blocks.items()}
         self.x = np.asarray(x0, dtype=float).copy()
         self.rng = rng
-        self.scales = {name: float(initial_scale) for name in self.blocks}
-        self.target = target_accept
+        self.scales = {name: _INITIAL_SCALE for name in self.blocks}
         self.gibbs = gibbs
         self.lp = float(self._score(self.x, None))
         if not np.isfinite(self.lp):
@@ -241,7 +240,7 @@ class AdaptiveRWSampler:
 
     def run(self, n_iter: int, adapt_until: int) -> np.ndarray:
         out = np.empty((n_iter, self.x.size))
-        x, lp, rng, scales, target, gibbs = self.x, self.lp, self.rng, self.scales, self.target, self.gibbs
+        x, lp, rng, scales, target, gibbs = self.x, self.lp, self.rng, self.scales, _TARGET_ACCEPT, self.gibbs
         normal, uniform, score, accept = rng.standard_normal, rng.random, self._score, self._accept
         blocks = [(name, idx, idx.size) for name, idx in self.blocks.items()]
         for i in range(n_iter):

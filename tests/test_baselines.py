@@ -84,13 +84,19 @@ class TestLsCalibrate:
         res = ls_calibrate(data, model, seed=1)
         assert abs(res.theta_hat[0] - y.mean()) <= 1e-7
 
-    def test_predict_full_combines_model_and_residual(self):
+    def test_predict_adds_the_residual_gp_to_the_model(self):
         data, model = _perfect_setup()
         res = ls_calibrate(data, model, seed=2)
         Xs = np.linspace(0, 1, 7)[:, None]
-        full = res.predict_full(model, Xs)
-        assert full.shape == (7,)
-        np.testing.assert_allclose(full, model.evaluate(Xs, res.theta_hat), atol=1e-3)
+        out = res.predict(model, Xs)
+        fm = model.evaluate(Xs, res.theta_hat)
+        resid = res.residual_fit.predict(Xs)
+        assert np.array_equal(out.model_mean, fm)
+        assert np.array_equal(out.full_mean, fm + resid.full_mean)
+        assert np.array_equal(out.variance, resid.variance)
+        assert out.full_mean.shape == out.variance.shape == (7,)
+        # a perfect model leaves the residual GP almost nothing to add
+        np.testing.assert_allclose(out.full_mean, fm, atol=1e-3)
 
 
 class TestL2Calibrate:
@@ -112,6 +118,19 @@ class TestL2Calibrate:
         best = res.l2_loss_at_opt
         for _, start_res in res.per_start:
             assert best <= start_res.fun * np.prod(data.lengths) + 1e-12
+
+    def test_predict_is_the_field_gp_beside_the_model(self):
+        data, model = _perfect_setup(n=20)
+        res = l2_calibrate(data, model, quad_points=200, seed=0)
+        Xs = np.linspace(0, 1, 7)[:, None]
+        out = res.predict(model, Xs)
+        field = res.surrogate.predict(Xs)
+        assert np.array_equal(out.model_mean, model.evaluate(Xs, res.theta_hat))
+        assert np.array_equal(out.full_mean, field.full_mean)
+        assert np.array_equal(out.variance, field.variance)
+        assert np.all(out.variance >= 0)
+        # noise-free data from the model itself: the field GP tracks the model
+        np.testing.assert_allclose(out.full_mean, out.model_mean, atol=1e-2)
 
     def test_equal_optima_pick_lowest_start_index(self):
         # a flat objective stops every start where it began, all tied
@@ -145,7 +164,7 @@ class TestFieldGasp:
         truth = np.sin(2 * np.pi * x[:, 0])
         y = truth + 0.1 * rng.standard_normal(n)
         fit = fit_field_gasp(FieldDataset(x, y, [[0.0, 1.0]]), seed=0)
-        pred = fit.mean(x)
+        pred = fit.predict(x).full_mean
         assert np.mean((pred - truth) ** 2) < np.mean((y - truth) ** 2)
 
     def test_scale_to_domain(self):

@@ -23,7 +23,6 @@ from gpcalib.discrepancy import (
     GASP,
     OGASP,
     SGASP,
-    ogasp_cross_cov,
     ogasp_kernel,
     scaled_cov,
 )
@@ -364,7 +363,8 @@ class TestOgaspPredict:
         kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
         args = (kern, model.grad_fn(params.theta), data.domain, spec.quad_points)
         K = ogasp_kernel(data.X, data.X, *args)
-        r, c0 = ogasp_cross_cov(data.X, Xs, *args)
+        mode_cov = discrepancy._ModeCov(spec.with_kernel(kern), data.X, data.domain, model.grad_fn)
+        r, c0 = mode_cov.cross(kern.ranges, params.theta, Xs)
         resid = data.y - model.evaluate(data.X, params.theta)
         mean, cov = gp_condition(K, r, np.diag(c0), resid, nugget=params.eta)
         out = predict(params, data, model, spec, Xs)

@@ -9,6 +9,7 @@ import pytest
 
 from gpcalib.calibration import CalibParams, FieldDataset, predict
 from gpcalib import emulator
+from gpcalib.baselines import l2_calibrate, ls_calibrate
 from gpcalib.cli import _build_spec, _read_csv, main
 from gpcalib.discrepancy import DiscrepancySpec, SGASP
 from gpcalib.emulator import emulator_fit
@@ -205,6 +206,53 @@ class TestCalibrateCommand:
         assert "theta_hat" in summary and summary["l2_loss"] >= 0
 
 
+    @pytest.mark.parametrize("mode", ["l2", "ls"])
+    def test_baseline_prediction_is_the_library_predict(self, sine_files, mode):
+        tmp_path, data_path, pred_path, _, x, y, xs = sine_files
+        extra = {"mode": mode, "predict": str(pred_path), "mle": {"n_starts": 4, "seed": 1}}
+        path, cfg = _config(tmp_path, data_path, extra)
+        assert main(["calibrate", "--config", str(path)]) == 0
+        _, got = _read_csv(str(tmp_path / "out" / "prediction.csv"))
+        data = FieldDataset(x, y, [[0.0, 1.0]])
+        model = builtin_model("sine_theta_x", theta_bounds=[[0.0, 40.0]])
+        if mode == "l2":
+            res = l2_calibrate(data, model, seed=1, n_starts=4)
+        else:
+            res = ls_calibrate(data, model, n_starts=4, seed=1)
+        want = res.predict(model, xs)
+        # 17 significant digits round-trip, so the columns match bit for bit
+        assert np.array_equal(got[:, 0], xs[:, 0])
+        assert np.array_equal(got[:, 1], want.model_mean)
+        assert np.array_equal(got[:, 2], want.full_mean)
+        assert np.array_equal(got[:, 3], want.variance)
+
+    def test_rerun_starts_afresh(self, sine_files):
+        # an mle-only rerun into the directory of an mcmc run must not leave
+        # that run's chain behind for predict to use, nor its summary entries
+        tmp_path, data_path, pred_path, *_ = sine_files
+        mcmc = {"samples": 400, "burn_in": 100, "thin": 10, "seed": 1}
+        mle = {"n_starts": 3, "seed": 3}
+        path, _ = _config(tmp_path, data_path, {"mcmc": mcmc, "mle": mle, "predict": str(pred_path)})
+        assert main(["calibrate", "--config", str(path)]) == 0
+        assert main(["predict", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        assert (out / "posterior.csv").exists()
+        path, _ = _config(tmp_path, data_path, {"mle": mle, "predict": str(pred_path)})
+        assert main(["calibrate", "--config", str(path)]) == 0
+        assert not (out / "posterior.csv").exists() and not (out / "prediction.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert not {"posterior", "acceptance_rates", "mcmc_seconds"} & set(summary)
+        assert main(["predict", "--config", str(path)]) == 0
+        # the same run in a fresh directory
+        fresh = dict(json.loads(path.read_text()), output_dir=str(tmp_path / "fresh"))
+        path.write_text(json.dumps(fresh))
+        assert main(["calibrate", "--config", str(path)]) == 0
+        assert main(["predict", "--config", str(path)]) == 0
+        fresh_out = tmp_path / "fresh"
+        for name in ("prediction.csv", "mle.json"):
+            assert (out / name).read_bytes() == (fresh_out / name).read_bytes()
+
+
 class TestPredictCommand:
     def test_row_count_and_header(self, sine_files):
         tmp_path, data_path, pred_path, truth_path, *_ = sine_files
@@ -219,6 +267,20 @@ class TestPredictCommand:
         assert len(lines) - 1 == 8
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "mse_fm" in summary and "mse_fm_delta" in summary
+
+    def test_predict_without_truth_drops_old_scores(self, sine_files):
+        tmp_path, data_path, pred_path, truth_path, *_ = sine_files
+        extra = {"mle": {"n_starts": 3, "seed": 0}, "predict": str(pred_path)}
+        path, _ = _config(tmp_path, data_path, dict(extra, truth=str(truth_path)))
+        assert main(["calibrate", "--config", str(path)]) == 0
+        assert main(["predict", "--config", str(path)]) == 0
+        summary_path = tmp_path / "out" / "summary.json"
+        assert "mse_fm" in json.loads(summary_path.read_text())
+        path, _ = _config(tmp_path, data_path, extra)
+        assert main(["predict", "--config", str(path)]) == 0
+        summary = json.loads(summary_path.read_text())
+        assert "mse_fm" not in summary and "mse_fm_delta" not in summary
+        assert summary["mode"] == "sgasp" and "mle_theta" in summary
 
     def test_single_sample_chain_matches_plugin(self, sine_files):
         tmp_path, data_path, pred_path, _, x, y, xs = sine_files

@@ -12,7 +12,6 @@ from gpcalib.discrepancy import (
     SGASP,
     _grid_corr_apply,
     model_grad_fd,
-    ogasp_cross_cov,
     ogasp_kernel,
     quadrature_grid,
     scaled_cov,
@@ -179,6 +178,12 @@ def _grad_xy(Z):
     return np.column_stack([Z[:, 0], Z[:, 1] ** 2])
 
 
+def _ogasp_cross(X, Xs, kern, grad, domain, quad_points):
+    """``(r, c0)`` of the orthogonal process at a fixed gradient, from its one builder."""
+    spec = DiscrepancySpec(OGASP, kern, quad_points=quad_points)
+    return discrepancy._ModeCov(spec, X, domain, lambda theta: grad).cross(kern.ranges, (), Xs)
+
+
 def _emulator_scaled(X, Xs):
     em = emulator_fit(X, np.sin(3 * X[:, 0]) * X[:, 1], ranges=[0.4, 0.6])
     return emulator_predict_scaled(em, Xs)
@@ -186,8 +191,9 @@ def _emulator_scaled(X, Xs):
 
 _DOMAIN2 = [[0.0, 1.0], [0.0, 1.0]]
 
-#: each public entry point of the mode covariance builder, as (name, call on
-#: a design X and new points Xs, the point sets that reach it); the emulator
+#: each public entry point of the mode covariance builder, and the ogasp
+#: cross-covariance that only ``_ModeCov.cross`` builds, as (name, call on a
+#: design X and new points Xs, the point sets that reach it); the emulator
 #: words the error as ``emulator_predict`` does
 _BUILDERS = [
     ("scaled_cov", lambda X, Xs: scaled_cov(X, DiscrepancySpec(SGASP, _K2)), ["X"]),
@@ -199,7 +205,7 @@ _BUILDERS = [
     ),
     ("ogasp_kernel_same", lambda X, Xs: ogasp_kernel(X, X, _K2, _grad_xy, _DOMAIN2, 8), ["X"]),
     ("ogasp_kernel", lambda X, Xs: ogasp_kernel(X, Xs, _K2, _grad_xy, _DOMAIN2, 8), ["X", "Xs"]),
-    ("ogasp_cross_cov", lambda X, Xs: ogasp_cross_cov(X, Xs, _K2, _grad_xy, _DOMAIN2, 8), ["X", "Xs"]),
+    ("ogasp_cross_cov", lambda X, Xs: _ogasp_cross(X, Xs, _K2, _grad_xy, _DOMAIN2, 8), ["X", "Xs"]),
     ("emulator_predict_scaled", _emulator_scaled, ["Xs"]),
 ]
 
@@ -414,7 +420,7 @@ class TestStructuredGram:
         lo, hi = domain[:, 0], domain[:, 1]
         X = lo + (hi - lo) * rng.uniform(size=(8, 2))
         Xs = lo + (hi - lo) * rng.uniform(size=(11, 2))
-        r, c_diag = ogasp_cross_cov(X, Xs, kern, _grad_2d, domain, quad_points=15)
+        r, c_diag = _ogasp_cross(X, Xs, kern, _grad_2d, domain, quad_points=15)
         np.testing.assert_allclose(
             r, ogasp_kernel(X, Xs, kern, _grad_2d, domain, quad_points=15), rtol=0, atol=1e-13
         )

@@ -1,5 +1,6 @@
 """The public surface: ``gpcalib.__all__`` changes only on purpose."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -77,3 +78,19 @@ def test_import_leaves_module_unloaded(module):
 def test_every_public_name_resolves():
     for name in gpcalib.__all__:
         assert getattr(gpcalib, name) is not None, name
+
+
+def test_names_the_benchmark_traces_resolve(monkeypatch):
+    # bench/tracing.py wraps these by module and attribute name, so deleting
+    # one from the package breaks the traced benchmark run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "bench"))
+    try:
+        tracing = importlib.import_module("tracing")
+        for layer, module, attr, _ in tracing.FUNCTIONS:
+            assert callable(getattr(module, attr, None)), f"{layer}: {module.__name__}.{attr}"
+        for layer, cls, attr, _ in tracing.METHODS:
+            assert callable(cls.__dict__.get(attr)), f"{layer}: {cls.__name__}.{attr}"
+        assert callable(getattr(tracing.workers, "thread_map", None))
+    finally:
+        sys.modules.pop("tracing", None)
