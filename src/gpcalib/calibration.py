@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
-from .linalg import LOG_2PI, _shifted, cholesky_with_jitter
+from .linalg import LOG_2PI, _shifted, _tri_inv, cholesky_with_jitter
 
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
 #: to a finite coordinate and back exactly.
@@ -527,8 +527,8 @@ def predict(
     mean adding the conditional discrepancy, and the predictive variance
     ``sigma2 * c* + sigma2 * eta`` where ``c*`` is the conditional
     correlation-scale variance.  With ``L L' = K + eta I``, the cross
-    correlation ``r`` and the prior correlation ``c0`` of the mode, two
-    triangular solves ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)`` give the
+    correlation ``r`` and the prior correlation ``c0`` of the mode, products
+    with ``L^-1``, ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)``, give the
     conditional discrepancy mean ``V' w`` and ``c* = c0 - sum_i V_i^2``.  In
     ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``; in
     sgasp mode one factor of ``RC + c I`` does (``R + c I`` with the default
@@ -548,8 +548,8 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
     r, c0 = core.cov.cross(params.gamma(), params.theta, Xstar)
 
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-    V = dtrtrs(L, r, lower=1)[0]
-    w = dtrtrs(L, resid, lower=1)[0]
+    Linv = _tri_inv(L)
+    V, w = Linv @ r, Linv @ resid
 
     model_mean = model.evaluate(Xstar, params.theta) + mean_basis_eval(
         Xstar, spec, params.beta_delta

@@ -22,10 +22,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrs
 
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, _shifted, cholesky_with_jitter
+from .linalg import NumericalError, _shifted, _tri_inv, cholesky_with_jitter
 
 GASP = "gasp"
 SGASP = "sgasp"
@@ -191,13 +191,14 @@ class _ModeCov:
             solved = dpotrs(LG, g_star.T, lower=1)[0]
             return r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
         L, rC = self._parts(gamma)
+        Linv = _tri_inv(L)
         if self._XC is None:
-            # r_z = c (R + c I)^-1 r*, c_z = 1 - ||L^-1 r*||^2
-            V = dtrtrs(L, r, lower=1)[0]
-            return self._c * dtrtrs(L, V, lower=1, trans=1)[0], 1.0 - np.einsum("ij,ij->j", V, V)
-        rC_star = _product_corr(dists_extra, self.kernel, gamma)
-        solved = dpotrs(L, rC_star, lower=1)[0]
-        return r - rC.T @ solved, 1.0 - np.einsum("ij,ij->j", rC_star, solved)
+            # r_z = c (R + c I)^-1 r* = c L^-T V and c_z = 1 - ||V||^2 for V = L^-1 r*
+            V = Linv @ r
+            return (self._c * Linv.T) @ V, 1.0 - np.einsum("ij,ij->j", V, V)
+        # r_z = r* - (L^-1 rC)' W and c_z = 1 - ||W||^2 for W = L^-1 rC*
+        W = Linv @ _product_corr(dists_extra, self.kernel, gamma)
+        return r - (Linv @ rC).T @ W, 1.0 - np.einsum("ij,ij->j", W, W)
 
     def base_cross(self, gamma, Xstar) -> np.ndarray:
         """Base correlation (n, k) between the design and the 2-D ``Xstar``."""

@@ -21,7 +21,7 @@ from .calibration import ComputerModel, PriorSpec, _jr_log_prior, basis_matrix
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, cholesky_with_jitter
+from .linalg import NumericalError, _tri_inv, cholesky_with_jitter
 
 
 def _intercept(Z):
@@ -76,8 +76,8 @@ def _student_t(gls: _GLS, h, r, c0):
     """Student-t predictive mean and variance at new points with trend basis
     ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
     mean = _kriging_mean(gls, h, r)
-    Rinv_r = dpotrs(gls.L, r, lower=1)[0]
-    cstar = c0 - np.einsum("ij,ij->j", r, Rinv_r)
+    V = _tri_inv(gls.L) @ r
+    cstar = c0 - np.einsum("ij,ij->j", V, V)
     if h.shape[1]:  # the trend estimate's own uncertainty
         u = h.T - gls.RinvH.T @ r
         # LM is C-ordered, so its transpose is the Fortran-ordered upper factor

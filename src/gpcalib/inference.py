@@ -491,22 +491,20 @@ def predict_posterior(
 
     Means are averaged across samples; the reported variance is the mean of
     the per-sample variances plus the across-sample variance of the full
-    means (law of total variance).
+    means (law of total variance).  Running sums and a Welford update of the
+    full means keep the memory to a few vectors of the length of ``Xstar``.
     """
     _check_integer("thin", thin)
     if thin < 1:
         raise ValueError("thin must be >= 1")
     core = LikelihoodCore(data, model, spec)
-    results = [
-        _predict(core, chain.params_at(i), Xstar)
-        for i in range(chain.burn_in, chain.n_samples, thin)
-    ]
-    model_means = np.stack([r.model_mean for r in results])
-    full_means = np.stack([r.full_mean for r in results])
-    variances = np.stack([r.variance for r in results])
-    total_var = variances.mean(axis=0) + full_means.var(axis=0)
-    return PredictiveResult(
-        model_mean=model_means.mean(axis=0),
-        full_mean=full_means.mean(axis=0),
-        variance=total_var,
-    )
+    model_sum = full_sum = var_sum = mean = m2 = 0.0
+    for S, i in enumerate(range(chain.burn_in, chain.n_samples, thin), start=1):
+        res = _predict(core, chain.params_at(i), Xstar)
+        model_sum += res.model_mean
+        full_sum += res.full_mean
+        var_sum += res.variance
+        delta = res.full_mean - mean
+        mean += delta / S
+        m2 += delta * (res.full_mean - mean)
+    return PredictiveResult(model_sum / S, full_sum / S, var_sum / S + m2 / S)

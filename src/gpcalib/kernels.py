@@ -95,9 +95,17 @@ def matern52(d, gamma: float):
 
 def _matern52(d, gamma):
     """:func:`matern52` on checked arguments."""
-    # exp(-u) underflows to 0 near u = 745; the cap keeps u * u finite there
-    u = np.minimum(np.sqrt(5.0) * d / gamma, 1e3)
-    return (1.0 + u + u * u / 3.0) * np.exp(-u)
+    # exp(-u) underflows to 0 near u = 745; the cap keeps u * u finite there.  In
+    # place, in the expression's order; shape () lets scalars take out= and stay scalars.
+    u = np.multiply(np.sqrt(5.0), d, out=np.empty(np.shape(d)))
+    u /= gamma
+    np.minimum(u, 1e3, out=u)
+    out = 1.0 + u
+    t = u * u
+    t /= 3.0
+    out += t
+    out *= np.exp(np.negative(u, out=u), out=u)
+    return out[()]
 
 
 def pow_exp(d, gamma: float, nu: float = DEFAULT_ROUGHNESS):

@@ -8,7 +8,7 @@ caller.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 #: Jitter levels tried in order, as multiples of the mean diagonal.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
@@ -30,6 +30,13 @@ def _shifted(A: np.ndarray, shift: float) -> np.ndarray:
     A = A.copy()
     A.flat[:: A.shape[0] + 1] += shift
     return A
+
+
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Lower-triangular ``L^-1`` of a lower Cholesky factor ``L``: a product with
+    it applies the factor to many right-hand sides faster than a triangular
+    solve, and as accurately (Du Croz & Higham, IMA J. Numer. Anal. 1992)."""
+    return dtrtri(L, lower=1)[0]
 
 
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:

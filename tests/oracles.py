@@ -9,11 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from gpcalib.kernels import MATERN52, KernelSpec, corr_matrix, matern52, pow_exp
 from gpcalib.linalg import LOG_2PI, cholesky_with_jitter
+
+
+def matern52_expression(d, gamma):
+    """The Matern 5/2 correlation as one expression, allocating its temporaries.
+
+    ``u = min(sqrt(5) d / gamma, 1e3)``, ``(1 + u + u * u / 3) exp(-u)``: the
+    order of operations the in-place library kernel must reproduce bit for bit.
+    """
+    u = np.minimum(np.sqrt(5.0) * d / gamma, 1e3)
+    return (1.0 + u + u * u / 3.0) * np.exp(-u)
 
 
 def product_corr(xa, xb, spec: KernelSpec) -> float:
@@ -114,3 +125,40 @@ def scaled_cov_three_kernels(X, kernel: KernelSpec, lam: float) -> np.ndarray:
     L, _ = cholesky_with_jitter(corr_matrix(X, X, kernel) + (n / lam) * np.eye(n))
     Rz = R - rC.T @ cho_solve((L, True), rC)
     return 0.5 * (Rz + Rz.T)
+
+
+def _mp(A) -> mpmath.matrix:
+    return mpmath.matrix(np.atleast_2d(A).tolist())
+
+
+def conditional_mp(R, r_star, resid, shift: float, constraint=None, digits: int = 50):
+    """Conditional discrepancy mean and correlation-scale variance at ``digits``
+    significant digits, the float64 inputs taken as exact.
+
+    ``R`` (n, n) and ``r_star`` (n, m) are the base correlations over the
+    design and from it to the new points.  ``constraint=(RC, rC, rC_star, c)``
+    applies the scaled process written out in full:
+    ``K = R - rC' (RC + c I)^-1 rC``, ``r = r* - rC' (RC + c I)^-1 rC*`` and
+    ``c0 = 1 - diag(rC*' (RC + c I)^-1 rC*)``; without it ``K = R``,
+    ``r = r*`` and ``c0 = 1``.  With ``L L' = K + shift I``, ``V = L^-1 r`` and
+    ``w = L^-1 resid`` give the mean ``V' w`` and the variance
+    ``c0 - sum_i V_i^2``, both returned as float arrays (m,).
+    """
+    n, m = np.shape(r_star)
+    with mpmath.workdps(digits):
+        K, r = _mp(R), _mp(r_star)
+        c0 = [mpmath.mpf(1)] * m
+        if constraint is not None:
+            RC, rC, rC_star, c = constraint
+            Ainv = mpmath.inverse(_mp(RC) + c * mpmath.eye(len(RC)))
+            rC, rC_star = _mp(rC), _mp(rC_star)
+            K = K - rC.T * Ainv * rC
+            solved = Ainv * rC_star
+            r = r - rC.T * solved
+            c0 = [1 - sum(rC_star[i, j] * solved[i, j] for i in range(rC_star.rows)) for j in range(m)]
+        Linv = mpmath.inverse(mpmath.cholesky(K + shift * mpmath.eye(n)))
+        V = Linv * r
+        w = Linv * _mp(np.reshape(resid, (n, 1)))
+        mean = V.T * w
+        var = [c0[j] - sum(V[i, j] ** 2 for i in range(n)) for j in range(m)]
+        return np.array([float(mean[j]) for j in range(m)]), np.array([float(v) for v in var])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import lapack
 
+from gpcalib import calibration, discrepancy, kernels
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
@@ -12,12 +14,12 @@ from gpcalib.calibration import (
     LikelihoodCore,
     ParamTransform,
     PriorSpec,
+    _predict,
     log_prior,
     marginal_loglik,
     mean_basis_eval,
     predict,
 )
-from gpcalib import discrepancy, kernels
 from gpcalib.discrepancy import (
     DiscrepancySpec,
     GASP,
@@ -27,7 +29,7 @@ from gpcalib.discrepancy import (
     scaled_cov,
 )
 from gpcalib.kernels import KernelSpec, corr_matrix
-from oracles import MVNModel, gp_condition, mvn_logdensity, scaled_cov_three_kernels
+from oracles import MVNModel, conditional_mp, gp_condition, mvn_logdensity, scaled_cov_three_kernels
 
 
 def _constant_model(bounds=((0.0, 10.0),)):
@@ -292,6 +294,85 @@ class TestPredict:
         params = CalibParams([1.0], [], [3.0], 1.2, 0.3)
         out = predict(params, data, model, spec, np.linspace(0, 1, 50)[:, None])
         assert np.all(out.variance >= params.sigma2_noise - 1e-12)
+
+
+#: each mode; sgasp with the design as its constraint points and with explicit ones
+_PREDICT_CASES = [(GASP, None), (SGASP, None), (SGASP, "explicit"), (OGASP, None)]
+
+
+class TestPredictAccuracy:
+    """Prediction against a 50-digit reference on a 2-D design whose
+    correlation has condition numbers from 1e6 to 1e10 at these ranges."""
+
+    @pytest.mark.parametrize("mode, points", _PREDICT_CASES[:3])
+    @pytest.mark.parametrize("psi", [0.3, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 1e-8])
+    def test_matches_mpmath_reference(self, mode, points, psi, eta):
+        rng = np.random.default_rng(0)
+        X, Xs = rng.uniform(size=(20, 2)), rng.uniform(size=(20, 2))
+        XC = rng.uniform(size=(12, 2)) if points else None
+        y = np.sin(3 * X[:, 0]) + np.cos(2 * X[:, 1]) + 0.1 * rng.standard_normal(20)
+        data = FieldDataset(X, y, [[0.0, 1.0]] * 2)
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [1.0, 1.0]), constraint_points=XC)
+        core = LikelihoodCore(data, _constant_model(), spec)
+        params = CalibParams([0.5], [], [psi, psi], 1.0, eta)
+        out = _predict(core, params, Xs)
+
+        kern = KernelSpec("matern52", [1.0 / psi] * 2)
+        R, r_star = corr_matrix(X, X, kern), corr_matrix(X, Xs, kern)
+        constraint = None
+        if mode == SGASP:  # c = N_C / lambda, lambda = n / 2 by default
+            c = (20 if XC is None else 12) / 10.0
+            blocks = (R, R, r_star) if XC is None else (
+                corr_matrix(XC, XC, kern), corr_matrix(XC, X, kern), corr_matrix(XC, Xs, kern)
+            )
+            constraint = (*blocks, c)
+        jitter = core.corr_chol(params.psi_delta, eta)[1]
+        mean, cstar = conditional_mp(R, r_star, y - 0.5, eta + jitter, constraint)
+        full = 0.5 + mean
+        assert np.max(np.abs(out.full_mean - full)) <= 1e-6 * np.max(np.abs(full))
+        np.testing.assert_allclose(out.variance - eta, np.maximum(cstar, 0.0), rtol=0, atol=1e-11)
+
+
+class TestPredictShapes:
+    def _setup(self, mode, points):
+        data = _dataset(n=9, seed=11)
+        model = ComputerModel(
+            evaluator=lambda X, th: np.sin(th[0] * np.atleast_2d(X)[:, 0]),
+            theta_bounds=[[0.5, 5.0]],
+            vectorized=True,
+        )
+        XC = [[0.1], [0.4], [0.7], [0.95]] if points else None
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]), constraint_points=XC, quad_points=40)
+        return data, model, spec, CalibParams([2.2], [], [3.0], 0.8, 0.02)
+
+    @pytest.mark.parametrize("mode, points", _PREDICT_CASES)
+    def test_no_solve_with_one_rhs_per_new_point(self, monkeypatch, mode, points):
+        # factors are applied to the columns of r and rC* through their
+        # inverses; only ogasp's p_theta x p_theta projection is solved against
+        data, model, spec, params = self._setup(mode, points)
+        Xs = np.linspace(0, 1, 13)[:, None]
+        factor_sizes = []
+
+        def guard(solve):
+            def wrapped(L, B, *args, **kwargs):
+                if np.ndim(B) == 2 and B.shape[1] == len(Xs):
+                    factor_sizes.append(L.shape[0])
+                return solve(L, B, *args, **kwargs)
+
+            return wrapped
+
+        for module in (calibration, discrepancy):
+            for name in ("dtrtrs", "dpotrs"):
+                monkeypatch.setattr(module, name, guard(getattr(lapack, name)), raising=False)
+        predict(params, data, model, spec, Xs)
+        assert factor_sizes == ([len(params.theta)] if mode == OGASP else [])
+
+    @pytest.mark.parametrize("mode, points", _PREDICT_CASES)
+    def test_empty_inputs_predict(self, mode, points):
+        data, model, spec, params = self._setup(mode, points)
+        out = predict(params, data, model, spec, np.zeros((0, 1)))
+        assert out.model_mean.shape == out.full_mean.shape == out.variance.shape == (0,)
 
 
 def _mode_blocks(mode, X, Xs, kern, lam):

@@ -567,6 +567,26 @@ class TestPredictPosterior:
         predict_posterior(chain, data, model, spec, Xs, thin=1)
         assert len(calls) == kinds
 
+    @pytest.mark.parametrize(
+        "mode, points", [(GASP, None), (SGASP, None), (SGASP, [[0.1], [0.5], [0.9]]), (OGASP, None)]
+    )
+    def test_streamed_averages_match_stacked_formula(self, mode, points):
+        data, model = _sine_data(n=10, seed=5)
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]), constraint_points=points, quad_points=50)
+        chain = mcmc_run(data, model, spec, S=200, burn_in=100, seed=7)
+        Xs = np.linspace(0.02, 0.98, 23)[:, None]
+        got = predict_posterior(chain, data, model, spec, Xs, thin=3)
+        each = [predict(chain.params_at(i), data, model, spec, Xs) for i in range(100, 200, 3)]
+        model_means, full_means, variances = (
+            np.stack([getattr(r, f) for r in each]) for f in ("model_mean", "full_mean", "variance")
+        )
+        np.testing.assert_allclose(got.model_mean, model_means.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(got.full_mean, full_means.mean(axis=0), rtol=1e-12)
+        want = variances.mean(axis=0) + full_means.var(axis=0)
+        np.testing.assert_allclose(got.variance, want, rtol=1e-12)
+        empty = predict_posterior(chain, data, model, spec, np.zeros((0, 1)), thin=50)
+        assert empty.model_mean.shape == empty.full_mean.shape == empty.variance.shape == (0,)
+
     def test_rejects_non_integer_thin(self):
         data, model = _sine_data(n=10, seed=8)
         spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gpcalib.kernels import KernelSpec, corr_matrix, matern52, pow_exp
-from oracles import product_corr
+from gpcalib.kernels import KernelSpec, _matern52, corr_matrix, matern52, pow_exp
+from oracles import matern52_expression, product_corr
 
 
 class TestMatern52:
@@ -25,6 +25,21 @@ class TestMatern52:
         d = np.array([0.0, 1e-200, 0.5, 1.0])
         np.testing.assert_array_equal(matern52(d, 1e-305), [1.0, 0.0, 0.0, 0.0])
         assert matern52(1.0, 5e-324) == 0.0
+
+    @pytest.mark.parametrize(
+        "d",
+        [0.0, 0.7, np.float64(2.5), np.array(1e3), np.array([0.0, 1e-200, 0.3, 447.0, 1e3, 1e300]),
+         np.random.default_rng(0).exponential(size=(30, 17))],
+    )
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-305, 0.05, 1.0, 2.2360679, 1e300])
+    def test_in_place_kernel_equals_expression(self, d, gamma):
+        with np.errstate(over="ignore"):
+            want = matern52_expression(np.asarray(d, dtype=float), gamma)
+            got = _matern52(np.asarray(d, dtype=float), gamma)
+            public = matern52(d, gamma)
+        assert np.array_equal(got, want) and np.array_equal(public, want)
+        assert type(got) is type(want) and type(public) is type(want)
+        assert np.shape(got) == np.shape(want)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
