@@ -17,10 +17,10 @@ where ``K`` is the discrepancy correlation matrix of the chosen mode and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
@@ -234,8 +234,8 @@ class LikelihoodCore:
     """Marginal likelihood evaluator with reusable correlation factorizations.
 
     Splitting the computation into a correlation part (depends on psi, eta
-    and, in orthogonal mode, theta) and a mean part (theta, beta) lets
-    samplers re-use the Cholesky factor across mean-only updates.
+    and, in orthogonal mode, theta) and a mean part (theta, beta) lets the
+    sampler re-use the Cholesky factor across moves of theta alone.
 
     The mode's correlation comes from ``cov``, a ``discrepancy._ModeCov``
     over the design built once here: it caches the design-only constants
@@ -274,10 +274,6 @@ class LikelihoodCore:
         else:
             fm = self.model.evaluate(self.data.X, theta)
             self._theta_cache = (key, fm)
-        return self.with_trend(fm, beta)
-
-    def with_trend(self, fm, beta) -> np.ndarray:
-        """The model values ``fm`` at the design plus the trend ``H beta``."""
         if self.H.shape[1]:
             return fm + self.H @ np.asarray(beta, dtype=float).reshape(-1)
         return fm
@@ -310,18 +306,11 @@ class LikelihoodCore:
         """``log |L L'| / 2``, the sum of the log diagonal of ``L``."""
         return float(np.log(np.diag(L)).sum())
 
-    def loglik_from_chol(
-        self, L, resid, sigma2: float, logdet: float | None = None, quad: float | None = None
-    ) -> float:
-        """Log-likelihood at ``sigma2``; ``logdet`` is :meth:`logdet_half` of ``L``
-        and ``quad`` :meth:`quad_form` of ``L`` and ``resid`` when the caller
-        already has them."""
+    def loglik_from_chol(self, L, resid, sigma2: float) -> float:
+        """Log-likelihood at ``sigma2`` given the correlation factor ``L``."""
         n = self.data.n
-        if quad is None:
-            quad = self.quad_form(L, resid)
-        if logdet is None:
-            logdet = self.logdet_half(L)
-        return -0.5 * n * (LOG_2PI + np.log(sigma2)) - logdet - 0.5 * quad / sigma2
+        quad = self.quad_form(L, resid)
+        return -0.5 * n * (LOG_2PI + np.log(sigma2)) - self.logdet_half(L) - 0.5 * quad / sigma2
 
     def fit_loglik(self, L, resid, sigma2_fixed: float | None) -> float:
         """Log-likelihood ``mle_fit`` maximizes: at ``sigma2_fixed``, or profiled.
@@ -347,6 +336,48 @@ class LikelihoodCore:
         L, _ = self.corr_chol(params.psi_delta, params.eta, params.theta)
         resid = self.data.y - self.mean_vector(params.theta, params.beta_delta)
         return self.loglik_from_chol(L, resid, params.sigma2_delta)
+
+
+class _GLS(NamedTuple):
+    """Generalized-least-squares trend fit under one correlation factor."""
+
+    L: np.ndarray
+    RinvH: np.ndarray
+    LM: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
+    Q: float
+    log_marginal: float
+
+    @property
+    def sigma2(self) -> float:
+        """The variance estimate ``Q / (n - q)``."""
+        return self.Q / (self.L.shape[0] - self.LM.shape[0])
+
+
+def _gls(L, H, y, logdet) -> _GLS:
+    """Fit the trend ``H beta`` to ``y`` under the factor ``L`` of ``R = L L'``,
+    with ``logdet = log |L|`` from the caller.
+
+    ``beta`` is the GLS estimate, ``LM`` the factor of ``M = H' R^-1 H``,
+    ``alpha = R^-1 (y - H beta)`` the kriging weights and ``Q`` the quadratic
+    form ``(y - H beta)' alpha``, floored at 1e-300.  ``log_marginal`` is the
+    log-likelihood with the trend (flat prior) and the variance (prior
+    ``1/sigma2``) integrated out, up to a constant:
+    ``-log|L| - log|LM| - ((n - q)/2) log Q``.  An empty basis costs one solve.
+    """
+    n, q = H.shape
+    if q:
+        RinvH = dpotrs(L, H, lower=1)[0]
+        M = H.T @ RinvH
+        LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / q * np.eye(q))
+        beta = dpotrs(LM, H.T @ dpotrs(L, y, lower=1)[0], lower=1)[0]
+        resid, logdet_M = y - H @ beta, float(np.sum(np.log(np.diag(LM))))
+    else:  # an empty basis: a zero trend, nothing to estimate
+        RinvH, LM, beta, resid, logdet_M = H, np.zeros((0, 0)), np.zeros(0), y, 0.0
+    alpha = dpotrs(L, resid, lower=1)[0]
+    Q = max(float(resid @ alpha), 1e-300)
+    return _GLS(L, RinvH, LM, beta, alpha, Q, -logdet - logdet_M - 0.5 * (n - q) * np.log(Q))
 
 
 def marginal_loglik(
@@ -387,20 +418,11 @@ def _theta_log_prior(prior: PriorSpec, theta, theta_bounds=None) -> float:
     return lp_theta if np.isfinite(lp_theta) else -np.inf
 
 
-def _jr_terms(prior: PriorSpec, psi, eta=0.0):
-    """``(a log t, b t)`` with ``t = C psi + eta``: the log jointly robust prior
-    at ``(psi, eta)`` is their difference.  ``None`` off its support."""
-    t = float(prior.jr_C @ psi + eta)
-    if not t > 0:
-        return None
-    return prior.jr_a * np.log(t), prior.jr_b * t
-
-
 def _jr_log_prior(prior: PriorSpec, psi, eta=0.0, lp=0.0) -> float:
-    """``lp + a log t - b t``, the log jointly robust prior at ``(psi, eta)`` added
-    to ``lp`` in that order; -inf off its support."""
-    terms = _jr_terms(prior, psi, eta)
-    return -np.inf if terms is None else lp + terms[0] - terms[1]
+    """``lp + a log t - b t`` with ``t = C psi + eta``: the log jointly robust
+    prior at ``(psi, eta)`` added to ``lp`` in that order; -inf off its support."""
+    t = float(prior.jr_C @ psi + eta)
+    return lp + prior.jr_a * np.log(t) - prior.jr_b * t if t > 0 else -np.inf
 
 
 def _logistic(x):

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
-from .calibration import ComputerModel, PriorSpec, _jr_log_prior, basis_matrix
+from .calibration import _GLS, ComputerModel, LikelihoodCore, PriorSpec, _gls, _jr_log_prior, basis_matrix
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
@@ -26,44 +26,6 @@ from .linalg import NumericalError, _tri_inv, cholesky_with_jitter
 
 def _intercept(Z):
     return np.ones(np.atleast_2d(Z).shape[0])
-
-
-class _GLS(NamedTuple):
-    """Generalized-least-squares trend fit under one correlation factor."""
-
-    L: np.ndarray
-    RinvH: np.ndarray
-    LM: np.ndarray
-    beta: np.ndarray
-    sigma2: float
-    alpha: np.ndarray
-    log_marginal: float
-
-
-def _gls(L, H, y) -> _GLS:
-    """Trend, variance and kriging weights given the correlation factor ``L``.
-
-    ``log_marginal`` is the log-likelihood with the trend and variance
-    integrated out under the prior ``1/sigma2``, up to a constant.
-    """
-    D, q = H.shape
-    RinvH = dpotrs(L, H, lower=1)[0]
-    if q:
-        M = H.T @ RinvH
-        LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / q * np.eye(q))
-        Rinvy = dpotrs(L, y, lower=1)[0]
-        beta = dpotrs(LM, H.T @ Rinvy, lower=1)[0]
-    else:  # an empty basis: a zero trend, nothing to estimate
-        LM, beta = np.zeros((0, 0)), np.zeros(0)
-    resid = y - H @ beta
-    alpha = dpotrs(L, resid, lower=1)[0]
-    quad = float(resid @ alpha)
-    log_marginal = (
-        -float(np.sum(np.log(np.diag(L))))
-        - float(np.sum(np.log(np.diag(LM))))
-        - 0.5 * (D - q) * np.log(max(quad, 1e-300))
-    )
-    return _GLS(L, RinvH, LM, beta, max(quad, 0.0) / (D - q), alpha, log_marginal)
 
 
 def _kriging_mean(gls: _GLS, h, r):
@@ -172,7 +134,7 @@ def emulator_fit(
         psi = np.exp(log_psi)
         try:
             L, _ = cholesky_with_jitter(cov.corr(1.0 / psi))
-            lp = _gls(L, H, outputs).log_marginal
+            lp = _gls(L, H, outputs, LikelihoodCore.logdet_half(L)).log_marginal
         except (NumericalError, np.linalg.LinAlgError):
             return _BAD_OBJECTIVE
         lp += _jr_log_prior(prior, psi) + float(np.sum(log_psi))
@@ -205,7 +167,7 @@ def _finalize(design, outputs, mean_basis, ranges, H, cov: _ModeCov) -> Emulator
         outputs=outputs,
         mean_basis=mean_basis,
         kernel=kern,
-        _gls=_gls(L, H, outputs),
+        _gls=_gls(L, H, outputs, LikelihoodCore.logdet_half(L)),
         _cov=cov,
     )
 
@@ -249,7 +211,7 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
     cov = _ModeCov(DiscrepancySpec(SGASP, model.kernel, lam=lam), model.design)
     L, _ = cholesky_with_jitter(cov.corr(model.kernel.ranges))
     rz, cz = cov.cross(model.kernel.ranges, None, Z)
-    gls = _gls(L, model.basis(model.design), model.outputs)
+    gls = _gls(L, model.basis(model.design), model.outputs, LikelihoodCore.logdet_half(L))
     mean, variance = _student_t(gls, model.basis(Z), rz, cz)
     return mean, variance, model.dof
 

@@ -1,6 +1,7 @@
-"""Parameter estimation: multi-start quasi-Newton MLE and blockwise
-adaptive random-walk Metropolis with a conjugate draw for the discrepancy
-variance."""
+"""Parameter estimation: multi-start quasi-Newton MLE and a collapsed blockwise
+adaptive random-walk Metropolis sampler, which walks (theta, psi, eta) with the
+trend and the discrepancy variance integrated out and draws those two exactly
+each iteration (collapsed Gibbs; Liu, JASA 1994)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .calibration import (
     ETA_FLOOR,
     PSI_OVERFLOW,
+    _GLS,
     CalibParams,
     ComputerModel,
     FieldDataset,
@@ -19,8 +22,8 @@ from .calibration import (
     ParamTransform,
     PredictiveResult,
     PriorSpec,
+    _gls,
     _jr_log_prior,
-    _jr_terms,
     _predict,
     _theta_log_prior,
     initial_params,
@@ -63,6 +66,7 @@ def _multistart(objective, start_box, n_starts: int, seed: int, bounds, options:
     """
     from scipy.optimize import minimize  # only here, so importing gpcalib skips scipy.optimize
 
+    _check_integer("n_starts", n_starts)
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     U = maximin_lhd(max(n_starts, 2), len(start_box), iterations=50, seed=seed)[:n_starts]
@@ -193,7 +197,7 @@ def mle_fit(
 
 
 def _check_integer(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -207,10 +211,9 @@ class AdaptiveRWSampler:
 
     Proposal scales start at ``_INITIAL_SCALE``, follow a Robbins-Monro recursion
     toward ``_TARGET_ACCEPT`` during adaptation and are frozen afterwards.
-    An optional hook ``gibbs(x, lp, rng) -> (x, lp)`` runs after the
-    Metropolis blocks each iteration.  It may move coordinates by an exact
-    conditional draw and returns the new point together with its log
-    posterior, which the sampler keeps without evaluating ``logpost`` again.
+    An optional hook ``gibbs(x, rng) -> x`` runs after the Metropolis blocks
+    each iteration.  It may move only coordinates that ``logpost`` does not
+    read, by an exact conditional draw, so the sampler keeps its log posterior.
     A ``logpost`` with ``score(x, block)`` and ``accept()`` methods scores the
     start as block ``None`` and each proposal as its block, and is told when
     the proposal it scored last is taken.
@@ -265,7 +268,7 @@ class AdaptiveRWSampler:
                     self._proposed[name] += 1
                     self._accepted[name] += taken
             if gibbs is not None:
-                x, lp = gibbs(x, lp, rng)
+                x = gibbs(x, rng)
             out[i] = x
         self.x, self.lp = x, lp
         return out
@@ -311,15 +314,22 @@ class PosteriorChain:
 
 
 class _CalibPosterior:
-    """Log posterior on the transformed scale that carries the current point.
+    """Log posterior of (theta, psi, eta) on the transformed scale, with the
+    trend coefficients and the discrepancy variance integrated out, carrying
+    the current point.
 
-    A value is assembled from four pieces: theta's (theta, its log prior, its
-    log-Jacobian term and the model values ``f(X, theta)``), the
-    correlation's (``a log t`` and ``b t`` of the jointly robust prior, the
-    factor ``L`` of ``K + eta I`` and ``log |L|``), the residual and the
-    quadratic form ``resid' (L L')^-1 resid``.  ``score(z, block)``
-    recomputes the pieces a move of ``block`` changes, takes the rest from
-    the current point and holds the result; ``accept()`` makes it current.
+    Under the flat prior on beta and ``1/sigma2`` on sigma2 it is the theta
+    log prior, the jointly robust prior and the log-Jacobian of the theta, psi
+    and eta coordinates plus :func:`_gls`'s
+    ``log_marginal = -log|L| - log|L_M| - ((n - q)/2) log Q``; it reads
+    neither the beta nor the sigma2 coordinates.  A value is assembled from
+    three pieces: theta's (theta, its log prior plus Jacobian term and the
+    model values ``f(X, theta)``), the correlation's (the jointly robust log
+    prior plus the psi and eta Jacobian terms, the factor ``L`` of
+    ``K + eta I`` and ``log |L|``) and the GLS fit of ``y - f(X, theta)``
+    under ``L``.  ``score(z, block)`` recomputes the pieces a move of
+    ``block`` changes, takes the rest from the current point and holds the
+    result; ``accept()`` makes it current, whose fit is :attr:`gls`.
     ``score(z, None)`` and ``__call__(z)`` compute every piece, and
     ``__call__`` keeps nothing.
     """
@@ -332,14 +342,14 @@ class _CalibPosterior:
         self._current = self._pending = None
 
     @property
-    def quad(self) -> float:
-        """The quadratic form at the current point."""
-        return self._current[3]
+    def gls(self) -> _GLS:
+        """The GLS fit at the current point."""
+        return self._current[2]
 
     def _evaluate(self, z, block):
         """``(log posterior, pieces)`` at ``z``; no pieces where it is -inf."""
         tr, core = self.tr, self.core
-        theta_piece, corr_piece, resid, _ = self._current or (None,) * 4
+        theta_piece, corr_piece, _ = self._current or (None,) * 3
         if not np.isfinite(z).all():
             return -np.inf, None
         if block in (None, "theta"):
@@ -348,31 +358,24 @@ class _CalibPosterior:
             if lp_theta == -np.inf:
                 return -np.inf, None
             fm = core.model.evaluate(core.data.X, theta)
-            theta_piece = theta, lp_theta, tr._theta_log_jacobian(u), fm
-        theta, lp_theta, lj_theta, fm = theta_piece
+            theta_piece = theta, lp_theta + tr._theta_log_jacobian(u), fm
+        theta, lp_theta, fm = theta_piece
         if block in (None, "corr") or (block == "theta" and self._theta_moves_corr):
             psi, eta = tr._corr(z)
             if not ((psi > PSI_OVERFLOW).all() and np.isfinite(psi).all() and np.isfinite(eta)):
                 return -np.inf, None  # exp over- or underflow, or a range 1/psi that overflows
-            jr = _jr_terms(self.prior, psi, eta)
-            if jr is None:
+            # the psi and eta coordinates are logs, so each is its own log-Jacobian term
+            lp_corr = _jr_log_prior(self.prior, psi, eta, float(z[tr.psi_slice].sum()) + z[tr.eta_index])
+            if not np.isfinite(lp_corr):
                 return -np.inf, None
             try:
                 L, _ = core.corr_chol(psi, eta, theta)
             except NumericalError:
                 return -np.inf, None
-            corr_piece = jr[0], jr[1], L, core.logdet_half(L)
-        a_log_t, b_t, L, logdet = corr_piece
-        sigma2 = np.exp(z[tr.sigma2_index])
-        lp = lp_theta + a_log_t - b_t - np.log(sigma2)
-        if not np.isfinite(lp):
-            return -np.inf, None
-        lp += tr._log_jacobian_at(z, lj_theta)
-        if block != "corr":
-            resid = core.data.y - core.with_trend(fm, z[tr.beta_slice])
-        quad = core.quad_form(L, resid)
-        lp = core.loglik_from_chol(L, resid, sigma2, logdet, quad) + lp
-        return lp, (theta_piece, corr_piece, resid, quad)
+            corr_piece = lp_corr, L, core.logdet_half(L)
+        lp_corr, L, logdet = corr_piece
+        gls = _gls(L, core.H, core.data.y - fm, logdet)
+        return lp_theta + lp_corr + gls.log_marginal, (theta_piece, corr_piece, gls)
 
     def __call__(self, z) -> float:
         return self._evaluate(z, None)[0]
@@ -397,19 +400,26 @@ def mcmc_run(
     update_theta: bool = True,
     update_corr: bool = True,
 ) -> PosteriorChain:
-    """Blockwise Metropolis sampler for the calibration posterior.
+    """Collapsed blockwise Metropolis sampler for the calibration posterior.
 
-    Blocks: the calibration parameters, the correlation parameters
-    (inverse ranges and nugget ratio, jointly), and the mean-basis
-    coefficients; the discrepancy variance is refreshed each iteration by its
-    exact inverse-gamma conditional under the 1/sigma2 prior.  Proposal
-    scales adapt during burn-in only.  The returned chain stores every
-    iteration in the original parameterization.
+    The Metropolis chain walks two blocks, the calibration parameters and the
+    correlation parameters (inverse ranges and nugget ratio, jointly), on
+    their posterior with the mean-basis coefficients (flat prior) and the
+    discrepancy variance (prior 1/sigma2) integrated out.  After the blocks,
+    each iteration draws the variance from its inverse-gamma conditional
+    ``IG((n - q)/2, Q/2)`` and then the coefficients from
+    ``N(beta_hat, sigma2 (H' K^-1 H)^-1)``, both given the current
+    (theta, psi, eta); so the joint target is unchanged.  Proposal scales
+    adapt during burn-in only.  The returned chain stores every iteration in
+    the original parameterization.
     """
     _check_integer("S", S)
     _check_integer("burn_in", burn_in)
     if S <= burn_in or burn_in < 0:
         raise ValueError("need S > burn_in >= 0")
+    n, q = data.n, spec.n_basis
+    if n <= q:
+        raise ValueError("need more observations than mean basis functions")
     if prior is None:
         prior = PriorSpec.default(data)
     core = LikelihoodCore(data, model, spec)
@@ -423,24 +433,22 @@ def mcmc_run(
     blocks = {}
     if update_theta:
         blocks["theta"] = np.r_[tr.theta_slice]
-    if tr.n_basis > 0:
-        blocks["beta"] = np.r_[tr.beta_slice]
     if update_corr:
         blocks["corr"] = np.r_[tr.psi_slice, tr.eta_index]
-    sigma2_idx = tr.sigma2_index
-    n = data.n
+    sigma2_idx, beta_idx = tr.sigma2_index, tr.beta_slice
 
-    def gibbs_sigma2(z, lp, rng):
-        quad = posterior.quad
-        s_old = z[sigma2_idx]
+    def draw_sigma2_beta(z, rng):
+        gls = posterior.gls
         z = z.copy()
-        z[sigma2_idx] = s = np.log(quad / 2.0 / rng.gamma(n / 2.0))
-        # only log sigma2 = s moved: the prior's -s and the Jacobian's +s
-        # cancel, leaving the likelihood's change
-        return z, lp - 0.5 * n * (s - s_old) - 0.5 * quad * (np.exp(-s) - np.exp(-s_old))
+        z[sigma2_idx] = s = np.log(gls.Q / 2.0 / rng.gamma((n - q) / 2.0))
+        if q:  # beta_hat + sigma LM'^-1 e has covariance sigma2 (LM LM')^-1
+            # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
+            e = dtrtrs(gls.LM.T, rng.standard_normal(q), lower=0)[0]
+            z[beta_idx] = gls.beta + np.exp(0.5 * s) * e
+        return z
 
     rng = np.random.default_rng(seed)
-    sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=gibbs_sigma2)
+    sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=draw_sigma2_beta)
     z_samples = sampler.run(S, adapt_until=burn_in)
 
     samples = np.column_stack(tr._split(z_samples)[1:])

@@ -162,3 +162,19 @@ def conditional_mp(R, r_star, resid, shift: float, constraint=None, digits: int 
         mean = V.T * w
         var = [c0[j] - sum(V[i, j] ** 2 for i in range(n)) for j in range(m)]
         return np.array([float(mean[j]) for j in range(m)]), np.array([float(v) for v in var])
+
+
+def integrated_log_marginal(A, H, r) -> float:
+    """Log-likelihood of ``r ~ N(H beta, sigma2 A)`` with ``beta`` (flat prior)
+    and ``sigma2`` (prior ``1/sigma2``) integrated out, up to a constant.
+
+    ``-log|A|/2 - log|M|/2 - ((n - q)/2) log Q`` with ``M = H' A^-1 H``, the
+    GLS estimate ``b = M^-1 H' A^-1 r`` and ``Q = (r - H b)' A^-1 (r - H b)``,
+    from dense ``slogdet`` and ``solve``.
+    """
+    n, q = H.shape
+    AinvH = np.linalg.solve(A, H)
+    M = H.T @ AinvH
+    e = r - H @ np.linalg.solve(M, AinvH.T @ r)
+    Q = float(e @ np.linalg.solve(A, e))
+    return -0.5 * np.linalg.slogdet(A)[1] - 0.5 * np.linalg.slogdet(M)[1] - 0.5 * (n - q) * np.log(Q)

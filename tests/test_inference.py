@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 from scipy.linalg import solve_triangular
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize_scalar
 
 from gpcalib import discrepancy
+from gpcalib.baselines import l2_calibrate
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
@@ -14,12 +16,14 @@ from gpcalib.calibration import (
     LikelihoodCore,
     ParamTransform,
     PriorSpec,
+    basis_matrix,
     initial_params,
     log_prior,
     marginal_loglik,
     predict,
 )
 from gpcalib.discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
+from gpcalib.emulator import emulator_fit
 from gpcalib.kernels import KernelSpec
 from gpcalib.linalg import NumericalError
 from gpcalib.models import builtin_model
@@ -33,6 +37,7 @@ from gpcalib.inference import (
     posterior_summary,
     predict_posterior,
 )
+from oracles import integrated_log_marginal
 
 
 def _quadratic_setup():
@@ -126,6 +131,20 @@ class TestMleFit:
         records = err.value.per_start
         assert [s["index"] for s in records] == [0, 1, 2]
         assert not any(s["converged"] for s in records)
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3), True])
+@pytest.mark.parametrize("fit", ["mle_fit", "emulator_fit", "l2_calibrate"])
+def test_multistart_fits_reject_non_integer_n_starts(fit, value):
+    data, model = _quadratic_setup()
+    spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+    calls = {
+        "mle_fit": lambda: mle_fit(data, model, spec, n_starts=value),
+        "emulator_fit": lambda: emulator_fit(data.X, data.y, n_starts=value),
+        "l2_calibrate": lambda: l2_calibrate(data, model, n_starts=value),
+    }
+    with pytest.raises(ValueError, match="^n_starts must be an integer"):
+        calls[fit]()
 
 
 class TestAdaptiveRWSampler:
@@ -246,12 +265,73 @@ class TestMcmcRun:
         ks = stats.kstest(draws, stats.invgamma(a=data.n / 2, scale=quad / 2).cdf)
         assert ks.statistic < 0.05
 
-    @pytest.mark.parametrize("name, value", [("S", 20.5), ("burn_in", 5.0), ("S", "30")])
+    def test_exact_variance_and_trend_draws(self):
+        # with (theta, psi, eta) fixed and one basis function, sigma2 follows
+        # IG((n - 1)/2, Q/2) and beta, with sigma2 integrated out, follows
+        # beta_hat + t_(n-1) * sqrt(Q / (n - 1) / M)
+        data, model = _sine_data(n=12, seed=6)
+        spec = DiscrepancySpec(
+            SGASP, KernelSpec("matern52", [0.5]), mean_basis=[lambda X: np.ones(X.shape[0])]
+        )
+        start = initial_params(data, model, spec, eta=0.05)
+        chain = mcmc_run(
+            data, model, spec, S=5_100, burn_in=100, seed=15, initial=start,
+            update_theta=False, update_corr=False,
+        )
+        n = data.n
+        A = LikelihoodCore(data, model, spec).corr_target(start.psi_delta) + start.eta * np.eye(n)
+        H = np.ones((n, 1))
+        r = data.y - model.evaluate(data.X, start.theta)
+        AinvH = np.linalg.solve(A, H)
+        M = (H.T @ AinvH).item()
+        beta_hat = (AinvH.T @ r).item() / M
+        Q = (r - beta_hat) @ np.linalg.solve(A, r - beta_hat)
+        kept = chain.post_burn_in()
+        sigma2 = kept[:, chain.param_names.index("sigma2_delta")]
+        beta = kept[:, chain.param_names.index("beta_1")]
+        assert stats.kstest(sigma2, stats.invgamma(a=(n - 1) / 2, scale=Q / 2).cdf).statistic < 0.05
+        t = stats.t(df=n - 1, loc=beta_hat, scale=np.sqrt(Q / (n - 1) / M))
+        assert stats.kstest(beta, t.cdf).statistic < 0.05
+
+    def test_theta_marginal_matches_grid_quadrature(self):
+        # with psi and eta fixed, theta's median and 95% endpoints match a grid
+        # quadrature of the integrated posterior within 3 batch-means MC
+        # standard errors
+        x = np.linspace(0, 1, 10)[:, None]
+        rng = np.random.default_rng(12)
+        y = 1.3 * x[:, 0] + 0.2 * np.sin(5 * x[:, 0]) + 0.1 * rng.standard_normal(10)
+        data = FieldDataset(x, y, [[0.0, 1.0]])
+        model = ComputerModel(lambda X, th: th[0] * X[:, 0], theta_bounds=[[0.0, 3.0]], vectorized=True)
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        start = initial_params(data, model, spec, theta=[1.0], eta=0.1)
+        chain = mcmc_run(data, model, spec, S=22_000, burn_in=2_000, seed=16, initial=start, update_corr=False)
+        theta = chain.post_burn_in()[:, 0]
+
+        A = LikelihoodCore(data, model, spec).corr_target(start.psi_delta) + start.eta * np.eye(10)
+        grid = np.linspace(0.0, 3.0, 3001)
+        logp = np.array([integrated_log_marginal(A, np.zeros((10, 0)), y - t * x[:, 0]) for t in grid])
+        dens = np.exp(logp - logp.max())
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+        probs = [0.025, 0.5, 0.975]
+        want = np.interp(probs, cdf / cdf[-1], grid)
+        got = np.quantile(theta, probs)
+        se = np.quantile(theta.reshape(40, -1), probs, axis=1).std(axis=1, ddof=1) / np.sqrt(40)
+        assert np.all(np.abs(got - want) <= 3 * se), (got, want, se)
+
+    @pytest.mark.parametrize("name, value", [("S", 20.5), ("burn_in", 5.0), ("S", "30"), ("S", True)])
     def test_rejects_non_integer_counts(self, name, value):
         data, model = _sine_data()
         spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             mcmc_run(data, model, spec, **{"S": 30, "burn_in": 10, name: value})
+
+    def test_rejects_as_many_basis_functions_as_observations(self):
+        # the variance draw IG((n - q)/2, Q/2) needs n > q
+        data, model = _sine_data(n=2)
+        basis = [lambda X: np.ones(X.shape[0]), lambda X: X[:, 0]]
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=basis)
+        with pytest.raises(ValueError, match="more observations than mean basis functions"):
+            mcmc_run(data, model, spec, S=10, burn_in=1)
 
     def test_rejects_boundary_start(self):
         data, model = _sine_data()
@@ -262,25 +342,26 @@ class TestMcmcRun:
             mcmc_run(data, model, spec, S=10, burn_in=1, seed=0, initial=bad)
 
 
-def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.0) ** 2):
-    """Posterior with a two-function mean basis and a Gaussian theta prior."""
+def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.0) ** 2, n_basis=2):
+    """Posterior with the first ``n_basis`` of (1, x) as the mean basis and a
+    Gaussian theta prior."""
     x = np.linspace(0, 1, 12)[:, None]
     rng = np.random.default_rng(8)
     data = FieldDataset(x, np.sin(10 * x[:, 0]) + 0.3 * rng.standard_normal(12), [[0.0, 1.0]])
     model = builtin_model("sine_theta_x")
-    basis = [lambda X: np.ones(X.shape[0]), lambda X: X[:, 0]]
+    basis = [lambda X: np.ones(X.shape[0]), lambda X: X[:, 0]][:n_basis]
     spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]), mean_basis=basis, quad_points=60)
     prior = PriorSpec.default(data, theta_log_prior=theta_log_prior)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
     return data, model, spec, prior, tr, _CalibPosterior(LikelihoodCore(data, model, spec), prior, tr)
 
 
-def _random_z(rng):
-    # layout: logit theta, beta (2), log psi, log sigma2, log(eta + floor)
+def _random_z(rng, n_basis=2):
+    # layout: logit theta, beta, log psi, log sigma2, log(eta + floor)
     return np.concatenate(
         [
             rng.normal(0.0, 1.5, 1),
-            rng.normal(0.0, 1.0, 2),
+            rng.normal(0.0, 1.0, n_basis),
             rng.uniform(np.log(0.5), np.log(20.0), 1),
             rng.normal(0.0, 1.0, 1),
             rng.uniform(np.log(1e-4), 0.0, 1),
@@ -291,39 +372,80 @@ def _random_z(rng):
 class TestCalibPosterior:
     @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
     def test_raw_vector_matches_assembled_posterior(self, mode):
-        data, model, spec, prior, tr, post = _posterior_case(mode)
+        # the score is the log prior and log-Jacobian (whose log sigma2 terms
+        # cancel) plus the dense integrated likelihood, whatever beta and
+        # sigma2 the vector holds
+        data, model, spec, prior, tr, post = _posterior_case(mode, n_basis=1)
+        core = LikelihoodCore(data, model, spec)
+        H = basis_matrix(data.X, spec.mean_basis)
         rng = np.random.default_rng(21)
         for _ in range(50):
-            z = _random_z(rng)
+            z = _random_z(rng, n_basis=1)
             params = tr.from_vector(z)
+            A = core.corr_target(params.psi_delta, params.theta) + params.eta * np.eye(data.n)
             want = (
                 log_prior(params, prior, model.theta_bounds)
                 + tr.log_jacobian(z)
-                + marginal_loglik(params, data, model, spec)
+                + integrated_log_marginal(A, H, data.y - model.evaluate(data.X, params.theta))
             )
             got = post(z)
             assert got == pytest.approx(want, rel=1e-10, abs=0.0)
-            assert post(z) == got  # cached factor and residual give the same value
+            assert post(z) == got  # cached factor and model values give the same value
+
+    @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
+    def test_score_differences_match_joint_target_integrated_over_log_variance(self, mode):
+        # with no mean basis, the score is log of the integral of the joint
+        # target (log prior + log-Jacobian + Gaussian log-likelihood) over
+        # log sigma2, up to a constant that cancels between points
+        data, model, spec, prior, tr, post = _posterior_case(mode, n_basis=0)
+        core = LikelihoodCore(data, model, spec)
+
+        def log_integral(z):
+            def joint(s):
+                w = z.copy()
+                w[tr.sigma2_index] = s
+                params = tr.from_vector(w)
+                return log_prior(params, prior, model.theta_bounds) + tr.log_jacobian(w) + core.loglik(params)
+
+            peak = minimize_scalar(lambda s: -joint(s)).x
+            top = joint(peak)
+            area, _ = quad(
+                lambda s: np.exp(joint(s) - top), peak - 40, peak + 40,
+                points=[peak], epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            return top + np.log(area)
+
+        rng = np.random.default_rng(22)
+        zs = [_random_z(rng, n_basis=0) for _ in range(8)]
+        got = np.array([post(z) for z in zs])
+        want = np.array([log_integral(z) for z in zs])
+        np.testing.assert_allclose(got[1:] - got[0], want[1:] - want[0], rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
     def test_closed_form_gibbs_matches_full_evaluation(self, mode, monkeypatch):
-        pairs = []
+        # the exact variance and trend draw moves only the sigma2 and beta
+        # coordinates, which the log posterior does not read: the value the
+        # sampler keeps across the draw equals a full evaluation after it
+        data, model, spec, prior, tr, _ = _posterior_case(mode)
+        drawn = np.r_[tr.beta_slice, tr.sigma2_index]
+        draws = []
         init = AdaptiveRWSampler.__init__
 
         def checking_init(self, logpost, blocks, x0, rng, gibbs=None, **kwargs):
-            def checked(x, lp, rng):
-                x, lp = gibbs(x, lp, rng)
-                pairs.append((lp, logpost(x)))
-                return x, lp
+            def checked(x, rng):
+                new = gibbs(x, rng)
+                draws.append((logpost(x), logpost(new), np.delete(x, drawn), np.delete(new, drawn)))
+                return new
 
             init(self, logpost, blocks, x0, rng, gibbs=checked, **kwargs)
 
         monkeypatch.setattr(AdaptiveRWSampler, "__init__", checking_init)
-        data, model, spec, prior, *_ = _posterior_case(mode)
-        mcmc_run(data, model, spec, prior, S=150, burn_in=50, seed=5)
-        got, want = np.array(pairs).T
-        assert len(pairs) == 150
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        chain = mcmc_run(data, model, spec, prior, S=150, burn_in=50, seed=5)
+        assert len(draws) == 150
+        for before, after, kept_before, kept_after in draws:
+            assert np.isfinite(before) and after == before
+            assert np.array_equal(kept_after, kept_before)
+        assert np.unique(chain.samples[:, tr.sigma2_index]).size == 150
 
     @pytest.mark.parametrize(
         "coord, value",
@@ -395,13 +517,12 @@ class TestCalibPosterior:
 
     @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
     def test_block_scores_equal_full_scores(self, mode):
-        # random block moves, some taken and some not, with log sigma2 moved
-        # in between as the variance draw does: every score equals a fresh
-        # full evaluation, bit for bit
+        # random block moves, some taken and some not, with log sigma2 and
+        # beta moved in between as the exact draw does: every score equals a
+        # fresh full evaluation, and the carried GLS fit a fresh one, bit for bit
         data, model, spec, prior, tr, post = _posterior_case(mode)
         blocks = [
             ("theta", np.r_[tr.theta_slice]),
-            ("beta", np.r_[tr.beta_slice]),
             ("corr", np.r_[tr.psi_slice, tr.eta_index]),
         ]
         rng = np.random.default_rng(31)
@@ -410,7 +531,7 @@ class TestCalibPosterior:
         post.accept()
         taken = 0
         for _ in range(90):
-            name, idx = blocks[rng.integers(3)]
+            name, idx = blocks[rng.integers(2)]
             prop = z.copy()
             prop[idx] += 0.4 * rng.standard_normal(idx.size)
             got = post.score(prop, name)
@@ -421,14 +542,17 @@ class TestCalibPosterior:
             if rng.random() < 0.3:
                 z = z.copy()
                 z[tr.sigma2_index] += rng.normal()
-            assert post.quad == post._evaluate(z, None)[1][3]
+                z[tr.beta_slice] += rng.normal(size=tr.n_basis)
+            for got_field, want_field in zip(post.gls, post._evaluate(z, None)[1][2]):
+                assert np.array_equal(got_field, want_field)
         assert 20 < taken < 70
 
     @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
     def test_model_and_factor_work_per_proposal(self, mode, monkeypatch):
-        # the model runs once per theta proposal, never for a beta or
-        # correlation move; the correlation is factored once per correlation
-        # proposal, and per theta proposal too where it depends on theta
+        # the model runs once per theta proposal, never for a correlation
+        # move or the exact draw; the correlation is factored once per
+        # correlation proposal, and per theta proposal too where it depends
+        # on theta
         calls = {"evaluate": 0, "corr_chol": 0}
         for cls, name in ((ComputerModel, "evaluate"), (LikelihoodCore, "corr_chol")):
             def counting(self, *args, _f=getattr(cls, name), _name=name):
@@ -447,39 +571,39 @@ class TestCalibPosterior:
         [
             (
                 GASP,
-                [1058.6019885010066, -87.05578360036783, 119.76438802359202,
-                 170.28584972139865, 471.99230596365385, 19.930184447970174],
-                [10.040887405412427, -0.6826817954946708, 0.9652078677907904,
-                 3.995774595772783, 0.12704994611419987, 0.7668174621889716],
-                [1 / 30, 0.18333333333333332, 0.26666666666666666],
+                [1043.2041970376733, -54.29020297002654, 64.72050244672491,
+                 509.0184453616658, 327.35344499798435, 69.90694312242947],
+                [9.968222727478008, -0.5026859903426149, 0.8530856056471101,
+                 19.050270029204622, 0.033216431649531336, 0.9379239919164342],
+                [0.05, 0.5],
             ),
             (
                 SGASP,
-                [1062.248566148572, -62.46671043844372, 96.12061535060988,
-                 135.32640139641074, 497.5470399365443, 14.071118734218576],
-                [10.020930040215037, -0.8665160563848616, 0.8334564478948399,
-                 0.4212389169830266, 0.656310273296408, 0.2405896101934812],
-                [1 / 30, 0.05, 0.35],
+                [1047.7000913564373, -56.237060115214376, 87.28342573691543,
+                 708.8242969400221, 301.46654404418575, 67.63007292540301],
+                [10.02122778925, -0.5141946841286456, 0.8836086127872406,
+                 16.621517738523206, 0.028464794486210643, 1.3940450586403617],
+                [0.05, 0.43333333333333335],
             ),
             (
                 OGASP,
-                [1098.4034598485807, -88.88548275169576, 89.91095464083884,
-                 420.84903671475735, 582.1683041580853, 39.27944855827673],
-                [10.333802862742152, -0.683346805696533, 0.9498236337022948,
-                 6.614211622961404, 0.05522906853034894, 2.302950955639982],
-                [1 / 30, 0.15, 0.31666666666666665],
+                [1059.041573843883, -60.16114167042805, 85.94780450531522,
+                 565.9763809943267, 362.0124147085705, 73.73559855821127],
+                [10.281812962729283, -0.5179488726647127, 1.0195162534557696,
+                 0.9551770732278512, 0.13838542649131164, 0.3609313872435058],
+                [0.06666666666666667, 0.3],
             ),
         ],
     )
     def test_golden_chain(self, mode, sums, last, rates):
-        # a fixed-seed 100-iteration chain through all three blocks and the
-        # variance draw: a change to the sampler's arithmetic or to the order
-        # of its random draws shows here
+        # a fixed-seed 100-iteration chain through both blocks and the exact
+        # variance and trend draw: a change to the sampler's arithmetic or to
+        # the order of its random draws shows here
         data, model, spec, prior, *_ = _posterior_case(mode)
         chain = mcmc_run(data, model, spec, prior, S=100, burn_in=40, seed=9)
         np.testing.assert_allclose(chain.samples.sum(axis=0), sums, rtol=1e-9)
         np.testing.assert_allclose(chain.samples[-1], last, rtol=1e-9)
-        got = [chain.acceptance_rates[name] for name in ("theta", "beta", "corr")]
+        got = [chain.acceptance_rates[name] for name in ("theta", "corr")]
         np.testing.assert_allclose(got, rates, rtol=1e-9)
 
 
@@ -593,6 +717,8 @@ class TestPredictPosterior:
         chain = _chain_from(np.tile([31.0, 2.0, 1.0, 0.05], (4, 1)))
         with pytest.raises(ValueError, match="^thin must be an integer"):
             predict_posterior(chain, data, model, spec, [[0.4]], thin=2.5)
+        with pytest.raises(ValueError, match="^thin must be an integer"):
+            predict_posterior(chain, data, model, spec, [[0.4]], thin=True)
 
     def test_two_equal_samples_match_single(self):
         data, model = _sine_data(n=10, seed=9)
