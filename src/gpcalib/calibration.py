@@ -16,11 +16,11 @@ where ``K`` is the discrepancy correlation matrix of the chosen mode and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
@@ -163,6 +163,13 @@ class CalibParams:
     def sigma2_noise(self) -> float:
         return self.eta * self.sigma2_delta
 
+    def _check_lengths(self, p_theta: int, n_basis: int, p_x: int) -> None:
+        """Reject theta, beta and psi blocks whose lengths are not
+        ``(p_theta, n_basis, p_x)``."""
+        for name, size in (("theta", p_theta), ("beta_delta", n_basis), ("psi_delta", p_x)):
+            if getattr(self, name).size != size:
+                raise ValueError(f"{name} has length {getattr(self, name).size}, expected {size}")
+
     def gamma(self) -> np.ndarray:
         return 1.0 / self.psi_delta
 
@@ -267,14 +274,15 @@ class LikelihoodCore:
     def corr_depends_on_theta(self) -> bool:
         return self.spec.mode == dm.OGASP
 
-    def mean_vector(self, theta, beta) -> np.ndarray:
+    def mean_vector(self, theta, beta=None) -> np.ndarray:
+        """``f(X, theta) + H beta`` at the design, or ``f(X, theta)`` without ``beta``."""
         key = np.atleast_1d(np.asarray(theta, dtype=float)).tobytes()
         if self._theta_cache is not None and self._theta_cache[0] == key:
             fm = self._theta_cache[1]
         else:
             fm = self.model.evaluate(self.data.X, theta)
             self._theta_cache = (key, fm)
-        if self.H.shape[1]:
+        if beta is not None and self.H.shape[1]:
             return fm + self.H @ np.asarray(beta, dtype=float).reshape(-1)
         return fm
 
@@ -292,47 +300,16 @@ class LikelihoodCore:
         return cholesky_with_jitter(_shifted(K, eta) if eta > 0 else K)
 
     @staticmethod
-    def quad_form(L, resid) -> float:
-        """``resid' (L L')^-1 resid`` for the correlation factor ``L``."""
-        alpha, _ = dtrtrs(L, resid, lower=1)
-        return float(alpha @ alpha)
-
-    def profiled_sigma2(self, L, resid) -> float:
-        """Discrepancy variance maximizing the likelihood at this factor."""
-        return max(self.quad_form(L, resid) / self.data.n, 1e-300)
-
-    @staticmethod
     def logdet_half(L) -> float:
         """``log |L L'| / 2``, the sum of the log diagonal of ``L``."""
         return float(np.log(np.diag(L)).sum())
 
     def loglik_from_chol(self, L, resid, sigma2: float) -> float:
         """Log-likelihood at ``sigma2`` given the correlation factor ``L``."""
-        n = self.data.n
-        quad = self.quad_form(L, resid)
-        return -0.5 * n * (LOG_2PI + np.log(sigma2)) - self.logdet_half(L) - 0.5 * quad / sigma2
-
-    def fit_loglik(self, L, resid, sigma2_fixed: float | None) -> float:
-        """Log-likelihood ``mle_fit`` maximizes: at ``sigma2_fixed``, or profiled.
-
-        It rounds ``log(2 pi sigma2)`` unlike :meth:`loglik_from_chol`; fits on
-        flat likelihood ridges follow that last digit, so each keeps its own.
-        """
-        n = self.data.n
-        logdet = self.logdet_half(L)
-        if sigma2_fixed is None:
-            s2 = self.profiled_sigma2(L, resid)
-            return -0.5 * n * (np.log(2 * np.pi * s2) + 1.0) - logdet
-        quad = self.quad_form(L, resid)
-        return -0.5 * n * np.log(2 * np.pi * sigma2_fixed) - logdet - 0.5 * quad / sigma2_fixed
-
-    def _check_psi(self, psi) -> None:
-        """Reject inverse ranges that do not match the data dimension."""
-        if np.size(psi) != self.data.p:
-            raise ValueError("psi_delta length does not match the data dimension")
+        return _gls(L, self.H[:, :0], resid, self.logdet_half(L)).loglik(sigma2)
 
     def loglik(self, params: CalibParams) -> float:
-        self._check_psi(params.psi_delta)
+        params._check_lengths(self.model.p_theta, self.spec.n_basis, self.data.p)
         L, _ = self.corr_chol(params.psi_delta, params.eta, params.theta)
         resid = self.data.y - self.mean_vector(params.theta, params.beta_delta)
         return self.loglik_from_chol(L, resid, params.sigma2_delta)
@@ -347,6 +324,7 @@ class _GLS(NamedTuple):
     beta: np.ndarray
     alpha: np.ndarray
     Q: float
+    logdet: float
     log_marginal: float
 
     @property
@@ -354,10 +332,17 @@ class _GLS(NamedTuple):
         """The variance estimate ``Q / (n - q)``."""
         return self.Q / (self.L.shape[0] - self.LM.shape[0])
 
+    def loglik(self, sigma2: float | None = None) -> float:
+        """Gaussian log-likelihood at the trend ``beta`` and the variance
+        ``sigma2``, or its maximizer ``Q / n`` when none is given."""
+        n = self.L.shape[0]
+        s2 = self.Q / n if sigma2 is None else sigma2
+        return -0.5 * n * (LOG_2PI + np.log(s2)) - self.logdet - 0.5 * self.Q / s2
+
 
 def _gls(L, H, y, logdet) -> _GLS:
     """Fit the trend ``H beta`` to ``y`` under the factor ``L`` of ``R = L L'``,
-    with ``logdet = log |L|`` from the caller.
+    with ``logdet = log |L|`` from the caller, which the fit keeps.
 
     ``beta`` is the GLS estimate, ``LM`` the factor of ``M = H' R^-1 H``,
     ``alpha = R^-1 (y - H beta)`` the kriging weights and ``Q`` the quadratic
@@ -377,7 +362,7 @@ def _gls(L, H, y, logdet) -> _GLS:
         RinvH, LM, beta, resid, logdet_M = H, np.zeros((0, 0)), np.zeros(0), y, 0.0
     alpha = dpotrs(L, resid, lower=1)[0]
     Q = max(float(resid @ alpha), 1e-300)
-    return _GLS(L, RinvH, LM, beta, alpha, Q, -logdet - logdet_M - 0.5 * (n - q) * np.log(Q))
+    return _GLS(L, RinvH, LM, beta, alpha, Q, logdet, -logdet - logdet_M - 0.5 * (n - q) * np.log(Q))
 
 
 def marginal_loglik(
@@ -480,6 +465,7 @@ class ParamTransform:
         )
 
     def to_vector(self, params: CalibParams) -> np.ndarray:
+        params._check_lengths(self.p_theta, self.n_basis, self.p_x)
         u = (params.theta - self._lower) / self._width
         if np.any(u <= 0) or np.any(u >= 1):
             raise ValueError("theta must be strictly inside its box to transform")
@@ -515,25 +501,15 @@ class ParamTransform:
         return np.exp(z[..., self.psi_slice]), eta
 
     def _theta_log_jacobian(self, u) -> float:
-        """The theta coordinates' term of :meth:`log_jacobian`, given ``u`` from
-        :meth:`_split`."""
+        """``log |d theta / d z|`` over the theta coordinates, given ``u`` from
+        :meth:`_split`; the log-scale coordinates add their own values."""
         return float((self._log_width + np.log(u) + np.log1p(-u)).sum())
-
-    def _log_jacobian_at(self, z, lj_theta) -> float:
-        """:meth:`log_jacobian` given its theta term ``lj_theta``."""
-        # psi, sigma2 and eta are the log-scale coordinates, from psi on
-        return lj_theta + float(z[self.psi_slice.start :].sum())
 
     def from_vector(self, z) -> CalibParams:
         z = np.asarray(z, dtype=float).reshape(-1)
         if z.size != self.dim:
             raise ValueError(f"expected vector of length {self.dim}, got {z.size}")
         return CalibParams(*self._split(z)[1:])
-
-    def log_jacobian(self, z) -> float:
-        """log |d(original)/d(transformed)| at the transformed point z."""
-        z = np.asarray(z, dtype=float).reshape(-1)
-        return self._log_jacobian_at(z, self._theta_log_jacobian(_logistic(z[self.theta_slice])))
 
 
 def predict(
@@ -565,7 +541,7 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
     Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
     if Xstar.shape[1] != data.p:
         raise ValueError("prediction inputs do not match the data dimension")
-    core._check_psi(params.psi_delta)
+    params._check_lengths(model.p_theta, spec.n_basis, data.p)
     L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
     r, c0 = core.cov.cross(params.gamma(), params.theta, Xstar)
 

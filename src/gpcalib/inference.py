@@ -89,12 +89,10 @@ class MleResult:
 
 def _search_box(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
     """Start ranges and optimizer bounds over the transformed free coordinates."""
-    ybar, ystd = float(np.mean(data.y)), float(np.std(data.y)) + 1e-9
     lengths = data.lengths
     box = np.zeros((tr.dim, 4))
     # theta start range: central 98% of the box, mapped through the logit
     box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
-    box[tr.beta_slice] = [ybar - 2 * ystd, ybar + 2 * ystd, -1e6, 1e6]
     box[tr.psi_slice] = np.column_stack(
         [np.log(0.5 / lengths), np.log(50.0 / lengths), np.log(1e-2 / lengths), np.log(1e4 / lengths)]
     )
@@ -115,36 +113,41 @@ def mle_fit(
 ) -> MleResult:
     """Maximize the marginal likelihood over transformed parameters.
 
-    The discrepancy variance is profiled out analytically unless
-    ``sigma2_fixed`` pins it.  ``prior`` adds the correlation-parameter prior
-    (plus transform Jacobian) to the objective, turning the fit into a
-    posterior-mode search; used for surrogate regressions where the raw
-    likelihood is prone to overfitting the range parameters.
+    The optimizer searches theta (unless ``optimize_theta`` is off), the
+    inverse ranges and the nugget ratio.  At each point :func:`_gls` profiles
+    out the mean-basis coefficients (their GLS estimate) and, unless
+    ``sigma2_fixed`` pins it, the discrepancy variance (``Q / n``).  ``prior``
+    adds the correlation-parameter prior (plus transform Jacobian) to the
+    objective, turning the fit into a posterior-mode search; used for
+    surrogate regressions where the raw likelihood is prone to overfitting
+    the range parameters.
     """
+    if sigma2_fixed is not None and not 0 < sigma2_fixed < np.inf:
+        raise ValueError("sigma2_fixed must be positive and finite")
+    if data.n <= spec.n_basis:
+        raise ValueError("need more observations than mean basis functions")
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
+    z_template = tr.to_vector(initial_params(data, model, spec))
 
-    base = initial_params(data, model, spec)
-    if sigma2_fixed is not None:
-        if not sigma2_fixed > 0:
-            raise ValueError("sigma2_fixed must be positive")
-        base = CalibParams(base.theta, base.beta_delta, base.psi_delta, sigma2_fixed, base.eta)
-    z_template = tr.to_vector(base)
-
-    free_idx = np.r_[tr.beta_slice, tr.psi_slice, tr.eta_index]
+    free_idx = np.r_[tr.psi_slice, tr.eta_index]
     if optimize_theta:
         free_idx = np.r_[tr.theta_slice, free_idx]
 
-    def objective(zfree) -> float:
+    def fit_at(zfree):
+        """The parameters at the free coordinates and the GLS fit there."""
         z = z_template.copy()
         z[free_idx] = zfree
         params = tr.from_vector(z)
+        L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
+        return params, _gls(L, core.H, data.y - core.mean_vector(params.theta), core.logdet_half(L))
+
+    def objective(zfree) -> float:
         try:
-            L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
+            params, fit = fit_at(zfree)
         except NumericalError:
             return _BAD_OBJECTIVE
-        resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-        ll = core.fit_loglik(L, resid, sigma2_fixed)
+        ll = fit.loglik(sigma2_fixed)
         if prior is not None:
             ll += _jr_log_prior(prior, params.psi_delta, params.eta)
             ll += float(np.sum(np.log(params.psi_delta))) + np.log(params.eta + ETA_FLOOR)
@@ -179,18 +182,11 @@ def mle_fit(
     if best is None or not per_start[best]["converged"]:
         raise OptimizationError("no optimization start converged", per_start)
 
-    z = z_template.copy()
-    z[free_idx] = results[best].x
-    params = tr.from_vector(z)
-    L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
-    resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-    if sigma2_fixed is None:
-        s2 = core.profiled_sigma2(L, resid)
-        params = CalibParams(params.theta, params.beta_delta, params.psi_delta, s2, params.eta)
-    loglik = core.loglik_from_chol(L, resid, params.sigma2_delta)
+    params, fit = fit_at(results[best].x)
+    sigma2 = fit.Q / data.n if sigma2_fixed is None else sigma2_fixed
     return MleResult(
-        best_params=params,
-        best_loglik=loglik,
+        best_params=CalibParams(params.theta, fit.beta, params.psi_delta, sigma2, params.eta),
+        best_loglik=fit.loglik(sigma2),
         per_start=per_start,
         sigma2_profiled=sigma2_fixed is None,
     )

@@ -178,3 +178,21 @@ def integrated_log_marginal(A, H, r) -> float:
     e = r - H @ np.linalg.solve(M, AinvH.T @ r)
     Q = float(e @ np.linalg.solve(A, e))
     return -0.5 * np.linalg.slogdet(A)[1] - 0.5 * np.linalg.slogdet(M)[1] - 0.5 * (n - q) * np.log(Q)
+
+
+def transform_log_jacobian(tr, z) -> float:
+    """``log |det d(original)/d(transformed)|`` of ``tr`` at ``z``, from the
+    dense Jacobian of its map written out per coordinate.
+
+    theta = lower + width u with u = 1 / (1 + exp(-z)) has derivative
+    width u (1 - u); beta is the identity; psi, sigma2 and eta + floor are
+    exponentials, each its own derivative.
+    """
+    z = np.asarray(z, dtype=float)
+    J = np.eye(z.size)
+    lower, upper = tr.theta_bounds[:, 0], tr.theta_bounds[:, 1]
+    u = 1.0 / (1.0 + np.exp(-z[tr.theta_slice]))
+    J[tr.theta_slice, tr.theta_slice] = np.diag((upper - lower) * u * (1.0 - u))
+    log_scale = np.r_[tr.psi_slice, tr.sigma2_index, tr.eta_index]
+    J[log_scale, log_scale] = np.exp(z[log_scale])
+    return float(np.linalg.slogdet(J)[1])

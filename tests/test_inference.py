@@ -37,7 +37,7 @@ from gpcalib.inference import (
     posterior_summary,
     predict_posterior,
 )
-from oracles import integrated_log_marginal
+from oracles import integrated_log_marginal, transform_log_jacobian
 
 
 def _quadratic_setup():
@@ -98,6 +98,53 @@ class TestMleFit:
         # the profiled variance maximizes the likelihood in the sigma2 slice
         for factor in (0.8, 1.25):
             bumped = CalibParams(p.theta, p.beta_delta, p.psi_delta, p.sigma2_delta * factor, p.eta)
+            assert marginal_loglik(bumped, data, model, spec) <= fit.best_loglik + 1e-9
+
+    def test_fixed_variance_is_reported_exactly(self):
+        # exp(log(1000.0)) is 999.9999999999998: the fit must not round-trip it
+        data, model = _quadratic_setup()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        fit = mle_fit(data, model, spec, n_starts=3, seed=0, sigma2_fixed=1000.0)
+        assert fit.best_params.sigma2_delta == 1000.0
+        assert not fit.sigma2_profiled
+        want = marginal_loglik(fit.best_params, data, model, spec)
+        assert fit.best_loglik == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma2_fixed", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_a_fixed_variance_that_is_not_positive_and_finite(self, sigma2_fixed):
+        data, model = _quadratic_setup()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        with pytest.raises(ValueError, match="sigma2_fixed"):
+            mle_fit(data, model, spec, n_starts=2, sigma2_fixed=sigma2_fixed)
+
+    def test_rejects_no_more_observations_than_basis_functions(self):
+        # the GLS trend would interpolate the data, leaving no residual variance
+        data = FieldDataset([[0.2], [0.7]], [1.0, 2.0], [[0.0, 1.0]])
+        basis = [lambda X: np.ones(X.shape[0]), lambda X: X[:, 0]]
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=basis)
+        with pytest.raises(ValueError, match="more observations"):
+            mle_fit(data, builtin_model("sine_theta_x"), spec, n_starts=2)
+
+    def test_mean_basis_is_profiled_by_gls(self):
+        data, model = _quadratic_setup()
+        rng = np.random.default_rng(5)
+        data = FieldDataset(data.X, data.y + 0.5 + 0.05 * rng.standard_normal(data.n), data.domain)
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=[lambda X: np.ones(X.shape[0])])
+        fit = mle_fit(data, model, spec, n_starts=4, seed=0)
+        p = fit.best_params
+        # the optimizer searches theta, psi and eta only
+        assert all(s["x"].size == model.p_theta + data.p + 1 for s in fit.per_start)
+        # beta is the dense GLS estimate at the fitted (theta, psi, eta)
+        A = LikelihoodCore(data, model, spec).corr_target(p.psi_delta, p.theta) + p.eta * np.eye(data.n)
+        H = basis_matrix(data.X, spec.mean_basis)
+        r = data.y - model.evaluate(data.X, p.theta)
+        AinvH = np.linalg.solve(A, H)
+        want = np.linalg.solve(H.T @ AinvH, AinvH.T @ r)
+        np.testing.assert_allclose(p.beta_delta, want, rtol=1e-10, atol=0.0)
+        # and it maximizes the likelihood in the beta slice
+        step = 1e-3 * (1.0 + np.abs(p.beta_delta))
+        for sign in (-1.0, 1.0):
+            bumped = CalibParams(p.theta, p.beta_delta + sign * step, p.psi_delta, p.sigma2_delta, p.eta)
             assert marginal_loglik(bumped, data, model, spec) <= fit.best_loglik + 1e-9
 
     def test_equal_optima_pick_lowest_start_index(self, monkeypatch):
@@ -342,6 +389,38 @@ class TestMcmcRun:
             mcmc_run(data, model, spec, S=10, burn_in=1, seed=0, initial=bad)
 
 
+_WRONG_LENGTHS = {
+    "theta_long": ("theta", [3.0, 4.0]),
+    "beta_missing": ("beta_delta", []),
+    "beta_long": ("beta_delta", [0.0, 1.0]),
+    "psi_long": ("psi_delta", [2.0, 1.0]),
+    "psi_missing": ("psi_delta", []),
+}
+
+
+@pytest.mark.parametrize("call", ["mcmc_run", "mle_fit", "marginal_loglik", "predict"])
+@pytest.mark.parametrize("case", sorted(_WRONG_LENGTHS))
+def test_parameter_blocks_of_the_wrong_length_are_rejected(case, call, monkeypatch):
+    # one-dimensional data, one calibration parameter, an intercept basis
+    x = np.linspace(0, 1, 8)[:, None]
+    data = FieldDataset(x, np.sin(10 * x[:, 0]), [[0.0, 1.0]])
+    model = builtin_model("sine_theta_x")
+    spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=[lambda X: np.ones(X.shape[0])])
+    name, value = _WRONG_LENGTHS[case]
+    good = dict(theta=[3.0], beta_delta=[0.0], psi_delta=[2.0], sigma2_delta=1.0, eta=0.1)
+    bad = CalibParams(**{**good, name: value})
+    # mle_fit starts from initial_params, whose lengths a caller cannot pick
+    monkeypatch.setattr("gpcalib.inference.initial_params", lambda *args, **kwargs: bad)
+    run = {
+        "mcmc_run": lambda: mcmc_run(data, model, spec, S=10, burn_in=1, initial=bad),
+        "mle_fit": lambda: mle_fit(data, model, spec, n_starts=1),
+        "marginal_loglik": lambda: marginal_loglik(bad, data, model, spec),
+        "predict": lambda: predict(bad, data, model, spec, x[:3]),
+    }[call]
+    with pytest.raises(ValueError, match=f"^{name} has length {len(value)}, expected 1$"):
+        run()
+
+
 def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.0) ** 2, n_basis=2):
     """Posterior with the first ``n_basis`` of (1, x) as the mean basis and a
     Gaussian theta prior."""
@@ -385,7 +464,7 @@ class TestCalibPosterior:
             A = core.corr_target(params.psi_delta, params.theta) + params.eta * np.eye(data.n)
             want = (
                 log_prior(params, prior, model.theta_bounds)
-                + tr.log_jacobian(z)
+                + transform_log_jacobian(tr, z)
                 + integrated_log_marginal(A, H, data.y - model.evaluate(data.X, params.theta))
             )
             got = post(z)
@@ -405,7 +484,8 @@ class TestCalibPosterior:
                 w = z.copy()
                 w[tr.sigma2_index] = s
                 params = tr.from_vector(w)
-                return log_prior(params, prior, model.theta_bounds) + tr.log_jacobian(w) + core.loglik(params)
+                lj = transform_log_jacobian(tr, w)
+                return log_prior(params, prior, model.theta_bounds) + lj + core.loglik(params)
 
             peak = minimize_scalar(lambda s: -joint(s)).x
             top = joint(peak)

@@ -1,5 +1,7 @@
 """The public surface: ``gpcalib.__all__`` changes only on purpose."""
 
+import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -94,3 +96,24 @@ def test_names_the_benchmark_traces_resolve(monkeypatch):
         assert callable(getattr(tracing.workers, "thread_map", None))
     finally:
         sys.modules.pop("tracing", None)
+
+
+_MODULES = sorted(
+    path
+    for path in glob.glob(os.path.join(os.path.dirname(gpcalib.__file__), "*.py"))
+    if os.path.basename(path) != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=os.path.basename)
+def test_module_uses_every_name_it_imports(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
