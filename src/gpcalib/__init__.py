@@ -49,14 +49,13 @@ from .emulator import (
 )
 from .baselines import L2Result, LsResult, fit_field_gasp, l2_calibrate, ls_calibrate
 from .design import maximin_lhd
-from .models import BUILTIN_MODELS, BUILTIN_TRUTHS, builtin_model
+from .models import BUILTIN_MODELS, builtin_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveRWSampler",
     "BUILTIN_MODELS",
-    "BUILTIN_TRUTHS",
     "CalibParams",
     "ComputerModel",
     "DiscrepancySpec",

@@ -24,14 +24,15 @@ from .calibration import (
 from .design import scale_to_domain
 from .discrepancy import GASP, DiscrepancySpec
 from .emulator import _intercept
-from .inference import MleResult, OptimizationError, _multistart, mle_fit
+from .inference import OptimizationError, _multistart, mle_fit
 from .kernels import KernelSpec
 
 
 def _zero_model() -> ComputerModel:
+    """The zero computer model with no parameters: a field GP is a calibration without theta."""
     return ComputerModel(
         evaluator=lambda X, theta: np.zeros(np.atleast_2d(X).shape[0]),
-        theta_bounds=[[-1.0, 1.0]],
+        theta_bounds=np.zeros((0, 2)),
         vectorized=True,
     )
 
@@ -43,7 +44,6 @@ class SurrogateFit:
     data: FieldDataset
     spec: DiscrepancySpec
     params: CalibParams
-    fit: MleResult
 
     def predict(self, Xstar) -> PredictiveResult:
         return predict(self.params, self.data, _zero_model(), self.spec, Xstar)
@@ -61,16 +61,8 @@ def fit_field_gasp(data: FieldDataset, seed: int = 0, n_starts: int = 10) -> Sur
         KernelSpec("matern52", data.lengths / 2.0),
         mean_basis=[_intercept],
     )
-    fit = mle_fit(
-        data,
-        _zero_model(),
-        spec,
-        n_starts=n_starts,
-        seed=seed,
-        optimize_theta=False,
-        prior=PriorSpec.default(data),
-    )
-    return SurrogateFit(data=data, spec=spec, params=fit.best_params, fit=fit)
+    fit = mle_fit(data, _zero_model(), spec, n_starts=n_starts, seed=seed, prior=PriorSpec.default(data))
+    return SurrogateFit(data=data, spec=spec, params=fit.best_params)
 
 
 def _multistart_theta(objective, bounds, n_starts: int, seed: int):

@@ -226,6 +226,14 @@ def basis_matrix(X, mean_basis) -> np.ndarray:
     return np.column_stack([np.asarray(h(X), dtype=float).reshape(-1) for h in mean_basis])
 
 
+def _full_rank_basis(X, mean_basis) -> np.ndarray:
+    """:func:`basis_matrix`; ``ValueError`` when its columns are linearly dependent."""
+    H = basis_matrix(X, mean_basis)
+    if np.linalg.matrix_rank(H) < H.shape[1]:
+        raise ValueError("mean basis is rank deficient on the design")
+    return H
+
+
 def mean_basis_eval(X, spec: DiscrepancySpec, beta) -> np.ndarray:
     """Mean discrepancy ``sum_j h_j(x_i) beta_j``; zero when the basis is empty."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -246,10 +254,11 @@ class LikelihoodCore:
 
     The mode's correlation comes from ``cov``, a ``discrepancy._ModeCov``
     over the design built once here: it caches the design-only constants
-    (distances, the sgasp shrinkage, the ogasp grid), the pieces that depend
-    on the ranges alone under the bytes of ``1 / psi``, in ogasp mode the
-    weighted gradient under the bytes of theta, and prediction's distances to
-    ``Xstar`` under its bytes, each for the 4 keys used last.  A proposal
+    (distances, the sgasp shrinkage, the ogasp grid) and keeps four LRUs of
+    the 4 keys used last: one record of the pieces that depend on the ranges
+    alone under the bytes of ``1 / psi``, prediction's distances to ``Xstar``
+    under its bytes and, in ogasp mode, the weighted gradient under the bytes
+    of theta and the projection under those of (ranges, theta).  A proposal
     then goes from (psi, eta, theta) to kernel values and one factorization.
     The model's values at the design are kept for the last theta, under its
     bytes.  psi is not checked here: each must exceed :data:`PSI_OVERFLOW`,
@@ -266,13 +275,9 @@ class LikelihoodCore:
         self.data = data
         self.model = model
         self.spec = spec
-        self.H = basis_matrix(data.X, spec.mean_basis)
+        self.H = _full_rank_basis(data.X, spec.mean_basis)
         self._theta_cache: tuple[bytes, np.ndarray] | None = None
         self.cov = dm._ModeCov(spec, data.X, data.domain, model.grad_fn)
-
-    @property
-    def corr_depends_on_theta(self) -> bool:
-        return self.spec.mode == dm.OGASP
 
     def mean_vector(self, theta, beta=None) -> np.ndarray:
         """``f(X, theta) + H beta`` at the design, or ``f(X, theta)`` without ``beta``."""
@@ -292,11 +297,7 @@ class LikelihoodCore:
 
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
-        return self.factor(self.corr_target(psi, theta), eta)
-
-    @staticmethod
-    def factor(K, eta):
-        """Cholesky factor of ``K + eta I`` and the jitter used."""
+        K = self.corr_target(psi, theta)
         return cholesky_with_jitter(_shifted(K, eta) if eta > 0 else K)
 
     @staticmethod

@@ -484,7 +484,7 @@ def _check_param_rows(where: str, M, tr: ParamTransform):
         )
 
 
-def _load_chain(cfg, outdir, tr: ParamTransform) -> PosteriorChain | None:
+def _load_chain(outdir, tr: ParamTransform) -> PosteriorChain | None:
     path = os.path.join(outdir, "posterior.csv")
     if not os.path.exists(path):
         return None
@@ -496,7 +496,6 @@ def _load_chain(cfg, outdir, tr: ParamTransform) -> PosteriorChain | None:
         samples=M,
         burn_in=0,
         acceptance_rates={},
-        rng_seed=int(cfg.get("mcmc", {}).get("seed", 0)),
         param_names=header,
         theta_bounds=tr.theta_bounds,
         n_basis=tr.n_basis,
@@ -547,7 +546,7 @@ def cmd_predict(cfg: dict) -> int:
     spec = _build_spec(cfg, data)
     Xstar = _prediction_inputs(cfg, data)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    chain = _load_chain(cfg, outdir, tr)
+    chain = _load_chain(outdir, tr)
     if chain is not None:
         out = predict_posterior(chain, data, model, spec, Xstar, thin=1)
     else:

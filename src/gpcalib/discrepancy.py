@@ -133,21 +133,23 @@ class _ModeCov:
     use); in sgasp mode ``c = N_C / lambda`` and, for explicit constraint
     points, their distances among themselves and to ``X``; in ogasp mode the
     quadrature grid of ``domain``, its cell volume, per-axis lags and the
-    ``X``-to-grid distances.  Cached per key, each for the 4 keys used last:
-    under the bytes of ``Xstar``, its distances from ``X`` and from the ogasp
-    grid or the explicit constraint points; under the bytes of ``gamma``,
-    ``corr(X, X)`` and the pieces :meth:`cross` needs (sgasp ``L`` and
-    ``rC``, ogasp ``corr(X, grid)`` and the grid's Toeplitz factors); in
-    ogasp mode the weighted gradient ``Dw = D w`` from ``grad_at(theta)``
-    under the bytes of ``theta`` and the projection under those of
-    ``(gamma, theta)``.  So :meth:`corr` and :meth:`cross` share one factor,
-    :meth:`cross` forms no ``K``, a theta move evaluates no kernel.
+    ``X``-to-grid distances.  Four LRUs, each keeping the 4 keys used last:
+    ``_stars`` maps the bytes of ``Xstar`` to its distances from ``X`` and
+    from the ogasp grid or the explicit constraint points; ``_gamma_parts``
+    maps the bytes of ``gamma`` to one record of ``corr(X, X)`` and the
+    pieces :meth:`cross` needs (sgasp ``L`` and ``rC``, ogasp
+    ``corr(X, grid)`` and the grid's Toeplitz factors); in ogasp mode
+    ``_grads`` maps the bytes of ``theta`` to the weighted gradient
+    ``Dw = D w`` from ``grad_at(theta)`` and ``_projections`` those of
+    ``(gamma, theta)`` to the projection.  So :meth:`corr` and :meth:`cross`
+    share one factor, :meth:`cross` forms no ``K``, a theta move evaluates
+    no kernel.  README "Sampler cost" gives their measured hit rates.
     """
 
     def __init__(self, spec: DiscrepancySpec, X, domain=None, grad_at=None):
         self.mode, self.kernel = spec.mode, spec.kernel
         self.X = X = _points(X, spec.kernel.dim)
-        self._stars, self._bases, self._gamma_parts = OrderedDict(), OrderedDict(), OrderedDict()
+        self._stars, self._gamma_parts = OrderedDict(), OrderedDict()
         if spec.mode == SGASP:
             XC, lam = spec.resolved_constraints(X)
             self._c = XC.shape[0] / lam
@@ -168,12 +170,12 @@ class _ModeCov:
             return _product_corr(self._dists, self.kernel, gamma)
         if self.mode == OGASP:
             g, _, LG = self._ogasp(gamma, theta)
-            return self._base(gamma) - g @ dpotrs(LG, g.T, lower=1)[0]
-        L, rC = self._parts(gamma)
+            return self._parts(gamma)[0] - g @ dpotrs(LG, g.T, lower=1)[0]
+        R, L, rC = self._parts(gamma)
         if self._XC is None:
             Rz = self._c * dpotrs(L, rC, lower=1)[0]
         else:
-            Rz = self._base(gamma) - rC.T @ dpotrs(L, rC, lower=1)[0]
+            Rz = R - rC.T @ dpotrs(L, rC, lower=1)[0]
         return 0.5 * (Rz + Rz.T)
 
     def cross(self, gamma, theta, Xstar):
@@ -190,7 +192,7 @@ class _ModeCov:
             g_star = _product_corr(dists_extra, self.kernel, gamma) @ Dw
             solved = dpotrs(LG, g_star.T, lower=1)[0]
             return r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
-        L, rC = self._parts(gamma)
+        _, L, rC = self._parts(gamma)
         Linv = _tri_inv(L)
         if self._XC is None:
             # r_z = c (R + c I)^-1 r* = c L^-T V and c_z = 1 - ||V||^2 for V = L^-1 r*
@@ -217,24 +219,21 @@ class _ModeCov:
     def _dists(self):
         return _distances(self.X, self.X)
 
-    def _base(self, gamma) -> np.ndarray:
-        """``corr(X, X)`` at ``gamma``, cached; gasp's :meth:`corr` forms its own."""
-        return _lru(self._bases, gamma.tobytes(), lambda: _product_corr(self._dists, self.kernel, gamma))
-
     def _parts(self, gamma):
-        """Cached pieces that depend on ``gamma`` alone: sgasp ``(L, rC)`` with
-        ``L L' = RC + c I`` (``rC = R`` by default), ogasp ``(corr(X, grid), factors)``."""
+        """Cached pieces that depend on ``gamma`` alone, led by ``R = corr(X, X)``:
+        sgasp ``(R, L, rC)`` with ``L L' = RC + c I`` (``rC = R`` by default),
+        ogasp ``(R, corr(X, grid), factors)``.  gasp's :meth:`corr` forms its own."""
         kernel = self.kernel
 
         def make():
+            R = _product_corr(self._dists, kernel, gamma)
             if self.mode == OGASP:
                 grid_corr = _product_corr(self._dists_grid, kernel, gamma)
-                return grid_corr, _toeplitz_factors(kernel, gamma, self._grid.lags)
+                return R, grid_corr, _toeplitz_factors(kernel, gamma, self._grid.lags)
             if self._XC is None:
-                R = self._base(gamma)
-                return cholesky_with_jitter(_shifted(R, self._c))[0], R
+                return R, cholesky_with_jitter(_shifted(R, self._c))[0], R
             L, _ = cholesky_with_jitter(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
-            return L, _product_corr(self._dists_CX, kernel, gamma)
+            return R, L, _product_corr(self._dists_CX, kernel, gamma)
 
         return _lru(self._gamma_parts, gamma.tobytes(), make)
 
@@ -256,7 +255,7 @@ class _ModeCov:
             return D * grid.weight
 
         def projection():
-            CXg, factors = self._parts(gamma)
+            _, CXg, factors = self._parts(gamma)
             Dw = _lru(self._grads, theta.tobytes(), weighted_grad)
             return CXg @ Dw, Dw, _projection(Dw, factors, grid.volume2)
 
@@ -327,10 +326,6 @@ def quadrature_grid(domain, quad_points: int):
     return points, volume
 
 
-def default_quad_points(p: int) -> int:
-    return {1: 200, 2: 40}.get(p, 10)
-
-
 class _OgaspGrid(NamedTuple):
     """What the ogasp integrals take from the domain alone: the midpoint grid
     (N, p), its cell volume, one lag vector ``k h_l`` (k = 0..q-1) per axis
@@ -345,8 +340,7 @@ class _OgaspGrid(NamedTuple):
 def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
     """:class:`_OgaspGrid` of a domain; ``quad_points=None`` takes the default."""
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
-    if quad_points is None:
-        quad_points = default_quad_points(p)
+    quad_points = quad_points or {1: 200, 2: 40}.get(p, 10)
     grid, w = quadrature_grid(domain, quad_points)
     if grid.shape[1] != p:
         raise ValueError("domain does not match the kernel dimension")

@@ -17,7 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .calibration import _GLS, ComputerModel, LikelihoodCore, PriorSpec, _gls, _jr_log_prior, basis_matrix
+from .calibration import (
+    _GLS, ComputerModel, LikelihoodCore, PriorSpec, _full_rank_basis, _gls, _jr_log_prior, basis_matrix
+)
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
 from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
@@ -121,9 +123,7 @@ def emulator_fit(
     q = len(mean_basis)
     if D <= q + 2:
         raise ValueError("need more design runs than basis functions plus two")
-    H = basis_matrix(design, mean_basis)
-    if np.linalg.matrix_rank(H) < q:
-        raise ValueError("mean basis is rank deficient on the design")
+    H = _full_rank_basis(design, mean_basis)
 
     lengths = design.max(axis=0) - design.min(axis=0)
     lengths = np.where(lengths > 0, lengths, 1.0)

@@ -28,7 +28,7 @@ from .calibration import (
     _theta_log_prior,
     initial_params,
 )
-from .discrepancy import DiscrepancySpec
+from .discrepancy import OGASP, DiscrepancySpec
 from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
@@ -108,15 +108,14 @@ def mle_fit(
     n_starts: int = 10,
     seed: int = 0,
     sigma2_fixed: float | None = None,
-    optimize_theta: bool = True,
     prior: PriorSpec | None = None,
 ) -> MleResult:
     """Maximize the marginal likelihood over transformed parameters.
 
-    The optimizer searches theta (unless ``optimize_theta`` is off), the
-    inverse ranges and the nugget ratio.  At each point :func:`_gls` profiles
-    out the mean-basis coefficients (their GLS estimate) and, unless
-    ``sigma2_fixed`` pins it, the discrepancy variance (``Q / n``).  ``prior``
+    The optimizer searches theta (if the model has any), the inverse ranges
+    and the nugget ratio.  At each point :func:`_gls` profiles out the
+    mean-basis coefficients (their GLS estimate) and, unless ``sigma2_fixed``
+    pins it, the discrepancy variance (``Q / n``).  ``prior``
     adds the correlation-parameter prior (plus transform Jacobian) to the
     objective, turning the fit into a posterior-mode search; used for
     surrogate regressions where the raw likelihood is prone to overfitting
@@ -130,9 +129,7 @@ def mle_fit(
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
     z_template = tr.to_vector(initial_params(data, model, spec))
 
-    free_idx = np.r_[tr.psi_slice, tr.eta_index]
-    if optimize_theta:
-        free_idx = np.r_[tr.theta_slice, free_idx]
+    free_idx = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index]
 
     def fit_at(zfree):
         """The parameters at the free coordinates and the GLS fit there."""
@@ -284,7 +281,6 @@ class PosteriorChain:
     samples: np.ndarray
     burn_in: int
     acceptance_rates: dict
-    rng_seed: int
     param_names: list
     theta_bounds: np.ndarray
     n_basis: int
@@ -334,7 +330,7 @@ class _CalibPosterior:
         self.core = core
         self.prior = prior
         self.tr = tr
-        self._theta_moves_corr = core.corr_depends_on_theta
+        self._theta_moves_corr = core.spec.mode == OGASP
         self._current = self._pending = None
 
     @property
@@ -452,7 +448,6 @@ def mcmc_run(
         samples=samples,
         burn_in=burn_in,
         acceptance_rates=sampler.acceptance_rates,
-        rng_seed=seed,
         param_names=tr.names,
         theta_bounds=model.theta_bounds,
         n_basis=tr.n_basis,

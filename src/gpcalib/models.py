@@ -38,21 +38,6 @@ def oscillator_truth(X) -> np.ndarray:
     return x * np.cos(1.5 * x) + x
 
 
-BUILTIN_TRUTHS = {
-    "park": park_truth,
-    "branin": branin_truth,
-    "sine": sine_truth,
-    "nonlinear": oscillator_truth,
-}
-
-TRUTH_DOMAINS = {
-    "park": [[0.0, 1.0]] * 4,
-    "branin": [[-5.0, 10.0], [0.0, 15.0]],
-    "sine": [[0.0, 1.0]],
-    "nonlinear": [[0.0, 5.0]],
-}
-
-
 def _constant(theta_bounds):
     return ComputerModel(
         evaluator=lambda X, th: np.full(np.atleast_2d(X).shape[0], th[0]),

@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult, minimize_scalar
 
 from gpcalib import discrepancy
-from gpcalib.baselines import l2_calibrate
+from gpcalib.baselines import fit_field_gasp, l2_calibrate
 from gpcalib.calibration import (
     CalibParams,
     ComputerModel,
@@ -178,6 +178,41 @@ class TestMleFit:
         records = err.value.per_start
         assert [s["index"] for s in records] == [0, 1, 2]
         assert not any(s["converged"] for s in records)
+
+
+class TestModelWithoutTheta:
+    """A computer model with an empty parameter box, as behind the field GP."""
+
+    @staticmethod
+    def _case():
+        x = np.linspace(0, 1, 12)[:, None]
+        data = FieldDataset(x, np.sin(6 * x[:, 0]), [[0.0, 1.0]])
+        model = ComputerModel(
+            evaluator=lambda X, th: np.zeros(np.atleast_2d(X).shape[0]),
+            theta_bounds=np.zeros((0, 2)),
+            vectorized=True,
+        )
+        return data, model, DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+
+    def test_transform_has_no_theta_coordinates(self):
+        data, model, _ = self._case()
+        assert ParamTransform(model.theta_bounds, 0, data.p).names == ["psi_1", "sigma2_delta", "eta"]
+
+    def test_mle_fit_searches_ranges_and_nugget_only(self):
+        data, model, spec = self._case()
+        fit = mle_fit(data, model, spec, n_starts=3)
+        assert [s["x"].size for s in fit.per_start] == [data.p + 1] * 3
+        assert fit.best_params.theta.size == 0
+        res = predict(fit.best_params, data, model, spec, np.linspace(0, 1, 7)[:, None])
+        assert np.all(np.isfinite(res.full_mean)) and np.all(res.variance >= 0)
+
+    def test_field_gasp_has_no_theta(self):
+        data, _, _ = self._case()
+        assert fit_field_gasp(data, n_starts=2).params.theta.size == 0
+
+    def test_an_empty_bounds_list_is_rejected(self):
+        with pytest.raises(ValueError, match="^theta_bounds must be"):
+            ComputerModel(evaluator=lambda x, th: 0.0, theta_bounds=[])
 
 
 @pytest.mark.parametrize("value", [2.5, np.float64(3), True])
@@ -419,6 +454,35 @@ def test_parameter_blocks_of_the_wrong_length_are_rejected(case, call, monkeypat
     }[call]
     with pytest.raises(ValueError, match=f"^{name} has length {len(value)}, expected 1$"):
         run()
+
+
+@pytest.mark.parametrize("call", ["mcmc_run", "mle_fit", "marginal_loglik", "predict", "emulator_fit"])
+def test_a_rank_deficient_mean_basis_is_rejected(call):
+    # with the basis [1, 1] only beta_1 + beta_2 is identified, so the GLS
+    # fit and the sampler's beta draws would wander along (1, -1)
+    data, model = _sine_data(n=10)
+    one = lambda X: np.ones(X.shape[0])
+    spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=[one, one])
+    params = CalibParams([3.0], [0.0, 0.0], [2.0], 1.0, 0.1)
+    run = {
+        "mcmc_run": lambda: mcmc_run(data, model, spec, S=200, burn_in=50),
+        "mle_fit": lambda: mle_fit(data, model, spec, n_starts=1),
+        "marginal_loglik": lambda: marginal_loglik(params, data, model, spec),
+        "predict": lambda: predict(params, data, model, spec, data.X[:3]),
+        "emulator_fit": lambda: emulator_fit(data.X, data.y, mean_basis=[one, one], n_starts=1),
+    }[call]
+    with pytest.raises(ValueError, match="^mean basis is rank deficient on the design$"):
+        run()
+
+
+def test_an_intercept_basis_still_fits():
+    data, model = _sine_data(n=10)
+    spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]), mean_basis=[lambda X: np.ones(X.shape[0])])
+    chain = mcmc_run(data, model, spec, S=200, burn_in=50)
+    best = mle_fit(data, model, spec, n_starts=2).best_params
+    assert np.all(np.isfinite(chain.samples)) and best.beta_delta.size == 1
+    assert np.isfinite(marginal_loglik(best, data, model, spec))
+    assert np.all(np.isfinite(predict(best, data, model, spec, data.X[:3]).full_mean))
 
 
 def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.0) ** 2, n_basis=2):
@@ -693,7 +757,6 @@ def _chain_from(samples, burn_in=0):
         samples=samples,
         burn_in=burn_in,
         acceptance_rates={},
-        rng_seed=0,
         param_names=["theta_1", "psi_1", "sigma2_delta", "eta"][: samples.shape[1]],
         theta_bounds=np.array([[0.0, 40.0]]),
         n_basis=0,

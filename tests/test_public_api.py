@@ -14,7 +14,6 @@ import gpcalib
 PUBLIC_NAMES = {
     "AdaptiveRWSampler",
     "BUILTIN_MODELS",
-    "BUILTIN_TRUTHS",
     "CalibParams",
     "ComputerModel",
     "DiscrepancySpec",
@@ -62,7 +61,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 46
+    assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 45
     assert set(gpcalib.__all__) == PUBLIC_NAMES
 
 
@@ -117,3 +116,53 @@ def test_module_uses_every_name_it_imports(path):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SOURCES = sorted(glob.glob(os.path.join(_ROOT, "src", "gpcalib", "*.py")))
+_READERS = _SOURCES + sorted(glob.glob(os.path.join(_ROOT, "bench", "*.py")))
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _is_record(node) -> bool:
+    """Whether a class definition is a ``@dataclass`` or a ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list] + node.bases
+    names = {getattr(m, "id", getattr(m, "attr", None)) for m in marks}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def test_every_defined_name_is_read():
+    # a module-level name of the package must be read somewhere in the package
+    # or the benchmark, or be public; a dataclass or NamedTuple field must be
+    # read as an attribute there, so nothing is kept that nothing reads
+    names, attributes = set(gpcalib.__all__), set()
+    for path in _READERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    unread = []
+    for path in _SOURCES:
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                defined = []
+            unread += [f"{module}.{n}" for n in defined if not n.startswith("__") and n not in names | attributes]
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields = (s.target.id for s in node.body if isinstance(s, ast.AnnAssign))
+                unread += [f"{module}.{node.name}.{f}" for f in fields if f not in attributes]
+    assert _SOURCES
+    assert unread == []
