@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
@@ -58,9 +58,10 @@ class FieldDataset:
             raise ValueError("X and y disagree on the number of observations")
         if X.shape[0] < 2:
             raise ValueError("need at least two observations")
-        finite = np.all(np.isfinite(domain))
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf width is an error, not a warning
+            finite = np.all(np.isfinite(np.diff(domain)))  # a finite width, so finite ends too
         if domain.shape != (X.shape[1], 2) or not finite or np.any(domain[:, 1] <= domain[:, 0]):
-            raise ValueError("domain must be one finite (lower, upper) pair per input dimension")
+            raise ValueError("domain must be one (lower, upper) pair of finite width per input dimension")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("X and y must be finite (no NaN or infinity)")
         if np.any(X < domain[:, 0]) or np.any(X > domain[:, 1]):
@@ -102,8 +103,10 @@ class ComputerModel:
 
     def __post_init__(self):
         bounds = np.atleast_2d(np.asarray(self.theta_bounds, dtype=float))
-        if bounds.shape[1] != 2 or not np.all(np.isfinite(bounds)) or np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise ValueError("theta_bounds must be finite rows of (lower, upper)")
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf width is an error, not a warning
+            finite = bounds.shape[1] == 2 and np.all(np.isfinite(np.diff(bounds)))  # so finite ends too
+        if not finite or np.any(bounds[:, 1] <= bounds[:, 0]):
+            raise ValueError("theta_bounds must be rows of (lower, upper) of finite width")
         object.__setattr__(self, "theta_bounds", bounds)
 
     @property
@@ -340,6 +343,21 @@ class _GLS(NamedTuple):
         s2 = self.Q / n if sigma2 is None else sigma2
         return -0.5 * n * (LOG_2PI + np.log(s2)) - self.logdet - 0.5 * self.Q / s2
 
+    def krige(self, h, r, c0):
+        """Kriging mean ``h beta + r' alpha`` and correlation-scale variance
+        ``max(c0 - ||L^-1 r||^2 + ||L_M^-1 u||^2, 0)``, ``u = h' - H' R^-1 r``, at
+        new points with correlation ``r`` (n, k) to the design, prior correlation
+        ``c0`` and trend basis ``h`` (k, q); the trend terms are formed, and ``h``
+        read, only when ``q > 0``."""
+        V = _tri_inv(self.L) @ r
+        mean, cstar = r.T @ self.alpha, c0 - np.einsum("ij,ij->j", V, V)
+        if self.LM.shape[0]:
+            u = h.T - self.RinvH.T @ r
+            # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
+            w = dtrtrs(self.LM.T, u, lower=0, trans=1)[0]
+            mean, cstar = h @ self.beta + mean, cstar + np.einsum("ij,ij->j", w, w)
+        return mean, np.maximum(cstar, 0.0)
+
 
 def _gls(L, H, y, logdet) -> _GLS:
     """Fit the trend ``H beta`` to ``y`` under the factor ``L`` of ``R = L L'``,
@@ -525,10 +543,11 @@ def predict(
     Per new point x*: the model-only mean ``f(x*, theta) + mu(x*)``, the full
     mean adding the conditional discrepancy, and the predictive variance
     ``sigma2 * c* + sigma2 * eta`` where ``c*`` is the conditional
-    correlation-scale variance.  With ``L L' = K + eta I``, the cross
-    correlation ``r`` and the prior correlation ``c0`` of the mode, products
-    with ``L^-1``, ``V = L^-1 r`` and ``w = L^-1 (y - f - mu)``, give the
-    conditional discrepancy mean ``V' w`` and ``c* = c0 - sum_i V_i^2``.  In
+    correlation-scale variance.  The given ``beta`` enters as an offset: with
+    ``L L' = K + eta I``, the cross correlation ``r`` and the prior
+    correlation ``c0`` of the mode, :meth:`_GLS.krige` over the empty trend
+    basis of ``y - f - mu`` gives the conditional discrepancy mean
+    ``r' (K + eta I)^-1 (y - f - mu)`` and ``c* = c0 - ||L^-1 r||^2``.  In
     ogasp mode one gradient projection serves ``K``, ``r`` and ``c0``; in
     sgasp mode one factor of ``RC + c I`` does (``R + c I`` with the default
     constraint points).
@@ -544,18 +563,15 @@ def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResu
         raise ValueError("prediction inputs do not match the data dimension")
     params._check_lengths(model.p_theta, spec.n_basis, data.p)
     L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
-    r, c0 = core.cov.cross(params.gamma(), params.theta, Xstar)
-
     resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-    Linv = _tri_inv(L)
-    V, w = Linv @ r, Linv @ resid
-
-    model_mean = model.evaluate(Xstar, params.theta) + mean_basis_eval(
-        Xstar, spec, params.beta_delta
-    )
-    full_mean = model_mean + V.T @ w
-    cstar = np.maximum(c0 - np.einsum("ij,ij->j", V, V), 0.0)
-    variance = params.sigma2_delta * cstar + params.sigma2_noise
+    model_mean = model.evaluate(Xstar, params.theta) + mean_basis_eval(Xstar, spec, params.beta_delta)
+    # no trend to fit, no log |L| to read; all k-vectors exist before the step frees its (n, k)
+    # arrays, as freeing those first made glibc trim and re-fault the heap every posterior sample
+    fit = _gls(L, core.H[:, :0], resid, 0.0)
+    full_mean, variance = fit.krige(None, *core.cov.cross(params.gamma(), params.theta, Xstar))
+    full_mean += model_mean
+    variance *= params.sigma2_delta
+    variance += params.sigma2_noise
     return PredictiveResult(model_mean=model_mean, full_mean=full_mean, variance=variance)
 
 

@@ -202,10 +202,6 @@ class _ModeCov:
         W = Linv @ _product_corr(dists_extra, self.kernel, gamma)
         return r - (Linv @ rC).T @ W, 1.0 - np.einsum("ij,ij->j", W, W)
 
-    def base_cross(self, gamma, Xstar) -> np.ndarray:
-        """Base correlation (n, k) between the design and the 2-D ``Xstar``."""
-        return _product_corr(_distances(self.X, Xstar), self.kernel, gamma)
-
     def _star_dists(self, Xstar):
         """Distances from the design to ``Xstar``, and the ogasp or explicit sgasp ones."""
         extra = None

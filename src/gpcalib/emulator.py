@@ -15,39 +15,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .calibration import (
     _GLS, ComputerModel, LikelihoodCore, PriorSpec, _full_rank_basis, _gls, _jr_log_prior, basis_matrix
 )
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
-from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart
+from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart, _psi_box
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, _tri_inv, cholesky_with_jitter
+from .linalg import NumericalError, cholesky_with_jitter
 
 
 def _intercept(Z):
     return np.ones(np.atleast_2d(Z).shape[0])
-
-
-def _kriging_mean(gls: _GLS, h, r):
-    """Predictive mean ``h beta + r' alpha`` at new points with trend basis
-    ``h`` and correlation ``r`` to the design."""
-    return h @ gls.beta + r.T @ gls.alpha
-
-
-def _student_t(gls: _GLS, h, r, c0):
-    """Student-t predictive mean and variance at new points with trend basis
-    ``h``, correlation ``r`` to the design and prior correlation ``c0``."""
-    mean = _kriging_mean(gls, h, r)
-    V = _tri_inv(gls.L) @ r
-    cstar = c0 - np.einsum("ij,ij->j", V, V)
-    if h.shape[1]:  # the trend estimate's own uncertainty
-        u = h.T - gls.RinvH.T @ r
-        # LM is C-ordered, so its transpose is the Fortran-ordered upper factor
-        w = dtrtrs(gls.LM.T, u, lower=0, trans=1)[0]
-        cstar = cstar + np.einsum("ij,ij->j", w, w)
-    return mean, gls.sigma2 * np.maximum(cstar, 0.0)
 
 
 @dataclass
@@ -145,12 +124,13 @@ def emulator_fit(
     if ranges is not None:
         return _finalize(design, outputs, mean_basis, ranges, H, cov)
 
+    box = _psi_box(lengths)
     results, best = _multistart(
         objective,
-        np.column_stack([np.log(0.5 / lengths), np.log(50.0 / lengths)]),
+        box[:, :2],
         n_starts,
         seed,
-        [(np.log(1e-2 / L_), np.log(1e4 / L_)) for L_ in lengths],
+        [tuple(row) for row in box[:, 2:]],
         {"ftol": 1e-12, "gtol": 1e-8},
         jac=lambda x: _fd_grad(objective, x),
     )
@@ -193,9 +173,8 @@ def emulator_predict(model: EmulatorModel, xstar, thetastar=None):
     degrees of freedom are the number of runs minus the trend dimension.
     """
     Z = _joint_inputs(model, xstar, thetastar)
-    r = model._cov.base_cross(model.kernel.ranges, Z)
-    mean, variance = _student_t(model._gls, model.basis(Z), r, 1.0)
-    return mean, variance, model.dof
+    mean, cstar = model._gls.krige(model.basis(Z), *model._cov.cross(model.kernel.ranges, None, Z))
+    return mean, model.sigma2_hat * cstar, model.dof
 
 
 def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = None):
@@ -210,10 +189,9 @@ def emulator_predict_scaled(model: EmulatorModel, xstar, lam: float | None = Non
     Z = _joint_inputs(model, xstar, None)
     cov = _ModeCov(DiscrepancySpec(SGASP, model.kernel, lam=lam), model.design)
     L, _ = cholesky_with_jitter(cov.corr(model.kernel.ranges))
-    rz, cz = cov.cross(model.kernel.ranges, None, Z)
     gls = _gls(L, model.basis(model.design), model.outputs, LikelihoodCore.logdet_half(L))
-    mean, variance = _student_t(gls, model.basis(Z), rz, cz)
-    return mean, variance, model.dof
+    mean, cstar = gls.krige(model.basis(Z), *cov.cross(model.kernel.ranges, None, Z))
+    return mean, gls.sigma2 * cstar, model.dof
 
 
 def as_computer_model(model: EmulatorModel, p_x: int, theta_bounds) -> ComputerModel:
@@ -245,6 +223,6 @@ def as_computer_model(model: EmulatorModel, p_x: int, theta_bounds) -> ComputerM
             r = np.ones((len(design), len(X)))
         for l, d in enumerate(_distances(design[:, p_x:], Z[:1, p_x:]), start=p_x):
             r *= _corr_1d(d, kernel, kernel.ranges[l], l)
-        return _kriging_mean(model._gls, model.basis(Z), r)
+        return model.basis(Z) @ model._gls.beta + r.T @ model._gls.alpha
 
     return ComputerModel(evaluator=mean, theta_bounds=theta_bounds, vectorized=True)

@@ -87,15 +87,20 @@ class MleResult:
     sigma2_profiled: bool = True
 
 
+def _psi_box(lengths) -> np.ndarray:
+    """Per input of width ``lengths``, the log inverse range's start range
+    (0.5 to 50 inverse widths) and optimizer bounds (1e-2 to 1e4), as 4 columns."""
+    return np.column_stack(
+        [np.log(0.5 / lengths), np.log(50.0 / lengths), np.log(1e-2 / lengths), np.log(1e4 / lengths)]
+    )
+
+
 def _search_box(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
     """Start ranges and optimizer bounds over the transformed free coordinates."""
-    lengths = data.lengths
     box = np.zeros((tr.dim, 4))
     # theta start range: central 98% of the box, mapped through the logit
     box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
-    box[tr.psi_slice] = np.column_stack(
-        [np.log(0.5 / lengths), np.log(50.0 / lengths), np.log(1e-2 / lengths), np.log(1e4 / lengths)]
-    )
+    box[tr.psi_slice] = _psi_box(data.lengths)
     box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
     box = box[free_idx]
     return box[:, :2], [tuple(row) for row in box[:, 2:]]
@@ -440,7 +445,11 @@ def mcmc_run(
         return z
 
     rng = np.random.default_rng(seed)
-    sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=draw_sigma2_beta)
+    try:
+        sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=draw_sigma2_beta)
+    except ValueError:  # a start whose correlation cannot be factored raises NumericalError
+        core.corr_chol(initial.psi_delta, initial.eta, initial.theta)
+        raise
     z_samples = sampler.run(S, adapt_until=burn_in)
 
     samples = np.column_stack(tr._split(z_samples)[1:])

@@ -85,6 +85,23 @@ class TestFieldDataset:
         with pytest.raises(ValueError, match="finite"):
             FieldDataset(X, y, [[0, 1]])
 
+    @pytest.mark.parametrize("domain", [[[-1e308, 1e308]], [[-np.inf, 1.0]], [[0.0, np.nan]]])
+    def test_rejects_a_domain_without_finite_width(self, domain):
+        # a width of inf would reach the kernel as an infinite range
+        with pytest.raises(ValueError, match="^domain must be .* finite width"):
+            FieldDataset([[0.1], [0.5]], [1.0, 2.0], domain)
+
+
+class TestComputerModel:
+    @pytest.mark.parametrize("bounds", [[[-1e308, 1e308]], [[0.0, np.inf]], [[np.nan, 1.0]]])
+    def test_rejects_a_box_without_finite_width(self, bounds):
+        # a width of inf would make every theta fail the sampler's logit transform
+        with pytest.raises(ValueError, match="^theta_bounds must be .* finite width"):
+            _constant_model(bounds)
+
+    def test_accepts_a_wide_finite_box(self):
+        assert _constant_model([[-1e307, 1e307]]).theta_bounds[0, 1] == 1e307
+
 
 class TestMeanBasis:
     def test_empty_basis_gives_zero(self):
@@ -404,8 +421,11 @@ class TestPredictAgainstConditioning:
         eta=st.sampled_from([0.0]) | st.floats(1e-6, 1.0),
         log_psi=st.floats(np.log(2.0), np.log(30.0)),
         sigma2=st.floats(0.1, 10.0),
+        beta=st.lists(st.floats(-5.0, 5.0), max_size=1),
     )
-    def test_matches_gp_condition(self, seed, n, p, mode, eta, log_psi, sigma2):
+    def test_matches_gp_condition(self, seed, n, p, mode, eta, log_psi, sigma2, beta):
+        # a given beta is used as given: the mean h(x) beta is subtracted from
+        # the data and added back at the new points, never re-estimated
         rng = np.random.default_rng(seed)
         X = rng.uniform(size=(n, p))
         Xs = rng.uniform(size=(4, p))
@@ -414,11 +434,13 @@ class TestPredictAgainstConditioning:
         kern = KernelSpec("matern52", 1.0 / psi)
         K, r, c0 = _mode_blocks(mode, X, Xs, kern, n / 2.0)
         assume(np.linalg.cond(K + eta * np.eye(n)) < 1e6)
-        params = CalibParams([1.3], [], psi, sigma2, eta)
-        out = predict(params, data, _constant_model(), _spec(mode, p=p), Xs)
-        mean, cov = gp_condition(K, r, c0, data.y - 1.3, nugget=eta)
+        basis, b = [lambda Z: 1.0 + Z[:, 0]][: len(beta)], sum(beta)  # q = 0 or 1
+        params = CalibParams([1.3], beta, psi, sigma2, eta)
+        out = predict(params, data, _constant_model(), _spec(mode, p=p, basis=basis), Xs)
+        np.testing.assert_allclose(out.model_mean, 1.3 + b * (1.0 + Xs[:, 0]), rtol=1e-15)
+        mean, cov = gp_condition(K, r, c0, data.y - 1.3 - b * (1.0 + X[:, 0]), nugget=eta)
         scale = max(1.0, float(np.max(np.abs(mean))))
-        np.testing.assert_allclose(out.full_mean - 1.3, mean, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(out.full_mean - out.model_mean, mean, rtol=1e-9, atol=1e-9 * scale)
         cstar = np.maximum(np.diag(cov), 0.0)
         np.testing.assert_allclose(
             out.variance, sigma2 * (cstar + eta), rtol=1e-9, atol=1e-9 * sigma2

@@ -154,6 +154,28 @@ class TestConfigValidation:
         assert main(["calibrate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "extra, code, prefix",
+        [
+            # a theta box of width inf: the sampler's logit transform fails
+            ({"model": {"name": "sine_theta_x", "theta_bounds": [[-1e308, 1e308]]}}, 1, "error: model: "),
+            # a domain of width inf: the default kernel ranges are infinite
+            *[({"mode": m, "domain": [[-1e308, 1e308]]}, 2, "data error: ")
+              for m in ("gasp", "sgasp", "ogasp", "l2")],
+            # c = n / lambda is inf, so the sampler's start cannot be factored
+            ({"lambda": 5e-324, "mcmc": {"samples": 200, "burn_in": 100}}, 3, "numerical failure: "),
+        ],
+        ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
+    def test_bad_config_exits_without_traceback(self, sine_files, capsys, extra, code, prefix):
+        # each once escaped main() as an exception, which the console script prints as a traceback
+        tmp_path, data_path, *_ = sine_files
+        path, _ = _config(tmp_path, data_path, extra)
+        assert main(["calibrate", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_quad_points_reach_the_ogasp_spec(self, sine_files):
         _, _, _, _, x, y, _ = sine_files
         data = FieldDataset(x, y, [[0.0, 1.0]])

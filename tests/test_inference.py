@@ -423,6 +423,22 @@ class TestMcmcRun:
             # theta on the bound cannot be mapped to the sampling scale
             mcmc_run(data, model, spec, S=10, burn_in=1, seed=0, initial=bad)
 
+    def test_unfactorable_start_is_a_numerical_error(self):
+        # lam = 5e-324 makes the shrinkage c = n / lam infinite, so no start's
+        # correlation can be factored: the error says so, not just that the
+        # log posterior is not finite there
+        data, model = _sine_data()
+        spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]), lam=5e-324)
+        with pytest.raises(NumericalError, match="not finite"):
+            mcmc_run(data, model, spec, S=10, burn_in=1)
+
+    def test_start_outside_the_prior_support_stays_a_value_error(self):
+        data, model = _sine_data()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        prior = PriorSpec.default(data, theta_log_prior=lambda theta: -np.inf)
+        with pytest.raises(ValueError, match="not finite at the initial point"):
+            mcmc_run(data, model, spec, prior, S=10, burn_in=1)
+
 
 _WRONG_LENGTHS = {
     "theta_long": ("theta", [3.0, 4.0]),
