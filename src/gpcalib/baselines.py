@@ -26,6 +26,7 @@ from .discrepancy import GASP, DiscrepancySpec
 from .emulator import _intercept
 from .inference import OptimizationError, _multistart, mle_fit
 from .kernels import KernelSpec
+from .linalg import NumericalError
 
 
 def _zero_model() -> ComputerModel:
@@ -102,7 +103,8 @@ def l2_calibrate(
     the quadrature approximation of the squared distance between that
     surrogate and the computer model over the domain.  In one dimension the
     quadrature is a uniform midpoint grid (default 1000 points); in higher
-    dimensions, seeded Monte Carlo (default 10^4 points).
+    dimensions, seeded Monte Carlo (default 10^4 points).  A loss that is
+    not finite at a theta the search visits raises :class:`NumericalError`.
     """
     surrogate = fit_field_gasp(data, seed=seed)
     p = data.p
@@ -110,7 +112,7 @@ def l2_calibrate(
     if p == 1:
         m = quad_points or 1000
         lo, hi = data.domain[0]
-        grid = (lo + (hi - lo) * (np.arange(m) + 0.5) / m).reshape(-1, 1)
+        grid = (lo + (hi - lo) * ((np.arange(m) + 0.5) / m)).reshape(-1, 1)  # no overflow before the divide
     else:
         m = quad_points or 10_000
         grid = scale_to_domain(rng.uniform(size=(m, p)), data.domain)
@@ -118,8 +120,11 @@ def l2_calibrate(
     volume = float(np.prod(data.lengths))
 
     def objective(theta):
-        fm = model.evaluate(grid, theta)
-        return float(np.mean((yhat - fm) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite is an error
+            loss = float(np.mean((yhat - model.evaluate(grid, theta)) ** 2))
+        if not np.isfinite(loss):
+            raise NumericalError(f"the L2 loss is not finite at theta = {np.asarray(theta).tolist()}")
+        return loss
 
     theta_hat, best, per_start = _multistart_theta(
         objective, model.theta_bounds, n_starts, seed

@@ -265,7 +265,7 @@ class LikelihoodCore:
     then goes from (psi, eta, theta) to kernel values and one factorization.
     The model's values at the design are kept for the last theta, under its
     bytes.  psi is not checked here: each must exceed :data:`PSI_OVERFLOW`,
-    as :class:`CalibParams` and the sampler ensure.
+    as :class:`CalibParams`, the row check and the shared scorer ensure.
     """
 
     def __init__(self, data: FieldDataset, model: ComputerModel, spec: DiscrepancySpec):
@@ -409,22 +409,25 @@ def log_prior(params: CalibParams, prior: PriorSpec, theta_bounds=None) -> float
     return _jr_log_prior(prior, params.psi_delta, params.eta, lp_theta) - np.log(params.sigma2_delta)
 
 
-def _theta_log_prior(prior: PriorSpec, theta, theta_bounds=None) -> float:
-    """The theta term of :func:`log_prior` on an unchecked theta: 0 or the
-    user log-density, -inf outside ``theta_bounds`` or where it is not finite."""
+def _theta_log_prior(prior: PriorSpec | None, theta, theta_bounds=None) -> float:
+    """The theta term of :func:`log_prior` on an unchecked theta: 0 or the user
+    log-density (0 for no prior), -inf outside ``theta_bounds`` or where not finite."""
     if theta_bounds is not None and not (
         (theta >= theta_bounds[:, 0]).all() and (theta <= theta_bounds[:, 1]).all()
     ):
         return -np.inf
-    if prior.theta_log_prior is None:
+    if prior is None or prior.theta_log_prior is None:
         return 0.0
     lp_theta = float(prior.theta_log_prior(theta))
     return lp_theta if np.isfinite(lp_theta) else -np.inf
 
 
-def _jr_log_prior(prior: PriorSpec, psi, eta=0.0, lp=0.0) -> float:
+def _jr_log_prior(prior: PriorSpec | None, psi, eta=0.0, lp=0.0) -> float:
     """``lp + a log t - b t`` with ``t = C psi + eta``: the log jointly robust
-    prior at ``(psi, eta)`` added to ``lp`` in that order; -inf off its support."""
+    prior at ``(psi, eta)`` added to ``lp`` in that order; -inf off its support.
+    ``prior=None`` is flat: ``lp``."""
+    if prior is None:
+        return lp
     t = float(prior.jr_C @ psi + eta)
     return lp + prior.jr_a * np.log(t) - prior.jr_b * t if t > 0 else -np.inf
 
@@ -475,13 +478,12 @@ class ParamTransform:
 
     def unpack(self, row) -> CalibParams:
         """The parameters of a length-``dim`` row on the original scale."""
-        return CalibParams(
-            row[self.theta_slice],
-            row[self.beta_slice],
-            row[self.psi_slice],
-            row[self.sigma2_index],
-            row[self.eta_index],
-        )
+        return CalibParams(*self._blocks(row))
+
+    def _blocks(self, row):
+        """Unchecked ``(theta, beta, psi, sigma2, eta)`` of a row on the original scale."""
+        blocks = self.theta_slice, self.beta_slice, self.psi_slice, self.sigma2_index, self.eta_index
+        return tuple(row[b] for b in blocks)
 
     def to_vector(self, params: CalibParams) -> np.ndarray:
         params._check_lengths(self.p_theta, self.n_basis, self.p_x)
@@ -552,27 +554,39 @@ def predict(
     sgasp mode one factor of ``RC + c I`` does (``R + c I`` with the default
     constraint points).
     """
-    return _predict(LikelihoodCore(data, model, spec), params, Xstar)
-
-
-def _predict(core: LikelihoodCore, params: CalibParams, Xstar) -> PredictiveResult:
-    """:func:`predict` with the data, model and spec of ``core``."""
-    data, model, spec = core.data, core.model, core.spec
-    Xstar = np.atleast_2d(np.asarray(Xstar, dtype=float))
-    if Xstar.shape[1] != data.p:
-        raise ValueError("prediction inputs do not match the data dimension")
     params._check_lengths(model.p_theta, spec.n_basis, data.p)
-    L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
-    resid = data.y - core.mean_vector(params.theta, params.beta_delta)
-    model_mean = model.evaluate(Xstar, params.theta) + mean_basis_eval(Xstar, spec, params.beta_delta)
+    blocks = params.theta, params.beta_delta, params.psi_delta, params.sigma2_delta, params.eta
+    return _predict(LikelihoodCore(data, model, spec), dm._points(Xstar, data.p), *blocks)
+
+
+def _predict(core: LikelihoodCore, Xstar, theta, beta, psi, sigma2, eta) -> PredictiveResult:
+    """:func:`predict` by ``core`` at a 2-D ``Xstar`` and a parameter row's unchecked blocks."""
+    data, model, spec = core.data, core.model, core.spec
+    L, _ = core.corr_chol(psi, eta, theta)
+    resid = data.y - core.mean_vector(theta, beta)
+    model_mean = model.evaluate(Xstar, theta) + mean_basis_eval(Xstar, spec, beta)
     # no trend to fit, no log |L| to read; all k-vectors exist before the step frees its (n, k)
     # arrays, as freeing those first made glibc trim and re-fault the heap every posterior sample
     fit = _gls(L, core.H[:, :0], resid, 0.0)
-    full_mean, variance = fit.krige(None, *core.cov.cross(params.gamma(), params.theta, Xstar))
+    full_mean, variance = fit.krige(None, *core.cov.cross(1.0 / psi, theta, Xstar))
     full_mean += model_mean
-    variance *= params.sigma2_delta
-    variance += params.sigma2_noise
+    variance *= sigma2
+    variance += eta * sigma2
     return PredictiveResult(model_mean=model_mean, full_mean=full_mean, variance=variance)
+
+
+def _check_param_rows(M, tr: ParamTransform, rows=slice(None)) -> None:
+    """Reject the ``rows`` of ``M``, parameter rows in ``tr``'s layout, that no fit can
+    produce, by a ``ValueError`` naming the first bad one, counted from 1 in ``M``."""
+    theta, _, psi, sigma2, eta = tr._blocks(M[rows].T)
+    bounds = tr.theta_bounds[..., None]
+    bad = ~np.isfinite(M[rows]).all(axis=1) | (psi <= PSI_OVERFLOW).any(axis=0) | (sigma2 <= 0) | (eta < 0)
+    bad |= ((theta < bounds[:, 0]) | (theta > bounds[:, 1])).any(axis=0)
+    if bad.any():
+        raise ValueError(
+            f"parameter row {np.arange(M.shape[0])[rows][np.argmax(bad)] + 1} must be finite, with psi "
+            "and sigma2_delta positive, eta non-negative and theta inside theta_bounds"
+        )
 
 
 def initial_params(

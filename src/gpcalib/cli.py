@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .baselines import l2_calibrate, ls_calibrate
-from .calibration import PSI_OVERFLOW, CalibParams, ComputerModel, FieldDataset, ParamTransform, predict
+from .calibration import CalibParams, ComputerModel, FieldDataset, ParamTransform, _check_param_rows, predict
 from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
 from .emulator import as_computer_model, emulator_fit
 from .experiments import EXPERIMENTS, _write_csv
@@ -466,22 +466,12 @@ def cmd_calibrate(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _check_param_rows(where: str, M, tr: ParamTransform):
-    """Reject parameter rows (``tr``'s layout) that no fit can produce."""
-    theta, psi = M[:, tr.theta_slice], M[:, tr.psi_slice]
-    bad = (
-        ~np.all(np.isfinite(M), axis=1)
-        | np.any(psi <= PSI_OVERFLOW, axis=1)
-        | (M[:, tr.sigma2_index] <= 0)
-        | (M[:, tr.eta_index] < 0)
-        | np.any(theta < tr.theta_bounds[:, 0], axis=1)
-        | np.any(theta > tr.theta_bounds[:, 1], axis=1)
-    )
-    if bad.any():
-        raise DataError(
-            f"{where}: parameter row {int(np.argmax(bad)) + 1} must be finite, with psi and "
-            "sigma2_delta positive, eta non-negative and theta inside theta_bounds"
-        )
+def _check_rows(path, M, tr: ParamTransform) -> None:
+    """:func:`calibration._check_param_rows` on every row of a file's table."""
+    try:
+        _check_param_rows(M, tr)
+    except ValueError as err:
+        raise DataError(f"{path}: {err}") from err
 
 
 def _load_chain(outdir, tr: ParamTransform) -> PosteriorChain | None:
@@ -491,7 +481,7 @@ def _load_chain(outdir, tr: ParamTransform) -> PosteriorChain | None:
     header, M = _read_csv(path)
     if header != tr.names:
         raise DataError(f"{path}: expected header {','.join(tr.names)}, got {','.join(header)}")
-    _check_param_rows(path, M, tr)
+    _check_rows(path, M, tr)
     return PosteriorChain(
         samples=M,
         burn_in=0,
@@ -517,7 +507,7 @@ def _load_mle(outdir, tr: ParamTransform) -> CalibParams:
     if [v.size for v in parts] != [tr.p_theta, tr.n_basis, tr.p_x, 1, 1]:
         raise DataError(f"{path}: parameter lengths do not match the model")
     row = np.concatenate(parts)
-    _check_param_rows(path, row[None, :], tr)
+    _check_rows(path, row[None, :], tr)
     return tr.unpack(row)
 
 

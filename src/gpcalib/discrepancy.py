@@ -93,11 +93,6 @@ class DiscrepancySpec:
         lam = self.lam if self.lam is not None else X.shape[0] / 2.0
         return np.atleast_2d(XC), float(lam)
 
-    def with_kernel(self, kernel: KernelSpec) -> "DiscrepancySpec":
-        return DiscrepancySpec(
-            self.mode, kernel, self.mean_basis, self.constraint_points, self.lam, self.quad_points
-        )
-
 
 def _lru(cache: OrderedDict, key: bytes, make):
     """``cache[key]``, made by ``make()`` on a miss; keeps the 4 keys used last."""
@@ -336,13 +331,17 @@ class _OgaspGrid(NamedTuple):
 def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
     """:class:`_OgaspGrid` of a domain; ``quad_points=None`` takes the default."""
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
+    with np.errstate(over="ignore"):
+        volume2 = float(np.prod(domain[:, 1] - domain[:, 0]) ** 2)
+    if volume2 == np.inf:
+        raise NumericalError("the squared volume of the ogasp domain overflows")
     quad_points = quad_points or {1: 200, 2: 40}.get(p, 10)
     grid, w = quadrature_grid(domain, quad_points)
     if grid.shape[1] != p:
         raise ValueError("domain does not match the kernel dimension")
     spacing = (domain[:, 1] - domain[:, 0]) / quad_points
     lags = [np.arange(quad_points) * h for h in spacing]
-    return _OgaspGrid(grid, w, lags, float(np.prod(domain[:, 1] - domain[:, 0])) ** 2)
+    return _OgaspGrid(grid, w, lags, volume2)
 
 
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:

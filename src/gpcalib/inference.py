@@ -12,7 +12,6 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .calibration import (
-    ETA_FLOOR,
     PSI_OVERFLOW,
     _GLS,
     CalibParams,
@@ -24,11 +23,12 @@ from .calibration import (
     PriorSpec,
     _gls,
     _jr_log_prior,
+    _check_param_rows,
     _predict,
     _theta_log_prior,
     initial_params,
 )
-from .discrepancy import OGASP, DiscrepancySpec
+from .discrepancy import OGASP, DiscrepancySpec, _points
 from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
@@ -95,17 +95,6 @@ def _psi_box(lengths) -> np.ndarray:
     )
 
 
-def _search_box(data: FieldDataset, tr: ParamTransform, free_idx: np.ndarray):
-    """Start ranges and optimizer bounds over the transformed free coordinates."""
-    box = np.zeros((tr.dim, 4))
-    # theta start range: central 98% of the box, mapped through the logit
-    box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
-    box[tr.psi_slice] = _psi_box(data.lengths)
-    box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
-    box = box[free_idx]
-    return box[:, :2], [tuple(row) for row in box[:, 2:]]
-
-
 def mle_fit(
     data: FieldDataset,
     model: ComputerModel,
@@ -118,13 +107,15 @@ def mle_fit(
     """Maximize the marginal likelihood over transformed parameters.
 
     The optimizer searches theta (if the model has any), the inverse ranges
-    and the nugget ratio.  At each point :func:`_gls` profiles out the
-    mean-basis coefficients (their GLS estimate) and, unless ``sigma2_fixed``
-    pins it, the discrepancy variance (``Q / n``).  ``prior``
-    adds the correlation-parameter prior (plus transform Jacobian) to the
-    objective, turning the fit into a posterior-mode search; used for
-    surrogate regressions where the raw likelihood is prone to overfitting
-    the range parameters.
+    and the nugget ratio, scoring each point with the sampler's pieces
+    (:class:`_CalibPosterior`): :func:`_gls` profiles out the mean-basis
+    coefficients and, unless ``sigma2_fixed`` pins it, the discrepancy
+    variance (``Q / n``).  ``prior`` adds the jointly robust prior of the
+    inverse ranges and nugget ratio plus its log-scale Jacobian (its theta
+    density counts only through its support), turning the fit into a
+    posterior-mode search for surrogate regressions, where the raw likelihood
+    overfits the ranges.  A point off the support, with an overflowing
+    exponential or an unfactorable correlation scores ``_BAD_OBJECTIVE``.
     """
     if sigma2_fixed is not None and not 0 < sigma2_fixed < np.inf:
         raise ValueError("sigma2_fixed must be positive and finite")
@@ -132,40 +123,31 @@ def mle_fit(
         raise ValueError("need more observations than mean basis functions")
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    z_template = tr.to_vector(initial_params(data, model, spec))
-
+    # the score reads neither the beta nor the sigma2 coordinates
+    z = tr.to_vector(initial_params(data, model, spec))
     free_idx = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index]
-
-    def fit_at(zfree):
-        """The parameters at the free coordinates and the GLS fit there."""
-        z = z_template.copy()
-        z[free_idx] = zfree
-        params = tr.from_vector(z)
-        L, _ = core.corr_chol(params.psi_delta, params.eta, params.theta)
-        return params, _gls(L, core.H, data.y - core.mean_vector(params.theta), core.logdet_half(L))
+    posterior = _CalibPosterior(core, prior, tr)
 
     def objective(zfree) -> float:
-        try:
-            params, fit = fit_at(zfree)
-        except NumericalError:
+        z[free_idx] = zfree
+        pieces = posterior._evaluate(z, None)[1]
+        if pieces is None:
             return _BAD_OBJECTIVE
+        _, (lp_corr, _, _), fit = pieces
         ll = fit.loglik(sigma2_fixed)
         if prior is not None:
-            ll += _jr_log_prior(prior, params.psi_delta, params.eta)
-            ll += float(np.sum(np.log(params.psi_delta))) + np.log(params.eta + ETA_FLOOR)
-        if not np.isfinite(ll):
-            return _BAD_OBJECTIVE
-        return -ll
+            ll += lp_corr
+        return -ll if np.isfinite(ll) else _BAD_OBJECTIVE
 
-    start_box, bounds = _search_box(data, tr, free_idx)
+    # start ranges and optimizer bounds; theta starts in the central 98% of its box
+    box = np.zeros((tr.dim, 4))
+    box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
+    box[tr.psi_slice] = _psi_box(data.lengths)
+    box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
+    box = box[free_idx]
+    bounds, options = [tuple(row) for row in box[:, 2:]], {"maxiter": 500, "ftol": 1e-8}
     results, best = _multistart(
-        objective,
-        start_box,
-        n_starts,
-        seed,
-        bounds,
-        {"maxiter": 500, "ftol": 1e-8},
-        jac=lambda x: _fd_grad(objective, x),
+        objective, box[:, :2], n_starts, seed, bounds, options, jac=lambda x: _fd_grad(objective, x)
     )
     # a start counts as converged when it reached a finite optimum; an
     # abnormal line-search exit at a good value is still usable, so the
@@ -184,14 +166,12 @@ def mle_fit(
     if best is None or not per_start[best]["converged"]:
         raise OptimizationError("no optimization start converged", per_start)
 
-    params, fit = fit_at(results[best].x)
+    z[free_idx] = results[best].x
+    (theta, _, _), _, fit = posterior._evaluate(z, None)[1]
+    psi, eta = tr._corr(z)
     sigma2 = fit.Q / data.n if sigma2_fixed is None else sigma2_fixed
-    return MleResult(
-        best_params=CalibParams(params.theta, fit.beta, params.psi_delta, sigma2, params.eta),
-        best_loglik=fit.loglik(sigma2),
-        per_start=per_start,
-        sigma2_profiled=sigma2_fixed is None,
-    )
+    params = CalibParams(theta, fit.beta, psi, sigma2, eta)
+    return MleResult(params, fit.loglik(sigma2), per_start, sigma2_profiled=sigma2_fixed is None)
 
 
 def _check_integer(name: str, value) -> None:
@@ -328,10 +308,12 @@ class _CalibPosterior:
     ``block`` changes, takes the rest from the current point and holds the
     result; ``accept()`` makes it current, whose fit is :attr:`gls`.
     ``score(z, None)`` and ``__call__(z)`` compute every piece, and
-    ``__call__`` keeps nothing.
+    ``__call__`` keeps nothing.  :func:`mle_fit` scores with the pieces of
+    ``_evaluate(z, None)``, for which ``prior=None`` is flat.  The model values
+    come through ``core.mean_vector``, whose cache serves steps at a fixed theta.
     """
 
-    def __init__(self, core: LikelihoodCore, prior: PriorSpec, tr: ParamTransform):
+    def __init__(self, core: LikelihoodCore, prior: PriorSpec | None, tr: ParamTransform):
         self.core = core
         self.prior = prior
         self.tr = tr
@@ -354,7 +336,7 @@ class _CalibPosterior:
             lp_theta = _theta_log_prior(self.prior, theta, tr.theta_bounds)
             if lp_theta == -np.inf:
                 return -np.inf, None
-            fm = core.model.evaluate(core.data.X, theta)
+            fm = core.mean_vector(theta)
             theta_piece = theta, lp_theta + tr._theta_log_jacobian(u), fm
         theta, lp_theta, fm = theta_piece
         if block in (None, "corr") or (block == "theta" and self._theta_moves_corr):
@@ -501,14 +483,26 @@ def predict_posterior(
     the per-sample variances plus the across-sample variance of the full
     means (law of total variance).  Running sums and a Welford update of the
     full means keep the memory to a few vectors of the length of ``Xstar``.
+    The chain's layout and the rows read are checked once, up front; a bad
+    row raises ``ValueError`` naming it (counted from 1 in ``chain.samples``).
     """
     _check_integer("thin", thin)
     if thin < 1:
         raise ValueError("thin must be >= 1")
     core = LikelihoodCore(data, model, spec)
+    tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
+    layout = (chain._transform.p_theta, chain.n_basis, chain.p_x, chain.samples.shape[1])
+    if layout != (tr.p_theta, tr.n_basis, tr.p_x, tr.dim):
+        raise ValueError(
+            f"chain of theta, beta and psi blocks of lengths {layout[:3]} in rows of {layout[3]} "
+            f"values; the model, mean basis and data need {(tr.p_theta, tr.n_basis, tr.p_x)} in {tr.dim}"
+        )
+    rows = slice(chain.burn_in, None, thin)
+    _check_param_rows(chain.samples, tr, rows)
+    Xstar = _points(Xstar, data.p)
     model_sum = full_sum = var_sum = mean = m2 = 0.0
-    for S, i in enumerate(range(chain.burn_in, chain.n_samples, thin), start=1):
-        res = _predict(core, chain.params_at(i), Xstar)
+    for S, row in enumerate(chain.samples[rows], start=1):
+        res = _predict(core, Xstar, *tr._blocks(row))
         model_sum += res.model_mean
         full_sum += res.full_mean
         var_sum += res.variance

@@ -69,10 +69,6 @@ class KernelSpec:
     def dim(self) -> int:
         return self.ranges.size
 
-    def with_ranges(self, ranges) -> "KernelSpec":
-        """Copy of this spec with new range parameters."""
-        return KernelSpec(self.family, ranges, self.roughness)
-
 
 def _check_distance(d):
     d = np.asarray(d, dtype=float)

@@ -8,6 +8,7 @@ equalities, are asserted).
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestCriterion9PropertySuite:
         )
         params = CalibParams([31.4], [], [2.0], 0.9, 0.08)
         joint = np.vstack([data.X, xstar])
-        Kj = scaled_cov(joint, spec_pin.with_kernel(spec_pin.kernel.with_ranges(1.0 / params.psi_delta)))
+        Kj = scaled_cov(joint, replace(spec_pin, kernel=replace(spec_pin.kernel, ranges=1.0 / params.psi_delta)))
         covj = params.sigma2_delta * Kj + params.sigma2_noise * np.eye(len(joint))
         mean_obs = model.evaluate(data.X, params.theta)
         mean_new = model.evaluate(xstar, params.theta)

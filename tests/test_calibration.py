@@ -1,5 +1,7 @@
 """Calibration-model checks against dense joint-Gaussian oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -130,8 +132,8 @@ class TestMarginalLoglik:
             spec = _spec(mode=mode, lam=lam)
             params = CalibParams([1.2], [], [2.0], 0.8, 0.05)
             got = marginal_loglik(params, data, model, spec)
-            kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
-            wspec = spec.with_kernel(kern)
+            kern = replace(spec.kernel, ranges=1.0 / params.psi_delta)
+            wspec = replace(spec, kernel=kern)
             K = corr_matrix(data.X, data.X, kern) if mode == GASP else scaled_cov(data.X, wspec)
             cov = params.sigma2_delta * (K + params.eta * np.eye(data.n))
             mean = np.full(data.n, 1.2)
@@ -280,11 +282,11 @@ class TestPredict:
         )
         params = CalibParams([1.3], [], [2.0], 0.9, 0.08)
         joint = np.vstack([data.X, xstar])
-        kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
+        kern = replace(spec.kernel, ranges=1.0 / params.psi_delta)
         if mode == GASP:
             Kj = corr_matrix(joint, joint, kern)
         else:
-            Kj = scaled_cov(joint, spec.with_kernel(kern))
+            Kj = scaled_cov(joint, replace(spec, kernel=kern))
         sigma2, s20 = params.sigma2_delta, params.sigma2_noise
         cov = sigma2 * Kj + s20 * np.eye(len(joint))
         n = data.n
@@ -340,7 +342,7 @@ class TestPredictAccuracy:
         spec = DiscrepancySpec(mode, KernelSpec("matern52", [1.0, 1.0]), constraint_points=XC)
         core = LikelihoodCore(data, _constant_model(), spec)
         params = CalibParams([0.5], [], [psi, psi], 1.0, eta)
-        out = _predict(core, params, Xs)
+        out = _predict(core, Xs, params.theta, params.beta_delta, params.psi_delta, params.sigma2_delta, eta)
 
         kern = KernelSpec("matern52", [1.0 / psi] * 2)
         R, r_star = corr_matrix(X, X, kern), corr_matrix(X, Xs, kern)
@@ -470,10 +472,10 @@ class TestOgaspPredict:
     def test_matches_gp_condition(self):
         data, model, spec, params = self._setup()
         Xs = np.linspace(0, 1, 13)[:, None]
-        kern = spec.kernel.with_ranges(1.0 / params.psi_delta)
+        kern = replace(spec.kernel, ranges=1.0 / params.psi_delta)
         args = (kern, model.grad_fn(params.theta), data.domain, spec.quad_points)
         K = ogasp_kernel(data.X, data.X, *args)
-        mode_cov = discrepancy._ModeCov(spec.with_kernel(kern), data.X, data.domain, model.grad_fn)
+        mode_cov = discrepancy._ModeCov(replace(spec, kernel=kern), data.X, data.domain, model.grad_fn)
         r, c0 = mode_cov.cross(kern.ranges, params.theta, Xs)
         resid = data.y - model.evaluate(data.X, params.theta)
         mean, cov = gp_condition(K, r, np.diag(c0), resid, nugget=params.eta)
@@ -615,11 +617,11 @@ def _kernel(family, p):
 def _public_target(core, psi, theta):
     """The correlation of ``core``'s mode from the public builders."""
     data, spec = core.data, core.spec
-    kern = spec.kernel.with_ranges(1.0 / np.asarray(psi, dtype=float))
+    kern = replace(spec.kernel, ranges=1.0 / np.asarray(psi, dtype=float))
     if spec.mode == GASP:
         return corr_matrix(data.X, data.X, kern)
     if spec.mode == SGASP:
-        return scaled_cov(data.X, spec.with_kernel(kern))
+        return scaled_cov(data.X, replace(spec, kernel=kern))
     grad = core.model.grad_fn(theta)
     return ogasp_kernel(data.X, data.X, kern, grad, data.domain, spec.quad_points)
 
@@ -774,7 +776,7 @@ class TestModeCovProperties:
         assert np.all(np.isfinite(K))
         np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10 * n
-        kern = spec.kernel.with_ranges(gamma)
+        kern = replace(spec.kernel, ranges=gamma)
         if mode == SGASP and "constraint_points" not in extra:
             if np.linalg.cond(corr_matrix(X, X, kern)) < 1e8:
                 lam = extra.get("lam", n / 2.0)

@@ -164,8 +164,15 @@ class TestConfigValidation:
               for m in ("gasp", "sgasp", "ogasp", "l2")],
             # c = n / lambda is inf, so the sampler's start cannot be factored
             ({"lambda": 5e-324, "mcmc": {"samples": 200, "burn_in": 100}}, 3, "numerical failure: "),
+            # a finite domain whose squared volume, the ogasp ridge scale, overflows
+            ({"mode": "ogasp", "domain": [[-1e200, 1e200]], "mcmc": {"samples": 200, "burn_in": 100}},
+             3, "numerical failure: "),
+            # a finite domain whose search box allows a psi with an infinite range,
+            # and whose midpoint grid overflowed before its divide
+            ({"mode": "l2", "domain": [[-1e307, 1e307]]}, 3, "numerical failure: "),
         ],
-        ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start"],
+        ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start",
+             "volume-ogasp", "wide-l2"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
     def test_bad_config_exits_without_traceback(self, sine_files, capsys, extra, code, prefix):

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.optimize import OptimizeResult, minimize_scalar
 
-from gpcalib import discrepancy
+from gpcalib import calibration, discrepancy, inference
 from gpcalib.baselines import fit_field_gasp, l2_calibrate
 from gpcalib.calibration import (
     CalibParams,
@@ -178,6 +178,83 @@ class TestMleFit:
         records = err.value.per_start
         assert [s["index"] for s in records] == [0, 1, 2]
         assert not any(s["converged"] for s in records)
+
+
+def _smooth_sine_data():
+    x = np.linspace(0, 1, 15)[:, None]
+    rng = np.random.default_rng(3)
+    y = np.sin(12 * x[:, 0]) + 0.5 * x[:, 0] + 0.05 * rng.standard_normal(15)
+    data = FieldDataset(x, y, [[0.0, 1.0]])
+    model = ComputerModel(
+        evaluator=lambda X, th: np.sin(th[0] * np.atleast_2d(X)[:, 0]),
+        theta_bounds=[[0.0, 40.0]],
+        vectorized=True,
+    )
+    return data, model
+
+
+class TestMleFitGolden:
+    @pytest.mark.parametrize(
+        "mode, sigma2_fixed, loglik, best",
+        [
+            (GASP, None, 13.011887305336185,
+             [11.995327220133227, 1.0490344622829106, 0.0940895160034944, 0.052970562618404875]),
+            (GASP, 0.5, -5.65633093039653,
+             [0.3281727827424425, 6.626216441763306, 0.5, 6.84985332969839e-08]),
+            (SGASP, None, -4.911886483710539,
+             [0.33751508737406727, 4.7267924254433815, 1.6203184532651602, 9.990000000000006e-10]),
+            (SGASP, 0.5, -7.059323630221693,
+             [0.2746220671802645, 6.71651091920921, 0.5, 1.1111174125658237e-09]),
+        ],
+    )
+    def test_golden_fit(self, mode, sigma2_fixed, loglik, best):
+        # a fixed-seed three-start fit without a prior: a change to the
+        # objective's arithmetic or to the optimizer's path shows here
+        data, model = _smooth_sine_data()
+        spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]))
+        fit = mle_fit(data, model, spec, n_starts=3, seed=0, sigma2_fixed=sigma2_fixed)
+        p = fit.best_params
+        np.testing.assert_allclose(fit.best_loglik, loglik, rtol=1e-9)
+        np.testing.assert_allclose([p.theta[0], p.psi_delta[0], p.sigma2_delta, p.eta], best, rtol=1e-9)
+
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_objective_builds_no_parameter_record(self, prior, monkeypatch):
+        # parameters are checked where they enter: the objective reads the
+        # vector unchecked, so a fit builds one record for its start and one
+        # for its result, however many points the optimizer scores
+        calls = {"from_vector": 0, "records": 0}
+        from_vector, post_init = ParamTransform.from_vector, CalibParams.__post_init__
+
+        def counting_from_vector(self, z):
+            calls["from_vector"] += 1
+            return from_vector(self, z)
+
+        def counting_post_init(self):
+            calls["records"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(ParamTransform, "from_vector", counting_from_vector)
+        monkeypatch.setattr(CalibParams, "__post_init__", counting_post_init)
+        data, model = _smooth_sine_data()
+        spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]))
+        mle_fit(data, model, spec, n_starts=2, seed=0, prior=PriorSpec.default(data) if prior else None)
+        assert calls == {"from_vector": 0, "records": 2}
+
+    def test_a_range_that_overflows_scores_the_penalty(self, monkeypatch):
+        # the search box reaches psi = 1e-2 / width = 5e-310 here, whose range
+        # 1/psi overflows: that corner scores the penalty instead of raising
+        corner = []
+
+        def corner_minimize(fun, x0, bounds, **kwargs):
+            corner.append(fun(np.array([lo for lo, _ in bounds])))
+            return OptimizeResult(x=np.array(x0), fun=fun(np.array(x0)), success=True, message="corner")
+
+        monkeypatch.setattr("scipy.optimize.minimize", corner_minimize)
+        x = np.linspace(0, 1, 12)[:, None]
+        data = FieldDataset(x, np.sin(6 * x[:, 0]), [[-1e307, 1e307]])
+        fit = fit_field_gasp(data, seed=0, n_starts=1)
+        assert corner == [inference._BAD_OBJECTIVE]
+        assert fit.params.psi_delta[0] > calibration.PSI_OVERFLOW
 
 
 class TestModelWithoutTheta:
@@ -869,6 +946,38 @@ class TestPredictPosterior:
         np.testing.assert_allclose(got.variance, want, rtol=1e-12)
         empty = predict_posterior(chain, data, model, spec, np.zeros((0, 1)), thin=50)
         assert empty.model_mean.shape == empty.full_mean.shape == empty.variance.shape == (0,)
+
+    def test_builds_no_parameter_record_per_sample(self, monkeypatch):
+        calls = []
+        post_init = CalibParams.__post_init__
+        monkeypatch.setattr(CalibParams, "__post_init__", lambda self: calls.append(1) or post_init(self))
+        data, model = _sine_data(n=10, seed=8)
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        chain = _chain_from([[30.0 + i, 1.5 + 0.2 * i, 1.0, 0.05] for i in range(6)])
+        predict_posterior(chain, data, model, spec, np.linspace(0, 1, 7)[:, None], thin=1)
+        assert calls == []
+
+    @staticmethod
+    def _predict_nothing(monkeypatch, chain):
+        calls = []
+        monkeypatch.setattr(inference, "_predict", lambda *args: calls.append(1))
+        data, model = _sine_data(n=10, seed=8)
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
+        with pytest.raises(ValueError) as err:
+            predict_posterior(chain, data, model, spec, [[0.4]], thin=2)
+        assert calls == []
+        return str(err.value)
+
+    def test_rejects_a_bad_row_before_predicting(self, monkeypatch):
+        rows = np.tile([31.0, 2.0, 1.0, 0.05], (6, 1))
+        rows[4, 2] = np.nan  # thin=2 reads rows 1, 3 and 5, counted from 1
+        message = self._predict_nothing(monkeypatch, _chain_from(rows))
+        assert message.startswith("parameter row 5 must be finite")
+
+    def test_rejects_a_chain_of_another_width_before_predicting(self, monkeypatch):
+        chain = _chain_from(np.tile([31.0, 2.0, 1.0, 0.05], (6, 1)))
+        chain.samples = np.column_stack([chain.samples, np.ones(6)])
+        assert "in rows of 5 values" in self._predict_nothing(monkeypatch, chain)
 
     def test_rejects_non_integer_thin(self):
         data, model = _sine_data(n=10, seed=8)
