@@ -31,7 +31,6 @@ from .calibration import (
     predict,
 )
 from .inference import (
-    AdaptiveRWSampler,
     MleResult,
     OptimizationError,
     PosteriorChain,
@@ -54,7 +53,6 @@ from .models import BUILTIN_MODELS, builtin_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveRWSampler",
     "BUILTIN_MODELS",
     "CalibParams",
     "ComputerModel",

@@ -157,11 +157,20 @@ def ls_calibrate(
     n_starts: int = 10,
     seed: int = 0,
 ) -> LsResult:
-    """Least-squares calibration followed by a GP fit of the residuals."""
+    """Least-squares calibration followed by a GP fit of the residuals.
+
+    A sum of squares that is infinite at a theta the search visits raises
+    :class:`NumericalError`; a NaN one, a model undefined there, fails that
+    start.
+    """
 
     def objective(theta):
-        resid = data.y - model.evaluate(data.X, theta)
-        return float(resid @ resid)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is an error
+            resid = data.y - model.evaluate(data.X, theta)
+            sse = float(resid @ resid)
+        if np.isinf(sse):
+            raise NumericalError(f"the sum of squares is infinite at theta = {np.asarray(theta).tolist()}")
+        return sse
 
     theta_hat, sse, per_start = _multistart_theta(
         objective, model.theta_bounds, n_starts, seed

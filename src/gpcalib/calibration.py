@@ -603,7 +603,8 @@ def initial_params(
     psi = 2.0 / data.lengths
     beta = np.zeros(spec.n_basis)
     resid = data.y - model.evaluate(data.X, theta)
-    sigma2 = float(np.var(resid))
-    if not sigma2 > 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing variance falls back to 1
+        sigma2 = float(np.var(resid))
+    if not 0 < sigma2 < np.inf:
         sigma2 = 1.0
     return CalibParams(theta, beta, psi, sigma2, eta)

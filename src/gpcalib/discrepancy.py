@@ -43,7 +43,11 @@ class DiscrepancySpec:
     mode : str
         One of ``"gasp"``, ``"sgasp"``, ``"ogasp"``.
     kernel : KernelSpec
-        Base correlation over the variable inputs.
+        Base correlation over the variable inputs.  Calibration reads only its
+        family and roughness: ``mle_fit``, ``mcmc_run``, ``predict``,
+        ``predict_posterior`` and ``marginal_loglik`` take the ranges from the
+        inverse ranges ``psi_delta`` they fit or are given.  Its ``ranges``
+        serve the direct builders ``scaled_cov`` and ``scaled_cross_cov``.
     mean_basis : sequence of callables, optional
         Basis functions ``h_j(x)`` of the mean discrepancy regression; each
         maps an (m, p) array of inputs to an (m,) vector.  Empty means a zero

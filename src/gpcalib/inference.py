@@ -123,8 +123,7 @@ def mle_fit(
         raise ValueError("need more observations than mean basis functions")
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    # the score reads neither the beta nor the sigma2 coordinates
-    z = tr.to_vector(initial_params(data, model, spec))
+    z = np.zeros(tr.dim)  # the score reads neither the beta nor the sigma2 coordinates
     free_idx = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index]
     posterior = _CalibPosterior(core, prior, tr)
 
@@ -146,9 +145,10 @@ def mle_fit(
     box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
     box = box[free_idx]
     bounds, options = [tuple(row) for row in box[:, 2:]], {"maxiter": 500, "ftol": 1e-8}
-    results, best = _multistart(
-        objective, box[:, :2], n_starts, seed, bounds, options, jac=lambda x: _fd_grad(objective, x)
-    )
+    with np.errstate(all="ignore"):  # an overflowing fit scores _BAD_OBJECTIVE, so numpy need not warn
+        results, best = _multistart(
+            objective, box[:, :2], n_starts, seed, bounds, options, jac=lambda x: _fd_grad(objective, x)
+        )
     # a start counts as converged when it reached a finite optimum; an
     # abnormal line-search exit at a good value is still usable, so the
     # raw optimizer verdict is kept only as a diagnostic
@@ -179,84 +179,45 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-# ---------------------------------------------------------------------------
-# Adaptive random-walk Metropolis
-# ---------------------------------------------------------------------------
+def _sample_chain(posterior, blocks: dict, draw, z, lp: float, rng, n_iter: int, adapt_until: int):
+    """Blockwise Gaussian random-walk Metropolis from ``z``, whose log posterior is ``lp``.
 
-
-class AdaptiveRWSampler:
-    """Blockwise Gaussian random-walk Metropolis.
-
-    Proposal scales start at ``_INITIAL_SCALE``, follow a Robbins-Monro recursion
-    toward ``_TARGET_ACCEPT`` during adaptation and are frozen afterwards.
-    An optional hook ``gibbs(x, rng) -> x`` runs after the Metropolis blocks
-    each iteration.  It may move only coordinates that ``logpost`` does not
-    read, by an exact conditional draw, so the sampler keeps its log posterior.
-    A ``logpost`` with ``score(x, block)`` and ``accept()`` methods scores the
-    start as block ``None`` and each proposal as its block, and is told when
-    the proposal it scored last is taken.
+    Each iteration proposes a move of every block in turn, scored by
+    ``posterior.score(z, block)``; ``posterior.accept()`` is told when the
+    proposal it scored last is taken.  Then ``draw(z, rng) -> z`` runs.  It
+    may move only coordinates that the score does not read, by an exact
+    conditional draw, so the chain keeps its target.  Proposal scales start
+    at ``_INITIAL_SCALE``, follow a Robbins-Monro recursion toward
+    ``_TARGET_ACCEPT`` during the first ``adapt_until`` iterations (the
+    burn-in) only and are frozen afterwards.  Returns the ``n_iter`` states,
+    one per row, each block's acceptance rate after adaptation and the final
+    scales.
     """
-
-    def __init__(
-        self,
-        logpost,
-        blocks: dict,
-        x0,
-        rng: np.random.Generator,
-        gibbs=None,
-    ):
-        self._score = getattr(logpost, "score", lambda x, block: logpost(x))
-        self._accept = getattr(logpost, "accept", lambda: None)
-        self.blocks = {name: np.asarray(idx, dtype=int) for name, idx in blocks.items()}
-        self.x = np.asarray(x0, dtype=float).copy()
-        self.rng = rng
-        self.scales = {name: _INITIAL_SCALE for name in self.blocks}
-        self.gibbs = gibbs
-        self.lp = float(self._score(self.x, None))
-        if not np.isfinite(self.lp):
-            raise ValueError("log posterior is not finite at the initial point")
-        self._accept()
-        self._accepted = {name: 0 for name in self.blocks}
-        self._proposed = {name: 0 for name in self.blocks}
-
-    def run(self, n_iter: int, adapt_until: int) -> np.ndarray:
-        out = np.empty((n_iter, self.x.size))
-        x, lp, rng, scales, target, gibbs = self.x, self.lp, self.rng, self.scales, _TARGET_ACCEPT, self.gibbs
-        normal, uniform, score, accept = rng.standard_normal, rng.random, self._score, self._accept
-        blocks = [(name, idx, idx.size) for name, idx in self.blocks.items()]
-        for i in range(n_iter):
-            adapting = i < adapt_until
-            step_size = (i + 1) ** -0.6
-            for name, idx, size in blocks:
-                prop = x.copy()
-                prop[idx] = prop[idx] + scales[name] * normal(size)
-                lp_new = float(score(prop, name))
-                if math.isfinite(lp_new):
-                    alpha = float(np.exp(min(0.0, lp_new - lp)))
-                else:
-                    alpha = 0.0
-                taken = uniform() < alpha
-                if taken:
-                    x, lp = prop, lp_new
-                    accept()
-                if adapting:
-                    scale = float(scales[name] * np.exp(step_size * (alpha - target)))
-                    scales[name] = min(max(scale, 1e-6), 1e4)
-                else:
-                    self._proposed[name] += 1
-                    self._accepted[name] += taken
-            if gibbs is not None:
-                x = gibbs(x, rng)
-            out[i] = x
-        self.x, self.lp = x, lp
-        return out
-
-    @property
-    def acceptance_rates(self) -> dict:
-        return {
-            name: (self._accepted[name] / self._proposed[name]) if self._proposed[name] else float("nan")
-            for name in self.blocks
-        }
+    out = np.empty((n_iter, z.size))
+    scales = {name: _INITIAL_SCALE for name in blocks}
+    accepted = dict.fromkeys(blocks, 0)
+    normal, uniform, score, accept = rng.standard_normal, rng.random, posterior.score, posterior.accept
+    sized = [(name, idx, idx.size) for name, idx in blocks.items()]
+    for i in range(n_iter):
+        adapting = i < adapt_until
+        step_size = (i + 1) ** -0.6
+        for name, idx, size in sized:
+            prop = z.copy()
+            prop[idx] = prop[idx] + scales[name] * normal(size)
+            lp_new = float(score(prop, name))
+            alpha = float(np.exp(min(0.0, lp_new - lp))) if math.isfinite(lp_new) else 0.0
+            taken = uniform() < alpha
+            if taken:
+                z, lp = prop, lp_new
+                accept()
+            if adapting:
+                scale = float(scales[name] * np.exp(step_size * (alpha - _TARGET_ACCEPT)))
+                scales[name] = min(max(scale, 1e-6), 1e4)
+            else:
+                accepted[name] += taken
+        z = draw(z, rng)
+        out[i] = z
+    return out, {name: accepted[name] / (n_iter - adapt_until) for name in blocks}, scales
 
 
 @dataclass
@@ -390,7 +351,9 @@ def mcmc_run(
     ``N(beta_hat, sigma2 (H' K^-1 H)^-1)``, both given the current
     (theta, psi, eta); so the joint target is unchanged.  Proposal scales
     adapt during burn-in only.  The returned chain stores every iteration in
-    the original parameterization.
+    the original parameterization.  A start off the posterior's support
+    raises ``ValueError``; one whose correlation cannot be factored, or whose
+    log posterior overflows, raises :class:`NumericalError`.
     """
     _check_integer("S", S)
     _check_integer("burn_in", burn_in)
@@ -427,23 +390,28 @@ def mcmc_run(
         return z
 
     rng = np.random.default_rng(seed)
-    try:
-        sampler = AdaptiveRWSampler(posterior, blocks, z0, rng, gibbs=draw_sigma2_beta)
-    except ValueError:  # a start whose correlation cannot be factored raises NumericalError
-        core.corr_chol(initial.psi_delta, initial.eta, initial.theta)
-        raise
-    z_samples = sampler.run(S, adapt_until=burn_in)
+    with np.errstate(all="ignore"):  # a proposal that overflows scores -inf, so numpy need not warn
+        lp = posterior.score(z0, None)
+        if not np.isfinite(lp):
+            message = "log posterior is not finite at the initial point"
+            if posterior._pending is not None:  # every piece exists, so the value overflowed
+                raise NumericalError(message)
+            # off the prior support, unless the start's correlation cannot be factored
+            core.corr_chol(initial.psi_delta, initial.eta, initial.theta)
+            raise ValueError(message)
+        posterior.accept()
+        z_samples, rates, scales = _sample_chain(posterior, blocks, draw_sigma2_beta, z0, lp, rng, S, burn_in)
 
     samples = np.column_stack(tr._split(z_samples)[1:])
     return PosteriorChain(
         samples=samples,
         burn_in=burn_in,
-        acceptance_rates=sampler.acceptance_rates,
+        acceptance_rates=rates,
         param_names=tr.names,
         theta_bounds=model.theta_bounds,
         n_basis=tr.n_basis,
         p_x=tr.p_x,
-        proposal_scales=dict(sampler.scales),
+        proposal_scales=scales,
     )
 
 

@@ -170,9 +170,19 @@ class TestConfigValidation:
             # a finite domain whose search box allows a psi with an infinite range,
             # and whose midpoint grid overflowed before its divide
             ({"mode": "l2", "domain": [[-1e307, 1e307]]}, 3, "numerical failure: "),
+            # a theta box so far out that squared residuals overflow: in the start's
+            # variance (mcmc), every fit's quadratic form (mle), the sum of squares (ls)
+            *[({"mode": "gasp", "model": {"name": "constant", "theta_bounds": [[1e300, 2e300]]}, **fit},
+               3, "numerical failure: ")
+              for fit in ({"mcmc": {"samples": 200, "burn_in": 100}}, {"mle": {"n_starts": 2}})],
+            ({"mode": "ls", "model": {"name": "constant", "theta_bounds": [[1e300, 2e300]]}}, 3,
+             "numerical failure: "),
+            # a start whose variance is finite but whose likelihood's quadratic form overflows
+            ({"model": {"name": "constant", "theta_bounds": [[1e160, 2e160]]},
+              "mcmc": {"samples": 200, "burn_in": 100}}, 3, "numerical failure: "),
         ],
         ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start",
-             "volume-ogasp", "wide-l2"],
+             "volume-ogasp", "wide-l2", "far-box-mcmc", "far-box-mle", "far-box-ls", "overflowing-start"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
     def test_bad_config_exits_without_traceback(self, sine_files, capsys, extra, code, prefix):

@@ -1,5 +1,7 @@
 """Estimation machinery: MLE recovery, sampler correctness, summaries."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -28,10 +30,10 @@ from gpcalib.kernels import KernelSpec
 from gpcalib.linalg import NumericalError
 from gpcalib.models import builtin_model
 from gpcalib.inference import (
-    AdaptiveRWSampler,
     OptimizationError,
     PosteriorChain,
     _CalibPosterior,
+    _sample_chain,
     mcmc_run,
     mle_fit,
     posterior_summary,
@@ -220,8 +222,8 @@ class TestMleFitGolden:
     @pytest.mark.parametrize("prior", [False, True])
     def test_objective_builds_no_parameter_record(self, prior, monkeypatch):
         # parameters are checked where they enter: the objective reads the
-        # vector unchecked, so a fit builds one record for its start and one
-        # for its result, however many points the optimizer scores
+        # vector unchecked, so a fit builds one record, for its result,
+        # however many points the optimizer scores
         calls = {"from_vector": 0, "records": 0}
         from_vector, post_init = ParamTransform.from_vector, CalibParams.__post_init__
 
@@ -238,7 +240,7 @@ class TestMleFitGolden:
         data, model = _smooth_sine_data()
         spec = DiscrepancySpec(SGASP, KernelSpec("matern52", [0.5]))
         mle_fit(data, model, spec, n_starts=2, seed=0, prior=PriorSpec.default(data) if prior else None)
-        assert calls == {"from_vector": 0, "records": 2}
+        assert calls == {"from_vector": 0, "records": 1}
 
     def test_a_range_that_overflows_scores_the_penalty(self, monkeypatch):
         # the search box reaches psi = 1e-2 / width = 5e-310 here, whose range
@@ -306,7 +308,7 @@ def test_multistart_fits_reject_non_integer_n_starts(fit, value):
         calls[fit]()
 
 
-class TestAdaptiveRWSampler:
+class TestSampleChain:
     def test_two_parameter_gaussian_moments(self):
         # detailed-balance smoke test against a known normal target
         mean = np.array([1.0, -2.0])
@@ -317,9 +319,11 @@ class TestAdaptiveRWSampler:
             d = x - mean
             return -0.5 * d @ prec @ d
 
-        rng = np.random.default_rng(7)
-        sampler = AdaptiveRWSampler(logpost, {"a": [0], "b": [1]}, np.zeros(2), rng)
-        draws = sampler.run(40_000, adapt_until=5_000)[5_000:]
+        # the loop's score/accept protocol over the plain density; no coordinate is left to draw
+        target = SimpleNamespace(score=lambda x, block: logpost(x), accept=lambda: None)
+        blocks = {"a": np.array([0]), "b": np.array([1])}
+        rng, x0, keep = np.random.default_rng(7), np.zeros(2), lambda x, rng: x
+        draws = _sample_chain(target, blocks, keep, x0, logpost(x0), rng, 40_000, 5_000)[0][5_000:]
         for j in range(2):
             col = draws[:, j]
             batches = col.reshape(35, -1).mean(axis=1)
@@ -330,11 +334,14 @@ class TestAdaptiveRWSampler:
             se2 = b2.std(ddof=1) / np.sqrt(len(b2))
             assert abs(m2.mean() - (cov[j, j] + mean[j] ** 2)) <= 3 * se2
 
-    def test_rejects_non_finite_start(self):
+    def test_rejects_non_finite_start(self, monkeypatch):
+        # mcmc_run scores the start before the loop runs: a log posterior
+        # that is -inf everywhere, at a start that can be factored, is a ValueError
+        monkeypatch.setattr(_CalibPosterior, "_evaluate", lambda self, z, block: (-np.inf, None))
+        data, model = _sine_data()
+        spec = DiscrepancySpec(GASP, KernelSpec("matern52", [0.5]))
         with pytest.raises(ValueError):
-            AdaptiveRWSampler(
-                lambda x: -np.inf, {"a": [0]}, np.zeros(1), np.random.default_rng(0)
-            )
+            mcmc_run(data, model, spec, S=10, burn_in=1)
 
 
 def _sine_data(n=15, seed=3):
@@ -526,9 +533,9 @@ _WRONG_LENGTHS = {
 }
 
 
-@pytest.mark.parametrize("call", ["mcmc_run", "mle_fit", "marginal_loglik", "predict"])
+@pytest.mark.parametrize("call", ["mcmc_run", "marginal_loglik", "predict"])
 @pytest.mark.parametrize("case", sorted(_WRONG_LENGTHS))
-def test_parameter_blocks_of_the_wrong_length_are_rejected(case, call, monkeypatch):
+def test_parameter_blocks_of_the_wrong_length_are_rejected(case, call):
     # one-dimensional data, one calibration parameter, an intercept basis
     x = np.linspace(0, 1, 8)[:, None]
     data = FieldDataset(x, np.sin(10 * x[:, 0]), [[0.0, 1.0]])
@@ -537,11 +544,8 @@ def test_parameter_blocks_of_the_wrong_length_are_rejected(case, call, monkeypat
     name, value = _WRONG_LENGTHS[case]
     good = dict(theta=[3.0], beta_delta=[0.0], psi_delta=[2.0], sigma2_delta=1.0, eta=0.1)
     bad = CalibParams(**{**good, name: value})
-    # mle_fit starts from initial_params, whose lengths a caller cannot pick
-    monkeypatch.setattr("gpcalib.inference.initial_params", lambda *args, **kwargs: bad)
     run = {
         "mcmc_run": lambda: mcmc_run(data, model, spec, S=10, burn_in=1, initial=bad),
-        "mle_fit": lambda: mle_fit(data, model, spec, n_starts=1),
         "marginal_loglik": lambda: marginal_loglik(bad, data, model, spec),
         "predict": lambda: predict(bad, data, model, spec, x[:3]),
     }[call]
@@ -666,17 +670,17 @@ class TestCalibPosterior:
         data, model, spec, prior, tr, _ = _posterior_case(mode)
         drawn = np.r_[tr.beta_slice, tr.sigma2_index]
         draws = []
-        init = AdaptiveRWSampler.__init__
+        sample_chain = inference._sample_chain
 
-        def checking_init(self, logpost, blocks, x0, rng, gibbs=None, **kwargs):
+        def checking_chain(posterior, blocks, draw, *args):
             def checked(x, rng):
-                new = gibbs(x, rng)
-                draws.append((logpost(x), logpost(new), np.delete(x, drawn), np.delete(new, drawn)))
+                new = draw(x, rng)
+                draws.append((posterior(x), posterior(new), np.delete(x, drawn), np.delete(new, drawn)))
                 return new
 
-            init(self, logpost, blocks, x0, rng, gibbs=checked, **kwargs)
+            return sample_chain(posterior, blocks, checked, *args)
 
-        monkeypatch.setattr(AdaptiveRWSampler, "__init__", checking_init)
+        monkeypatch.setattr(inference, "_sample_chain", checking_chain)
         chain = mcmc_run(data, model, spec, prior, S=150, burn_in=50, seed=5)
         assert len(draws) == 150
         for before, after, kept_before, kept_after in draws:

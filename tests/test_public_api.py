@@ -12,7 +12,6 @@ import pytest
 import gpcalib
 
 PUBLIC_NAMES = {
-    "AdaptiveRWSampler",
     "BUILTIN_MODELS",
     "CalibParams",
     "ComputerModel",
@@ -61,7 +60,7 @@ PUBLIC_NAMES = {
 
 
 def test_all_is_pinned():
-    assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 45
+    assert len(gpcalib.__all__) == len(PUBLIC_NAMES) == 44
     assert set(gpcalib.__all__) == PUBLIC_NAMES
 
 
