@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
-from .linalg import LOG_2PI, _shifted, _tri_inv, cholesky_with_jitter
+from .linalg import LOG_2PI, _cholesky, _tri_inv
 
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
 #: to a finite coordinate and back exactly.
@@ -295,13 +295,15 @@ class LikelihoodCore:
         return fm
 
     def corr_target(self, psi, theta=None) -> np.ndarray:
-        """Discrepancy correlation matrix K for the current mode."""
+        """Discrepancy correlation matrix K for the current mode, a fresh array."""
         return self.cov.corr(1.0 / np.atleast_1d(np.asarray(psi, dtype=float)), theta)
 
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
-        K = self.corr_target(psi, theta)
-        return cholesky_with_jitter(_shifted(K, eta) if eta > 0 else K)
+        K = self.corr_target(psi, theta)  # fresh, so it takes the nugget in place
+        if eta > 0:
+            K.flat[:: K.shape[0] + 1] += eta
+        return _cholesky(K)
 
     @staticmethod
     def logdet_half(L) -> float:

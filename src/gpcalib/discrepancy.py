@@ -21,17 +21,20 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs
 
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, _shifted, _tri_inv, cholesky_with_jitter
+from .linalg import NumericalError, _cholesky, _shifted, _tri_inv, cholesky_with_jitter
 
 GASP = "gasp"
 SGASP = "sgasp"
 OGASP = "ogasp"
 
 _MODES = (GASP, SGASP, OGASP)
+
+#: Kernel entries per row block of the ogasp grid features ``corr(Xstar, grid) Dw``:
+#: 128 KB of float64, so each block and its temporaries stay in cache.
+_GRID_BLOCK = 2**14
 
 
 @dataclass
@@ -62,9 +65,11 @@ class DiscrepancySpec:
     quad_points : int, optional
         Quadrature points per axis ``q`` for the ``ogasp`` orthogonality
         integrals; a positive integer.  ``None`` picks 200 in one dimension,
-        40 per axis in two, 10 above.  The ``N = q^p`` grid points cost one
-        (m, N) cross-correlation per point set and ``p q`` one-dimensional
-        lag evaluations for the gradient Gram; no N x N matrix is formed.
+        40 per axis in two, 10 above.  The ``N = q^p`` grid points cost
+        ``m N`` kernel evaluations per point set, built in row blocks of
+        about ``2**14`` entries and reduced at once to ``m x p_theta``
+        gradient features, and ``p q`` one-dimensional lag evaluations for
+        the gradient Gram; no N x N or m x N matrix is formed for new points.
     """
 
     mode: str
@@ -172,10 +177,13 @@ class _ModeCov:
             return self._parts(gamma)[0] - g @ dpotrs(LG, g.T, lower=1)[0]
         R, L, rC = self._parts(gamma)
         if self._XC is None:
-            Rz = self._c * dpotrs(L, rC, lower=1)[0]
+            Rz = dpotrs(L, rC, lower=1)[0]
+            Rz *= self._c
         else:
             Rz = R - rC.T @ dpotrs(L, rC, lower=1)[0]
-        return 0.5 * (Rz + Rz.T)
+        Rz += Rz.T
+        Rz *= 0.5
+        return Rz
 
     def cross(self, gamma, theta, Xstar):
         """``(r, c0)``: the cross-correlation (n, k) between the design and
@@ -188,7 +196,13 @@ class _ModeCov:
             return r, np.ones(Xstar.shape[0])
         if self.mode == OGASP:
             g, Dw, LG = self._ogasp(gamma, theta)
-            g_star = _product_corr(dists_extra, self.kernel, gamma) @ Dw
+            # g* = corr(Xstar, grid) Dw by row blocks: a whole k x N kernel and its
+            # temporaries leave the cache, and glibc returns and re-faults their pages
+            g_star = np.empty((Xstar.shape[0], Dw.shape[1]))
+            rows = max(1, _GRID_BLOCK // Dw.shape[0])
+            for s in range(0, Xstar.shape[0], rows):
+                block = _product_corr([d[s:s + rows] for d in dists_extra], self.kernel, gamma)
+                g_star[s:s + rows] = block @ Dw
             solved = dpotrs(LG, g_star.T, lower=1)[0]
             return r - g @ solved, 1.0 - np.einsum("ij,ji->i", g_star, solved)
         _, L, rC = self._parts(gamma)
@@ -226,8 +240,8 @@ class _ModeCov:
                 grid_corr = _product_corr(self._dists_grid, kernel, gamma)
                 return R, grid_corr, _toeplitz_factors(kernel, gamma, self._grid.lags)
             if self._XC is None:
-                return R, cholesky_with_jitter(_shifted(R, self._c))[0], R
-            L, _ = cholesky_with_jitter(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
+                return R, _cholesky(_shifted(R, self._c))[0], R
+            L, _ = _cholesky(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
             return R, L, _product_corr(self._dists_CX, kernel, gamma)
 
         return _lru(self._gamma_parts, gamma.tobytes(), make)
@@ -305,16 +319,16 @@ def quadrature_grid(domain, quad_points: int):
 
     Returns the grid points (N, p) and the scalar cell volume.  The points are
     the ``indexing="ij"`` mesh raveled in C order, so the last coordinate
-    varies fastest.
+    varies fastest.  A domain whose points overflow raises ``ValueError``.
     """
     quad_points = _check_quad_points(quad_points)
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
     if domain.shape[1] != 2 or np.any(domain[:, 1] <= domain[:, 0]):
         raise ValueError("domain must be rows of (lower, upper) with lower < upper")
-    axes = [
-        lo + (hi - lo) * (np.arange(quad_points) + 0.5) / quad_points
-        for lo, hi in domain
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [lo + (hi - lo) * (np.arange(quad_points) + 0.5) / quad_points for lo, hi in domain]
+    if not all(np.isfinite(a).all() for a in axes):
+        raise ValueError("the quadrature points of this domain are not finite")
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([m.ravel() for m in mesh])
     volume = float(np.prod((domain[:, 1] - domain[:, 0]) / quad_points))
@@ -349,8 +363,18 @@ def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
 
 
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
-    """Per-axis Toeplitz factors of the grid correlation at ranges ``gammas``."""
-    return [toeplitz(_corr_1d(lag, kernel, gammas[l], l)) for l, lag in enumerate(lags)]
+    """Per-axis symmetric Toeplitz factors of the grid correlation at ranges
+    ``gammas``: entry (i, j) of axis l's factor is the kernel at lag
+    ``|i - j| h_l``, copied out of a strided window on the kernel ``c`` at the
+    mirrored lags ``c[q-1], ..., c[1], c[0], c[1], ..., c[q-1]``."""
+    factors = []
+    for l, lag in enumerate(lags):
+        c = _corr_1d(lag, kernel, gammas[l], l)
+        mirrored, q, step = np.concatenate((c[:0:-1], c)), c.size, c.itemsize
+        # row i starts at mirrored[q - 1 - i] and runs forward
+        window = np.ndarray((q, q), buffer=mirrored, offset=(q - 1) * step, strides=(-step, step))
+        factors.append(window.copy())
+    return factors
 
 
 def _grid_corr_apply(V, factors) -> np.ndarray:
@@ -360,12 +384,13 @@ def _grid_corr_apply(V, factors) -> np.ndarray:
     kernel, so the grid correlation is the Kronecker product of one symmetric
     Toeplitz matrix per axis (:func:`_toeplitz_factors`).  Each factor acts on
     its own axis of ``V`` reshaped to ``(q,) * p + (m,)``, which matches the
-    C-order rows of :func:`quadrature_grid`.
+    C-order rows of :func:`quadrature_grid`: one product with that axis moved
+    first and the others flattened behind it.
     """
     q, p = factors[0].shape[0], len(factors)
     V = V.reshape((q,) * p + (-1,))
     for l, T in enumerate(factors):
-        V = np.moveaxis(np.tensordot(T, V, axes=(1, l)), 0, l)
+        V = np.moveaxis(np.dot(T, np.moveaxis(V, l, 0).reshape(q, -1)).reshape(V.shape), 0, l)
     return V.reshape(q**p, -1)
 
 
@@ -410,7 +435,8 @@ def ogasp_kernel(Xa, Xb, base_kernel: KernelSpec, model_grad, domain, quad_point
     both integrals evaluated by a midpoint rule on a fixed grid of
     ``N = q^p`` points.  ``G`` is computed per axis from ``p q`` lag
     evaluations of the one-dimensional kernel, so no N x N grid correlation
-    is formed; the cost is dominated by the (m, N) cross-correlations.
+    is formed; the cost is dominated by the ``m N`` kernel values between
+    the points and the grid (for ``Xb``, built in cache-sized row blocks).
 
     Parameters
     ----------

@@ -164,7 +164,13 @@ def mle_fit(
         for idx, res in enumerate(results)
     ]
     if best is None or not per_start[best]["converged"]:
-        raise OptimizationError("no optimization start converged", per_start)
+        message = "no optimization start converged"
+        if all(res.fun == _BAD_OBJECTIVE for res in results):
+            message += (
+                ": the likelihood was not finite, or its correlation could not be factored,"
+                " at every point the search visited"
+            )
+        raise OptimizationError(message, per_start)
 
     z[free_idx] = results[best].x
     (theta, _, _), _, fit = posterior._evaluate(z, None)[1]

@@ -39,6 +39,18 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return dtrtri(L, lower=1)[0]
 
 
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`cholesky_with_jitter` of a float64 ``A`` whose lower triangle
+    shows any non-finite entry (a symmetric ``A`` does), with no scan before
+    the first ``dpotrf``.  Its factor is kept when LAPACK reports success and
+    the diagonal of ``L`` is finite: OpenBLAS can report success for a NaN or
+    inf on or below the diagonal, and only that diagonal then shows it."""
+    L, info = dpotrf(A, lower=1)
+    if info == 0 and np.isfinite(L.diagonal()).all():
+        return L, 0.0
+    return cholesky_with_jitter(A)
+
+
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A``, escalating diagonal jitter on failure.
 

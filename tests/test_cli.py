@@ -171,10 +171,15 @@ class TestConfigValidation:
             # and whose midpoint grid overflowed before its divide
             ({"mode": "l2", "domain": [[-1e307, 1e307]]}, 3, "numerical failure: "),
             # a theta box so far out that squared residuals overflow: in the start's
-            # variance (mcmc), every fit's quadratic form (mle), the sum of squares (ls)
+            # variance (mcmc), every fit's quadratic form (mle, whose error says so),
+            # the sum of squares (ls)
             *[({"mode": "gasp", "model": {"name": "constant", "theta_bounds": [[1e300, 2e300]]}, **fit},
-               3, "numerical failure: ")
-              for fit in ({"mcmc": {"samples": 200, "burn_in": 100}}, {"mle": {"n_starts": 2}})],
+               3, prefix)
+              for fit, prefix in (
+                  ({"mcmc": {"samples": 200, "burn_in": 100}}, "numerical failure: "),
+                  ({"mle": {"n_starts": 2}}, "numerical failure: no optimization start converged: "
+                   "the likelihood was not finite, or its correlation could not be factored"),
+              )],
             ({"mode": "ls", "model": {"name": "constant", "theta_bounds": [[1e300, 2e300]]}}, 3,
              "numerical failure: "),
             # a start whose variance is finite but whose likelihood's quadratic form overflows

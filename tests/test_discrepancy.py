@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrs
 
 from gpcalib.calibration import ComputerModel, FieldDataset, LikelihoodCore
 from gpcalib.discrepancy import (
@@ -19,7 +20,7 @@ from gpcalib.discrepancy import (
 )
 from gpcalib import discrepancy
 from gpcalib.emulator import emulator_fit, emulator_predict_scaled
-from gpcalib.kernels import KernelSpec, corr_matrix
+from gpcalib.kernels import KernelSpec, _product_corr, corr_matrix
 from oracles import gp_condition, scaled_cov_three_kernels
 
 
@@ -299,6 +300,14 @@ class TestQuadPoints:
         with pytest.raises(ValueError, match="positive integer"):
             DiscrepancySpec(OGASP, KernelSpec("matern52", [1.0]), quad_points=q)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_points_raise(self):
+        # the midpoints multiply before they divide: 2e307 * 199.5 overflows
+        with pytest.raises(ValueError, match="not finite"):
+            quadrature_grid([[-1e307, 1e307]], 200)
+        with pytest.raises(ValueError, match="not finite"):
+            quadrature_grid([[0.0, 1.0], [0.0, np.inf]], 3)
+
     def test_weights_integrate_volume(self):
         for q in (1, 7, np.int64(12)):
             grid, w = quadrature_grid([[0.0, 2.0], [-1.0, 0.5]], q)
@@ -447,3 +456,60 @@ class TestStructuredGram:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _unblocked_cross(cov, gamma, theta, Xs):
+    """The ogasp ``(r, c0)`` with the whole k x N grid kernel formed at once."""
+    g, Dw, LG = cov._ogasp(gamma, theta)
+    dists, dists_grid = cov._star_dists(Xs)
+    g_star = _product_corr(dists_grid, cov.kernel, gamma) @ Dw
+    solved = dpotrs(LG, g_star.T, lower=1)[0]
+    r = _product_corr(dists, cov.kernel, gamma) - g @ solved
+    return r, 1.0 - np.einsum("ij,ji->i", g_star, solved)
+
+
+def _sine_grad(Z):
+    Z = np.atleast_2d(Z)
+    return (Z[:, 0] * np.cos(1.3 * Z[:, 0]))[:, None]
+
+
+class TestBlockedGridFeatures:
+    @pytest.mark.parametrize("p, q, k", [(1, 200, 500), (2, 40, 45)])
+    def test_cross_matches_dense_and_unblocked(self, p, q, k):
+        # 2**14 // N rows a block: 81 (7 blocks) at N = 200, 10 (5 blocks) at N = 1600
+        rng = np.random.default_rng(50 + p)
+        domain = np.array([[0.0, 5.0]]) if p == 1 else _OFFSET_DOMAIN[:2]
+        kern = KernelSpec("matern52", [0.5] if p == 1 else _RANGES[:2])
+        grad = _sine_grad if p == 1 else _grad_2d
+        lo, hi = domain[:, 0], domain[:, 1]
+        X = lo + (hi - lo) * rng.uniform(size=(12, p))
+        Xs = lo + (hi - lo) * rng.uniform(size=(k, p))
+        assert k > 2 * (discrepancy._GRID_BLOCK // q**p)  # at least 3 blocks
+        spec = DiscrepancySpec(OGASP, kern, quad_points=q)
+        cov = discrepancy._ModeCov(spec, X, domain, lambda theta: grad)
+        r, c0 = cov.cross(kern.ranges, (), Xs)
+        r_ref, c0_ref = _unblocked_cross(cov, kern.ranges, (), Xs)
+        for got, ref in ((r, r_ref), (c0, c0_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        r_dense = _dense_ogasp(X, Xs, kern, grad, domain, q)
+        c0_dense = np.diag(_dense_ogasp(Xs, Xs, kern, grad, domain, q))
+        for got, ref in ((r, r_dense), (c0, c0_dense)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_peak_memory_below_one_k_by_n_kernel(self):
+        # k = 2000 points against N = 200 grid points: the whole k x N kernel
+        # alone would take 3.2 MB; its cached distances are made in the warm-up
+        rng = np.random.default_rng(60)
+        kern = KernelSpec("matern52", [0.5])
+        X = rng.uniform(0.0, 5.0, size=(10, 1))
+        Xs = rng.uniform(0.0, 5.0, size=(2000, 1))
+        spec = DiscrepancySpec(OGASP, kern, quad_points=200)
+        cov = discrepancy._ModeCov(spec, X, [[0.0, 5.0]], lambda theta: _sine_grad)
+        cov.cross(np.array([0.5]), (), Xs)
+        tracemalloc.start()
+        try:
+            cov.cross(np.array([0.7]), (), Xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 200 * 8
