@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from . import discrepancy as dm
 from .discrepancy import DiscrepancySpec
-from .linalg import LOG_2PI, _cholesky, _tri_inv
+from .linalg import LOG_2PI, _tri_inv, cholesky_with_jitter
 
 #: Additive floor used when log-transforming the nugget ratio, so eta = 0 maps
 #: to a finite coordinate and back exactly.
@@ -303,7 +303,7 @@ class LikelihoodCore:
         K = self.corr_target(psi, theta)  # fresh, so it takes the nugget in place
         if eta > 0:
             K.flat[:: K.shape[0] + 1] += eta
-        return _cholesky(K)
+        return cholesky_with_jitter(K)
 
     @staticmethod
     def logdet_half(L) -> float:

@@ -21,10 +21,11 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs
 
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, _cholesky, _shifted, _tri_inv, cholesky_with_jitter
+from .linalg import NumericalError, _shifted, _tri_inv, cholesky_with_jitter
 
 GASP = "gasp"
 SGASP = "sgasp"
@@ -66,10 +67,12 @@ class DiscrepancySpec:
         Quadrature points per axis ``q`` for the ``ogasp`` orthogonality
         integrals; a positive integer.  ``None`` picks 200 in one dimension,
         40 per axis in two, 10 above.  The ``N = q^p`` grid points cost
-        ``m N`` kernel evaluations per point set, built in row blocks of
-        about ``2**14`` entries and reduced at once to ``m x p_theta``
-        gradient features, and ``p q`` one-dimensional lag evaluations for
-        the gradient Gram; no N x N or m x N matrix is formed for new points.
+        ``m N`` kernel evaluations per point set and ``p q`` one-dimensional
+        lag evaluations for the gradient Gram; no N x N matrix is formed.
+        For new points the kernel is built in row blocks of about ``2**14``
+        entries from the cached per-axis ``m x N`` distances and reduced at
+        once to ``m x p_theta`` gradient features, so no ``m x N`` kernel or
+        kernel temporary is formed.
     """
 
     mode: str
@@ -240,8 +243,8 @@ class _ModeCov:
                 grid_corr = _product_corr(self._dists_grid, kernel, gamma)
                 return R, grid_corr, _toeplitz_factors(kernel, gamma, self._grid.lags)
             if self._XC is None:
-                return R, _cholesky(_shifted(R, self._c))[0], R
-            L, _ = _cholesky(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
+                return R, cholesky_with_jitter(_shifted(R, self._c))[0], R
+            L, _ = cholesky_with_jitter(_shifted(_product_corr(self._dists_C, kernel, gamma), self._c))
             return R, L, _product_corr(self._dists_CX, kernel, gamma)
 
         return _lru(self._gamma_parts, gamma.tobytes(), make)
@@ -363,18 +366,8 @@ def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
 
 
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
-    """Per-axis symmetric Toeplitz factors of the grid correlation at ranges
-    ``gammas``: entry (i, j) of axis l's factor is the kernel at lag
-    ``|i - j| h_l``, copied out of a strided window on the kernel ``c`` at the
-    mirrored lags ``c[q-1], ..., c[1], c[0], c[1], ..., c[q-1]``."""
-    factors = []
-    for l, lag in enumerate(lags):
-        c = _corr_1d(lag, kernel, gammas[l], l)
-        mirrored, q, step = np.concatenate((c[:0:-1], c)), c.size, c.itemsize
-        # row i starts at mirrored[q - 1 - i] and runs forward
-        window = np.ndarray((q, q), buffer=mirrored, offset=(q - 1) * step, strides=(-step, step))
-        factors.append(window.copy())
-    return factors
+    """Per-axis Toeplitz factors of the grid correlation at ranges ``gammas``."""
+    return [toeplitz(_corr_1d(lag, kernel, gammas[l], l)) for l, lag in enumerate(lags)]
 
 
 def _grid_corr_apply(V, factors) -> np.ndarray:
@@ -384,13 +377,12 @@ def _grid_corr_apply(V, factors) -> np.ndarray:
     kernel, so the grid correlation is the Kronecker product of one symmetric
     Toeplitz matrix per axis (:func:`_toeplitz_factors`).  Each factor acts on
     its own axis of ``V`` reshaped to ``(q,) * p + (m,)``, which matches the
-    C-order rows of :func:`quadrature_grid`: one product with that axis moved
-    first and the others flattened behind it.
+    C-order rows of :func:`quadrature_grid`.
     """
     q, p = factors[0].shape[0], len(factors)
     V = V.reshape((q,) * p + (-1,))
     for l, T in enumerate(factors):
-        V = np.moveaxis(np.dot(T, np.moveaxis(V, l, 0).reshape(q, -1)).reshape(V.shape), 0, l)
+        V = np.moveaxis(np.tensordot(T, V, axes=(1, l)), 0, l)
     return V.reshape(q**p, -1)
 
 

@@ -167,8 +167,8 @@ def mle_fit(
         message = "no optimization start converged"
         if all(res.fun == _BAD_OBJECTIVE for res in results):
             message += (
-                ": the likelihood was not finite, or its correlation could not be factored,"
-                " at every point the search visited"
+                ": no point the search visited had a finite score (off the prior support,"
+                " overflowing, or with a correlation that could not be factored)"
             )
         raise OptimizationError(message, per_start)
 

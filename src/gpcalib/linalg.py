@@ -39,24 +39,16 @@ def _tri_inv(L: np.ndarray) -> np.ndarray:
     return dtrtri(L, lower=1)[0]
 
 
-def _cholesky(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`cholesky_with_jitter` of a float64 ``A`` whose lower triangle
-    shows any non-finite entry (a symmetric ``A`` does), with no scan before
-    the first ``dpotrf``.  Its factor is kept when LAPACK reports success and
-    the diagonal of ``L`` is finite: OpenBLAS can report success for a NaN or
-    inf on or below the diagonal, and only that diagonal then shows it."""
-    L, info = dpotrf(A, lower=1)
-    if info == 0 and np.isfinite(L.diagonal()).all():
-        return L, 0.0
-    return cholesky_with_jitter(A)
-
-
 def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``A``, escalating diagonal jitter on failure.
 
     ``A`` itself is tried first; only when that fails are the ladder's
-    multiples of the mean diagonal added.  A non-finite ``A`` raises
-    :class:`NumericalError`.
+    multiples of the mean diagonal added.  Only the lower triangle is read,
+    as by ``dpotrf``, so ``A`` should be symmetric.  A non-finite ``A``
+    raises :class:`NumericalError`; it is scanned for only when the first
+    ``dpotrf`` fails or leaves a non-finite diagonal in ``L``, since
+    OpenBLAS can report success for a NaN or inf entry and only that
+    diagonal then shows it.
 
     Returns
     -------
@@ -66,11 +58,11 @@ def cholesky_with_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
+    L, info = dpotrf(A, lower=1)
+    if info == 0 and np.isfinite(L.diagonal()).all():
+        return L, 0.0
     if not np.isfinite(A).all():
         raise NumericalError("matrix to factor is not finite")
-    L, info = dpotrf(A, lower=1)
-    if info == 0:
-        return L, 0.0
     scale = float(np.mean(np.diag(A)))
     last = 0.0
     for level in JITTER_LADDER[1:]:

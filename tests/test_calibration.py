@@ -307,8 +307,8 @@ class TestPredict:
             SGASP, KernelSpec("matern52", [0.5]), constraint_points=[[0.1], [0.4], [0.7], [0.95]], lam=3.0
         )
         calls = []
-        chol = discrepancy._cholesky
-        monkeypatch.setattr(discrepancy, "_cholesky", lambda *a: calls.append(1) or chol(*a))
+        chol = discrepancy.cholesky_with_jitter
+        monkeypatch.setattr(discrepancy, "cholesky_with_jitter", lambda *a: calls.append(1) or chol(*a))
         params = CalibParams([1.0], [], [2.0], 1.0, 0.05)
         predict(params, data, _constant_model(), spec, np.linspace(0, 1, 7)[:, None])
         assert len(calls) == 1

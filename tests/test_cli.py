@@ -178,7 +178,7 @@ class TestConfigValidation:
               for fit, prefix in (
                   ({"mcmc": {"samples": 200, "burn_in": 100}}, "numerical failure: "),
                   ({"mle": {"n_starts": 2}}, "numerical failure: no optimization start converged: "
-                   "the likelihood was not finite, or its correlation could not be factored"),
+                   "no point the search visited had a finite score"),
               )],
             ({"mode": "ls", "model": {"name": "constant", "theta_bounds": [[1e300, 2e300]]}}, 3,
              "numerical failure: "),

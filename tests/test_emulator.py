@@ -216,8 +216,8 @@ class TestScaledPrediction:
         # the shrunk correlation, cross-correlation and prior variance share one factor
         em, _, _ = _fit_1d(seed=4, D=6)
         calls = []
-        chol = discrepancy._cholesky
-        monkeypatch.setattr(discrepancy, "_cholesky", lambda *a: calls.append(1) or chol(*a))
+        chol = discrepancy.cholesky_with_jitter
+        monkeypatch.setattr(discrepancy, "cholesky_with_jitter", lambda *a: calls.append(1) or chol(*a))
         emulator_predict_scaled(em, np.array([[0.13], [0.47]]), lam=lam)
         assert len(calls) == 1
 

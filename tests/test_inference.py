@@ -180,7 +180,7 @@ class TestMleFit:
         records = err.value.per_start
         assert [s["index"] for s in records] == [0, 1, 2]
         assert not any(s["converged"] for s in records)
-        assert "could not be factored, at every point the search visited" in str(err.value)
+        assert "no point the search visited had a finite score" in str(err.value)
 
 
 def _smooth_sine_data():
