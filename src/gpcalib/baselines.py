@@ -13,29 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import (
-    CalibParams,
-    ComputerModel,
-    FieldDataset,
-    PredictiveResult,
-    PriorSpec,
-    predict,
-)
+from .calibration import CalibParams, ComputerModel, FieldDataset, PredictiveResult, PriorSpec, predict
 from .design import scale_to_domain
 from .discrepancy import GASP, DiscrepancySpec
-from .emulator import _intercept
+from .emulator import _ZERO_MODEL, _intercept
 from .inference import OptimizationError, _multistart, mle_fit
 from .kernels import KernelSpec
 from .linalg import NumericalError
-
-
-def _zero_model() -> ComputerModel:
-    """The zero computer model with no parameters: a field GP is a calibration without theta."""
-    return ComputerModel(
-        evaluator=lambda X, theta: np.zeros(np.atleast_2d(X).shape[0]),
-        theta_bounds=np.zeros((0, 2)),
-        vectorized=True,
-    )
 
 
 @dataclass
@@ -47,31 +31,43 @@ class SurrogateFit:
     params: CalibParams
 
     def predict(self, Xstar) -> PredictiveResult:
-        return predict(self.params, self.data, _zero_model(), self.spec, Xstar)
+        return predict(self.params, self.data, _ZERO_MODEL, self.spec, Xstar)
 
 
 def fit_field_gasp(data: FieldDataset, seed: int = 0, n_starts: int = 10) -> SurrogateFit:
     """Fit a constant-mean Matern GP with nugget to (X, y).
 
     The inverse ranges and nugget ratio are regularized by the jointly
-    robust prior (posterior-mode fit); the raw likelihood tends to chase
-    tiny ranges that interpolate the noise.
+    robust prior: :func:`mle_fit` with ``prior=`` finds the mode of their
+    posterior with the trend and the variance integrated out, as the
+    emulator's range fit does; the raw likelihood tends to chase tiny ranges
+    that interpolate the noise.  The reported variance is ``Q / n`` there.
     """
     spec = DiscrepancySpec(
         GASP,
         KernelSpec("matern52", data.lengths / 2.0),
         mean_basis=[_intercept],
     )
-    fit = mle_fit(data, _zero_model(), spec, n_starts=n_starts, seed=seed, prior=PriorSpec.default(data))
+    fit = mle_fit(data, _ZERO_MODEL, spec, n_starts=n_starts, seed=seed, prior=PriorSpec.default(data))
     return SurrogateFit(data=data, spec=spec, params=fit.best_params)
 
 
-def _multistart_theta(objective, bounds, n_starts: int, seed: int):
-    """Multi-start bounded quasi-Newton over the parameter box."""
+def _multistart_theta(objective, bounds, n_starts: int, seed: int, what: str = "objective"):
+    """Multi-start bounded quasi-Newton over the parameter box.
+
+    An infinite ``objective`` (the ``what`` of the error) raises
+    :class:`NumericalError`; a NaN one, a model undefined there, fails that start.
+    """
+
+    def checked(theta):
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite value is an error
+            value = objective(theta)
+        if np.isinf(value):
+            raise NumericalError(f"the {what} is infinite at theta = {np.asarray(theta).tolist()}")
+        return value
+
     bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
-    results, best = _multistart(
-        objective, bounds, n_starts, seed, [tuple(b) for b in bounds], {"ftol": 1e-12}
-    )
+    results, best = _multistart(checked, bounds, n_starts, seed, [tuple(b) for b in bounds], {"ftol": 1e-12})
     per_start = list(enumerate(results))
     if best is None:
         raise OptimizationError("theta optimization failed from every start", per_start)
@@ -104,7 +100,9 @@ def l2_calibrate(
     surrogate and the computer model over the domain.  In one dimension the
     quadrature is a uniform midpoint grid (default 1000 points); in higher
     dimensions, seeded Monte Carlo (default 10^4 points).  A loss that is
-    not finite at a theta the search visits raises :class:`NumericalError`.
+    infinite at a theta the search visits raises :class:`NumericalError`; a
+    NaN one, a model undefined there, fails that start, and
+    :class:`OptimizationError` follows when every start fails.
     """
     surrogate = fit_field_gasp(data, seed=seed)
     p = data.p
@@ -119,16 +117,10 @@ def l2_calibrate(
     yhat = surrogate.predict(grid).full_mean
     volume = float(np.prod(data.lengths))
 
-    def objective(theta):
-        with np.errstate(over="ignore", invalid="ignore"):  # a loss that is not finite is an error
-            loss = float(np.mean((yhat - model.evaluate(grid, theta)) ** 2))
-        if not np.isfinite(loss):
-            raise NumericalError(f"the L2 loss is not finite at theta = {np.asarray(theta).tolist()}")
-        return loss
+    def loss_at(theta):
+        return float(np.mean((yhat - model.evaluate(grid, theta)) ** 2))
 
-    theta_hat, best, per_start = _multistart_theta(
-        objective, model.theta_bounds, n_starts, seed
-    )
+    theta_hat, best, per_start = _multistart_theta(loss_at, model.theta_bounds, n_starts, seed, "L2 loss")
     return L2Result(
         theta_hat=theta_hat,
         l2_loss_at_opt=best * volume,
@@ -161,20 +153,14 @@ def ls_calibrate(
 
     A sum of squares that is infinite at a theta the search visits raises
     :class:`NumericalError`; a NaN one, a model undefined there, fails that
-    start.
+    start, and :class:`OptimizationError` follows when every start fails.
     """
 
-    def objective(theta):
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum is an error
-            resid = data.y - model.evaluate(data.X, theta)
-            sse = float(resid @ resid)
-        if np.isinf(sse):
-            raise NumericalError(f"the sum of squares is infinite at theta = {np.asarray(theta).tolist()}")
-        return sse
+    def ssr(theta):
+        resid = data.y - model.evaluate(data.X, theta)
+        return float(resid @ resid)
 
-    theta_hat, sse, per_start = _multistart_theta(
-        objective, model.theta_bounds, n_starts, seed
-    )
+    theta_hat, sse, per_start = _multistart_theta(ssr, model.theta_bounds, n_starts, seed, "sum of squares")
     resid = data.y - model.evaluate(data.X, theta_hat)
     resid_data = FieldDataset(data.X, resid, data.domain)
     residual_fit = fit_field_gasp(resid_data, seed=seed)

@@ -367,9 +367,9 @@ def _gls(L, H, y, logdet) -> _GLS:
 
     ``beta`` is the GLS estimate, ``LM`` the factor of ``M = H' R^-1 H``,
     ``alpha = R^-1 (y - H beta)`` the kriging weights and ``Q`` the quadratic
-    form ``(y - H beta)' alpha``, floored at 1e-300.  ``log_marginal`` is the
-    log-likelihood with the trend (flat prior) and the variance (prior
-    ``1/sigma2``) integrated out, up to a constant:
+    form ``(y - H beta)' alpha``, floored at 1e-300 (an overflow to -inf is
+    inf).  ``log_marginal`` is the log-likelihood with the trend (flat prior)
+    and the variance (prior ``1/sigma2``) integrated out, up to a constant:
     ``-log|L| - log|LM| - ((n - q)/2) log Q``.  An empty basis costs one solve.
     """
     n, q = H.shape
@@ -382,7 +382,8 @@ def _gls(L, H, y, logdet) -> _GLS:
     else:  # an empty basis: a zero trend, nothing to estimate
         RinvH, LM, beta, resid, logdet_M = H, np.zeros((0, 0)), np.zeros(0), y, 0.0
     alpha = dpotrs(L, resid, lower=1)[0]
-    Q = max(float(resid @ alpha), 1e-300)
+    Q = float(resid @ alpha)
+    Q = max(Q, 1e-300) if Q != -np.inf else np.inf  # terms that overflow both ways are no perfect fit
     return _GLS(L, RinvH, LM, beta, alpha, Q, logdet, -logdet - logdet_M - 0.5 * (n - q) * np.log(Q))
 
 

@@ -2,7 +2,8 @@
 
 Fit on design runs over the joint (variable input, parameter) space; the
 trend coefficients and process variance are integrated out analytically and
-the range parameters are estimated by the marginal posterior mode.  The
+the range parameters are estimated by the marginal posterior mode, found by
+the search that :func:`~gpcalib.inference.mle_fit` runs with a prior.  The
 predictive distribution at a new point is a Student-t with ``D - q`` degrees
 of freedom.  A fitted emulator can stand in for the real computer model in
 calibration; its hyperparameters are never revisited there.
@@ -17,16 +18,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import (
-    _GLS, ComputerModel, LikelihoodCore, PriorSpec, _full_rank_basis, _gls, _jr_log_prior, basis_matrix
+    ETA_FLOOR, _GLS, ComputerModel, FieldDataset, LikelihoodCore, ParamTransform, PriorSpec, _gls,
+    basis_matrix,
 )
 from .discrepancy import GASP, SGASP, DiscrepancySpec, _lru, _ModeCov
-from .inference import _BAD_OBJECTIVE, _fd_grad, _multistart, _psi_box
+from .inference import _CalibPosterior, _maximize, _psi_box
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
-from .linalg import NumericalError, cholesky_with_jitter
+from .linalg import cholesky_with_jitter
 
 
 def _intercept(Z):
     return np.ones(np.atleast_2d(Z).shape[0])
+
+
+#: The zero computer model with no parameters: a GP fit is a calibration without theta.
+_ZERO_MODEL = ComputerModel(lambda X, theta: np.zeros(X.shape[0]), np.zeros((0, 2)), vectorized=True)
 
 
 @dataclass
@@ -89,66 +95,42 @@ def emulator_fit(
 
     The trend coefficients and variance carry the scale-invariant prior
     ``1/sigma2`` and are integrated out; the inverse ranges get the jointly
-    robust prior, evaluated on the log-inverse-range scale.  The trend
-    defaults to a constant; an empty ``mean_basis`` makes it zero.  Passing
-    ``ranges`` skips the range optimization: the kernel keeps exactly those
-    ranges, so a fit rebuilt from ``em.kernel.ranges`` equals ``em``.
+    robust prior, evaluated on the log-inverse-range scale: the search of
+    :func:`~gpcalib.inference.mle_fit` with a prior, over the inverse ranges
+    of field data on the design's bounding box (a constant column gets width
+    1), a zero computer model and a nugget of exactly 0.  It raises
+    :class:`~gpcalib.inference.OptimizationError` when no start converges.
+    The trend defaults to a constant; an empty ``mean_basis`` makes it zero.
+    Passing ``ranges`` skips the range optimization: the kernel keeps exactly
+    those ranges, so a fit rebuilt from ``em.kernel.ranges`` equals ``em``.
     """
     design, outputs = _prepare_design(design, outputs)
     D, p = design.shape
-    if mean_basis is None:
-        mean_basis = [_intercept]
-    mean_basis = list(mean_basis)
-    q = len(mean_basis)
-    if D <= q + 2:
+    mean_basis = [_intercept] if mean_basis is None else list(mean_basis)
+    if D <= len(mean_basis) + 2:
         raise ValueError("need more design runs than basis functions plus two")
-    H = _full_rank_basis(design, mean_basis)
-
-    lengths = design.max(axis=0) - design.min(axis=0)
-    lengths = np.where(lengths > 0, lengths, 1.0)
-    prior = PriorSpec(0.5 - p, 1.0, lengths * D ** (-1.0 / p))
-    cov = _ModeCov(DiscrepancySpec(GASP, KernelSpec("matern52", np.ones(p))), design)
-
-    def objective(log_psi) -> float:
-        psi = np.exp(log_psi)
-        try:
-            L, _ = cholesky_with_jitter(cov.corr(1.0 / psi))
-            lp = _gls(L, H, outputs, LikelihoodCore.logdet_half(L)).log_marginal
-        except (NumericalError, np.linalg.LinAlgError):
-            return _BAD_OBJECTIVE
-        lp += _jr_log_prior(prior, psi) + float(np.sum(log_psi))
-        if not np.isfinite(lp):
-            return _BAD_OBJECTIVE
-        return -lp
-
-    if ranges is not None:
-        return _finalize(design, outputs, mean_basis, ranges, H, cov)
-
-    box = _psi_box(lengths)
-    results, best = _multistart(
-        objective,
-        box[:, :2],
-        n_starts,
-        seed,
-        [tuple(row) for row in box[:, 2:]],
-        {"ftol": 1e-12, "gtol": 1e-8},
-        jac=lambda x: _fd_grad(objective, x),
-    )
-    if best is None or not results[best].fun < _BAD_OBJECTIVE / 2:
-        raise NumericalError("emulator range optimization failed from every start")
-    return _finalize(design, outputs, mean_basis, 1.0 / np.exp(results[best].x), H, cov)
-
-
-def _finalize(design, outputs, mean_basis, ranges, H, cov: _ModeCov) -> EmulatorModel:
+    lo, hi = design.min(axis=0), design.max(axis=0)
+    flat = hi == lo
+    lo = np.where(flat, np.floor(lo), lo)  # so a constant column's width is exactly 1
+    data = FieldDataset(design, outputs, np.column_stack([lo, np.where(flat, lo + 1.0, hi)]))
+    spec = DiscrepancySpec(GASP, KernelSpec("matern52", np.ones(p)), mean_basis=mean_basis)
+    core = LikelihoodCore(data, _ZERO_MODEL, spec)
+    if ranges is None:
+        tr = ParamTransform(_ZERO_MODEL.theta_bounds, len(mean_basis), p)
+        z = np.zeros(tr.dim)
+        z[tr.eta_index] = 2.0 * np.log(ETA_FLOOR)  # below log(ETA_FLOOR), where eta is exactly 0
+        posterior, options = _CalibPosterior(core, PriorSpec.default(data), tr), {"ftol": 1e-12, "gtol": 1e-8}
+        z, _ = _maximize(posterior, z, np.r_[tr.psi_slice], _psi_box(data.lengths), options, n_starts, seed)
+        ranges = 1.0 / np.exp(z[tr.psi_slice])
     kern = KernelSpec("matern52", ranges)
-    L, _ = cholesky_with_jitter(cov.corr(kern.ranges))
+    L, _ = cholesky_with_jitter(core.cov.corr(kern.ranges))
     return EmulatorModel(
         design=design,
         outputs=outputs,
         mean_basis=mean_basis,
         kernel=kern,
-        _gls=_gls(L, H, outputs, LikelihoodCore.logdet_half(L)),
-        _cov=cov,
+        _gls=_gls(L, core.H, outputs, LikelihoodCore.logdet_half(L)),
+        _cov=core.cov,
     )
 
 

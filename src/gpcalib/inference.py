@@ -95,57 +95,30 @@ def _psi_box(lengths) -> np.ndarray:
     )
 
 
-def mle_fit(
-    data: FieldDataset,
-    model: ComputerModel,
-    spec: DiscrepancySpec,
-    n_starts: int = 10,
-    seed: int = 0,
-    sigma2_fixed: float | None = None,
-    prior: PriorSpec | None = None,
-) -> MleResult:
-    """Maximize the marginal likelihood over transformed parameters.
+def _maximize(posterior, z, free_idx, box, options: dict, n_starts: int, seed: int, sigma2_fixed=None):
+    """Multi-start search of ``posterior``'s coordinates ``free_idx``, the rest of ``z`` held.
 
-    The optimizer searches theta (if the model has any), the inverse ranges
-    and the nugget ratio, scoring each point with the sampler's pieces
-    (:class:`_CalibPosterior`): :func:`_gls` profiles out the mean-basis
-    coefficients and, unless ``sigma2_fixed`` pins it, the discrepancy
-    variance (``Q / n``).  ``prior`` adds the jointly robust prior of the
-    inverse ranges and nugget ratio plus its log-scale Jacobian (its theta
-    density counts only through its support), turning the fit into a
-    posterior-mode search for surrogate regressions, where the raw likelihood
-    overfits the ranges.  A point off the support, with an overflowing
-    exponential or an unfactorable correlation scores ``_BAD_OBJECTIVE``.
+    The objective is the integrated ``log_marginal`` plus the correlation
+    piece's log prior and Jacobian terms with a prior, else the
+    log-likelihood at ``sigma2_fixed`` or ``Q / n``; ``_BAD_OBJECTIVE`` where
+    pieces are missing or it is not finite.  ``box`` rows: start range, then
+    bounds.  Returns ``z`` at the best start and one record per start.
     """
-    if sigma2_fixed is not None and not 0 < sigma2_fixed < np.inf:
-        raise ValueError("sigma2_fixed must be positive and finite")
-    if data.n <= spec.n_basis:
-        raise ValueError("need more observations than mean basis functions")
-    core = LikelihoodCore(data, model, spec)
-    tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    z = np.zeros(tr.dim)  # the score reads neither the beta nor the sigma2 coordinates
-    free_idx = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index]
-    posterior = _CalibPosterior(core, prior, tr)
+    block = None if posterior.tr.p_theta else "corr"
 
     def objective(zfree) -> float:
         z[free_idx] = zfree
-        pieces = posterior._evaluate(z, None)[1]
+        pieces = posterior._evaluate(z, block)[1]
         if pieces is None:
             return _BAD_OBJECTIVE
         _, (lp_corr, _, _), fit = pieces
-        ll = fit.loglik(sigma2_fixed)
-        if prior is not None:
-            ll += lp_corr
+        ll = fit.loglik(sigma2_fixed) if posterior.prior is None else fit.log_marginal + lp_corr
         return -ll if np.isfinite(ll) else _BAD_OBJECTIVE
 
-    # start ranges and optimizer bounds; theta starts in the central 98% of its box
-    box = np.zeros((tr.dim, 4))
-    box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
-    box[tr.psi_slice] = _psi_box(data.lengths)
-    box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
-    box = box[free_idx]
-    bounds, options = [tuple(row) for row in box[:, 2:]], {"maxiter": 500, "ftol": 1e-8}
+    bounds = [tuple(row) for row in box[:, 2:]]
     with np.errstate(all="ignore"):  # an overflowing fit scores _BAD_OBJECTIVE, so numpy need not warn
+        if block:  # no theta coordinates: theta's piece never changes, so take it once
+            posterior._current = posterior._theta_piece(z), None, None
         results, best = _multistart(
             objective, box[:, :2], n_starts, seed, bounds, options, jac=lambda x: _fd_grad(objective, x)
         )
@@ -171,8 +144,49 @@ def mle_fit(
                 " overflowing, or with a correlation that could not be factored)"
             )
         raise OptimizationError(message, per_start)
-
     z[free_idx] = results[best].x
+    return z, per_start
+
+
+def mle_fit(
+    data: FieldDataset,
+    model: ComputerModel,
+    spec: DiscrepancySpec,
+    n_starts: int = 10,
+    seed: int = 0,
+    sigma2_fixed: float | None = None,
+    prior: PriorSpec | None = None,
+) -> MleResult:
+    """Maximize the marginal likelihood over transformed parameters.
+
+    The optimizer searches theta (if the model has any), the inverse ranges
+    and the nugget ratio, scoring each point with the sampler's pieces
+    (:class:`_CalibPosterior`): :func:`_gls` profiles out the mean-basis
+    coefficients and, unless ``sigma2_fixed`` pins it, the discrepancy
+    variance (``Q / n``).  ``prior`` turns the fit into a posterior-mode
+    search, as :func:`~gpcalib.emulator.emulator_fit` runs: the integrated
+    marginal (trend and variance integrated out, so no ``sigma2_fixed``) plus
+    the jointly robust prior of the inverse ranges and nugget ratio and its
+    log-scale Jacobian (its theta density counts only through its support).
+    A point off the support, with an overflowing exponential or an
+    unfactorable correlation scores ``_BAD_OBJECTIVE``.
+    """
+    if sigma2_fixed is not None and not 0 < sigma2_fixed < np.inf:
+        raise ValueError("sigma2_fixed must be positive and finite")
+    if sigma2_fixed is not None and prior is not None:
+        raise ValueError("prior= integrates the variance out, so it cannot be combined with sigma2_fixed=")
+    if data.n <= spec.n_basis:
+        raise ValueError("need more observations than mean basis functions")
+    tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
+    posterior = _CalibPosterior(LikelihoodCore(data, model, spec), prior, tr)
+    # start ranges and optimizer bounds; theta starts in the central 98% of its box
+    box = np.zeros((tr.dim, 4))
+    box[tr.theta_slice] = [np.log(0.01 / 0.99), np.log(0.99 / 0.01), -16.6, 16.6]
+    box[tr.psi_slice] = _psi_box(data.lengths)
+    box[tr.eta_index] = [np.log(1e-4), np.log(1.0), np.log(1e-9), np.log(1e3)]
+    free_idx, options = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index], {"maxiter": 500, "ftol": 1e-8}
+    z = np.zeros(tr.dim)  # the score reads neither the beta nor the sigma2 coordinates
+    z, per_start = _maximize(posterior, z, free_idx, box[free_idx], options, n_starts, seed, sigma2_fixed)
     (theta, _, _), _, fit = posterior._evaluate(z, None)[1]
     psi, eta = tr._corr(z)
     sigma2 = fit.Q / data.n if sigma2_fixed is None else sigma2_fixed
@@ -275,8 +289,8 @@ class _CalibPosterior:
     ``block`` changes, takes the rest from the current point and holds the
     result; ``accept()`` makes it current, whose fit is :attr:`gls`.
     ``score(z, None)`` and ``__call__(z)`` compute every piece, and
-    ``__call__`` keeps nothing.  :func:`mle_fit` scores with the pieces of
-    ``_evaluate(z, None)``, for which ``prior=None`` is flat.  The model values
+    ``__call__`` keeps nothing.  :func:`_maximize` scores with the pieces of
+    ``_evaluate``, for which ``prior=None`` is flat.  The model values
     come through ``core.mean_vector``, whose cache serves steps at a fixed theta.
     """
 
@@ -292,6 +306,14 @@ class _CalibPosterior:
         """The GLS fit at the current point."""
         return self._current[2]
 
+    def _theta_piece(self, z):
+        """Theta's piece at ``z``; ``None`` where its log prior is -inf."""
+        u, theta = self.tr._theta(z)
+        lp_theta = _theta_log_prior(self.prior, theta, self.tr.theta_bounds)
+        if lp_theta == -np.inf:
+            return None
+        return theta, lp_theta + self.tr._theta_log_jacobian(u), self.core.mean_vector(theta)
+
     def _evaluate(self, z, block):
         """``(log posterior, pieces)`` at ``z``; no pieces where it is -inf."""
         tr, core = self.tr, self.core
@@ -299,12 +321,9 @@ class _CalibPosterior:
         if not np.isfinite(z).all():
             return -np.inf, None
         if block in (None, "theta"):
-            u, theta = tr._theta(z)
-            lp_theta = _theta_log_prior(self.prior, theta, tr.theta_bounds)
-            if lp_theta == -np.inf:
-                return -np.inf, None
-            fm = core.mean_vector(theta)
-            theta_piece = theta, lp_theta + tr._theta_log_jacobian(u), fm
+            theta_piece = self._theta_piece(z)
+        if theta_piece is None:
+            return -np.inf, None
         theta, lp_theta, fm = theta_piece
         if block in (None, "corr") or (block == "theta" and self._theta_moves_corr):
             psi, eta = tr._corr(z)

@@ -63,7 +63,9 @@ class TestLsCalibrate:
         res = ls_calibrate(data, model, seed=0)
         assert abs(res.theta_hat[0] - 0.62) <= 1e-6
 
-    def test_every_start_failing_raises_with_all_records(self):
+    @pytest.mark.parametrize("calibrate", [ls_calibrate, l2_calibrate], ids=["ls", "l2"])
+    def test_every_start_failing_raises_with_all_records(self, calibrate):
+        # a model undefined everywhere fails every start of either baseline
         data, _ = _perfect_setup(n=10)
         nan_model = ComputerModel(
             evaluator=lambda X, th: np.full(np.atleast_2d(X).shape[0], np.nan),
@@ -71,7 +73,7 @@ class TestLsCalibrate:
             vectorized=True,
         )
         with pytest.raises(OptimizationError) as err:
-            ls_calibrate(data, nan_model, n_starts=3, seed=0)
+            calibrate(data, nan_model, n_starts=3, seed=0)
         assert [i for i, _ in err.value.per_start] == [0, 1, 2]
         assert not any(np.isfinite(res.fun) for _, res in err.value.per_start)
 

@@ -168,8 +168,10 @@ class TestConfigValidation:
             ({"mode": "ogasp", "domain": [[-1e200, 1e200]], "mcmc": {"samples": 200, "burn_in": 100}},
              3, "numerical failure: "),
             # a finite domain whose search box allows a psi with an infinite range,
-            # and whose midpoint grid overflowed before its divide
-            ({"mode": "l2", "domain": [[-1e307, 1e307]]}, 3, "numerical failure: "),
+            # and whose midpoint grid overflowed before its divide; sin(theta x) is NaN
+            # where theta x overflows, which fails those starts, and a start below
+            # theta = 17.9 fits
+            ({"mode": "l2", "domain": [[-1e307, 1e307]]}, 0, ""),
             # a theta box so far out that squared residuals overflow: in the start's
             # variance (mcmc), every fit's quadratic form (mle, whose error says so),
             # the sum of squares (ls)
@@ -185,14 +187,20 @@ class TestConfigValidation:
             # a start whose variance is finite but whose likelihood's quadratic form overflows
             ({"model": {"name": "constant", "theta_bounds": [[1e160, 2e160]]},
               "mcmc": {"samples": 200, "burn_in": 100}}, 3, "numerical failure: "),
+            # emulator runs whose quadratic form overflows at every range the search visits
+            ({"model": {"emulator_design": "huge_runs.csv", "p_x": 1, "theta_bounds": [[25.0, 35.0]]}},
+             3, "numerical failure: no optimization start converged: "),
         ],
         ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start",
-             "volume-ogasp", "wide-l2", "far-box-mcmc", "far-box-mle", "far-box-ls", "overflowing-start"],
+             "volume-ogasp", "wide-l2", "far-box-mcmc", "far-box-mle", "far-box-ls", "overflowing-start",
+             "overflowing-emulator"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
-    def test_bad_config_exits_without_traceback(self, sine_files, capsys, extra, code, prefix):
+    def test_bad_config_exits_without_traceback(self, sine_files, capsys, monkeypatch, extra, code, prefix):
         # each once escaped main() as an exception, which the console script prints as a traceback
         tmp_path, data_path, *_ = sine_files
+        _write_runs(tmp_path / "huge_runs.csv", D=12, scale=1e200)
+        monkeypatch.chdir(tmp_path)
         path, _ = _config(tmp_path, data_path, extra)
         assert main(["calibrate", "--config", str(path)]) == code
         err = capsys.readouterr().err
@@ -418,10 +426,10 @@ class TestEmulatorModelConfig:
         assert 25.0 <= med <= 35.0
 
 
-def _write_runs(path, seed=0, D=30):
+def _write_runs(path, seed=0, D=30, scale=1.0):
     rng = np.random.default_rng(seed)
     design = np.column_stack([rng.uniform(size=D), rng.uniform(25.0, 35.0, size=D)])
-    runs = np.sin(design[:, 1] * design[:, 0])
+    runs = scale * np.sin(design[:, 1] * design[:, 0])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x1", "t1", "y"])
@@ -456,8 +464,8 @@ class TestEmulatorReuse:
     def test_predict_never_optimizes(self, calibrated, monkeypatch):
         path, *_ = calibrated
         calls = []
-        start = emulator._multistart
-        monkeypatch.setattr(emulator, "_multistart", lambda *a, **k: calls.append(1) or start(*a, **k))
+        start = emulator._maximize
+        monkeypatch.setattr(emulator, "_maximize", lambda *a, **k: calls.append(1) or start(*a, **k))
         assert main(["predict", "--config", str(path)]) == 0
         assert calls == []
 

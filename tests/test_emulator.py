@@ -8,7 +8,7 @@ import pytest
 from gpcalib import discrepancy, emulator
 from gpcalib.calibration import FieldDataset
 from gpcalib.discrepancy import DiscrepancySpec, GASP, SGASP, scaled_cov
-from gpcalib.inference import mcmc_run, posterior_summary
+from gpcalib.inference import OptimizationError, mcmc_run, posterior_summary
 from gpcalib.kernels import KernelSpec, corr_matrix
 from gpcalib.design import maximin_lhd, scale_to_domain
 from gpcalib.emulator import (
@@ -77,6 +77,25 @@ class TestEmulatorFit:
         np.testing.assert_allclose(var, want, rtol=1e-8, atol=1e-12)
         # the range optimization runs on the zero-trend marginal too
         assert np.all(np.isfinite(emulator_fit(X, y, mean_basis=[], n_starts=2).kernel.ranges))
+
+    def test_constant_column_still_fits(self):
+        # a run set at one parameter value: that column's bounding box gets width 1
+        x = np.linspace(0.0, 1.0, 12)
+        design = np.column_stack([x, np.full(12, 0.5)])
+        em = emulator_fit(design, np.sin(6.0 * x))
+        assert np.all(np.isfinite(em.kernel.ranges))
+        np.testing.assert_allclose(em.kernel.ranges, [1.5431, 1.3825], rtol=1e-4)
+
+    def test_overflow_at_every_start_raises_with_all_records(self):
+        # the quadratic form overflows at every range: no start reaches a finite score
+        x = np.linspace(0.0, 1.0, 12)
+        design = np.column_stack([x, np.full(12, 0.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizationError, match="no point the search visited") as err:
+                emulator_fit(design, 1e200 * np.sin(6.0 * x), n_starts=3)
+        assert [s["index"] for s in err.value.per_start] == [0, 1, 2]
+        assert not any(s["converged"] for s in err.value.per_start)
 
     def test_rejects_duplicate_design(self):
         with pytest.raises(ValueError):
