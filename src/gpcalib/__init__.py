@@ -14,9 +14,7 @@ from .discrepancy import (
     OGASP,
     SGASP,
     model_grad_fd,
-    ogasp_kernel,
     scaled_cov,
-    scaled_cross_cov,
 )
 from .calibration import (
     CalibParams,
@@ -90,11 +88,9 @@ __all__ = [
     "mean_basis_eval",
     "mle_fit",
     "model_grad_fd",
-    "ogasp_kernel",
     "posterior_summary",
     "pow_exp",
     "predict",
     "predict_posterior",
     "scaled_cov",
-    "scaled_cross_cov",
 ]

@@ -33,8 +33,6 @@ ETA_FLOOR = 1e-12
 #: The largest inverse range whose range ``1 / psi`` overflows to infinity.
 PSI_OVERFLOW = 2.0**-1024
 
-_GRAD_STEP = 1e-4  # finite-difference step of ComputerModel.grad_fn without theta_grad
-
 
 @dataclass(frozen=True)
 class FieldDataset:
@@ -125,7 +123,7 @@ class ComputerModel:
         if self.theta_grad is not None:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
             return lambda X: np.atleast_2d(np.asarray(self.theta_grad(np.atleast_2d(X), theta), dtype=float))
-        return dm.model_grad_fd(self, theta, _GRAD_STEP)
+        return dm.model_grad_fd(self, theta)
 
 
 @dataclass(frozen=True)
@@ -294,13 +292,10 @@ class LikelihoodCore:
             return fm + self.H @ np.asarray(beta, dtype=float).reshape(-1)
         return fm
 
-    def corr_target(self, psi, theta=None) -> np.ndarray:
-        """Discrepancy correlation matrix K for the current mode, a fresh array."""
-        return self.cov.corr(1.0 / np.atleast_1d(np.asarray(psi, dtype=float)), theta)
-
     def corr_chol(self, psi, eta, theta=None):
         """Cholesky factor of K + eta I (correlation scale) and the jitter used."""
-        K = self.corr_target(psi, theta)  # fresh, so it takes the nugget in place
+        # cov.corr returns a fresh array, so it takes the nugget in place
+        K = self.cov.corr(1.0 / np.atleast_1d(np.asarray(psi, dtype=float)), theta)
         if eta > 0:
             K.flat[:: K.shape[0] + 1] += eta
         return cholesky_with_jitter(K)

@@ -36,6 +36,11 @@ def _write_csv(path, header, rows):
             w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
 
 
+def _write_records(path, records):
+    """One CSV row per record (a dict), under the first record's keys."""
+    _write_csv(path, list(records[0]), [rec.values() for rec in records])
+
+
 def _mse(a, b) -> float:
     return float(np.mean((np.asarray(a) - np.asarray(b)) ** 2))
 
@@ -118,6 +123,7 @@ def run_park(seed: int = 0, outdir: str = "out", n: int = 50, n_holdout: int = 1
     Fits both discrepancy modes by maximum likelihood, with the discrepancy
     variance either estimated or held fixed at several levels, and reports
     held-out errors of the calibrated model alone and with the discrepancy.
+    Returns the table's records, keyed by ``(mode, sigma2_fixed)``.
     """
     X = maximin_lhd(n, 4, iterations=500, seed=seed)
     rng = np.random.default_rng([seed, 1])
@@ -127,54 +133,23 @@ def run_park(seed: int = 0, outdir: str = "out", n: int = 50, n_holdout: int = 1
     Xs = np.random.default_rng([seed, 2]).uniform(size=(n_holdout, 4))
     ytrue = park_truth(Xs)
 
-    rows = []
     results = {}
     for sigma2_fixed in (None, 1.0, 10.0, 100.0, 1000.0):
         for mode in (GASP, SGASP):
             spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5] * 4))
-            fit = mle_fit(data, model, spec, n_starts=10, seed=seed, sigma2_fixed=sigma2_fixed)
-            p = fit.best_params
+            p = mle_fit(data, model, spec, n_starts=10, seed=seed, sigma2_fixed=sigma2_fixed).best_params
             pred = predict(p, data, model, spec, Xs)
-            entry = {
+            results[(mode, sigma2_fixed)] = {
+                "method": mode,
+                "sigma2_mode": "estimated" if sigma2_fixed is None else _fmt(sigma2_fixed),
                 "mse_fm": _mse(ytrue, pred.model_mean),
                 "mse_fm_delta": _mse(ytrue, pred.full_mean),
                 "theta_hat": float(p.theta[0]),
                 "sigma2_delta": p.sigma2_delta,
-                "gamma": p.gamma().tolist(),
+                **{f"gamma_{i + 1}": g for i, g in enumerate(p.gamma().tolist())},
                 "sigma2_noise": p.sigma2_noise,
-                "loglik": fit.best_loglik,
             }
-            label = "estimated" if sigma2_fixed is None else _fmt(sigma2_fixed)
-            rows.append(
-                (
-                    mode,
-                    label,
-                    entry["mse_fm"],
-                    entry["mse_fm_delta"],
-                    entry["theta_hat"],
-                    entry["sigma2_delta"],
-                    *entry["gamma"],
-                    entry["sigma2_noise"],
-                )
-            )
-            results[(mode, sigma2_fixed)] = entry
-    _write_csv(
-        os.path.join(outdir, "park_table.csv"),
-        [
-            "method",
-            "sigma2_mode",
-            "mse_fm",
-            "mse_fm_delta",
-            "theta_hat",
-            "sigma2_delta",
-            "gamma_1",
-            "gamma_2",
-            "gamma_3",
-            "gamma_4",
-            "sigma2_noise",
-        ],
-        rows,
-    )
+    _write_records(os.path.join(outdir, "park_table.csv"), list(results.values()))
     return results
 
 
@@ -196,11 +171,13 @@ def run_sine(
 
     Compares the two-step approaches against full posterior calibration with
     plain and scaled discrepancies, on equispaced designs of several sizes.
+    The l2 method's full mean is its field surrogate's, reported as
+    ``mse_surrogate``; a column that a method does not report is empty.
+    Returns the table's records, keyed by ``(n, method)``.
     """
     model = builtin_model("sine_theta_x")
     Xs = np.random.default_rng([seed, 9]).uniform(size=(n_holdout, 1))
     ytrue = sine_truth(Xs)
-    rows = []
     results = {}
     for n in sizes:
         x = np.linspace(0.0, 1.0, n)[:, None]
@@ -208,48 +185,27 @@ def run_sine(
         y = sine_truth(x) + 0.3 * rng.standard_normal(n)
         data = FieldDataset(x, y, [[0.0, 1.0]])
 
-        l2 = l2_calibrate(data, model, seed=seed)
-        pred = l2.predict(model, Xs)
-        mse_fm, mse_sur = _mse(ytrue, pred.model_mean), _mse(ytrue, pred.full_mean)
-        rows.append((str(n), "gasp+l2", float(l2.theta_hat[0]), mse_fm, "", mse_sur))
-        results[(n, "gasp+l2")] = {
-            "theta_hat": float(l2.theta_hat[0]),
-            "mse_fm": mse_fm,
-            "mse_surrogate": mse_sur,
-        }
-
-        ls = ls_calibrate(data, model, seed=seed)
-        pred = ls.predict(model, Xs)
-        mse_fm, mse_full = _mse(ytrue, pred.model_mean), _mse(ytrue, pred.full_mean)
-        rows.append((str(n), "ls+gasp", float(ls.theta_hat[0]), mse_fm, mse_full, ""))
-        results[(n, "ls+gasp")] = {
-            "theta_hat": float(ls.theta_hat[0]),
-            "mse_fm": mse_fm,
-            "mse_fm_delta": mse_full,
-        }
-
+        fits = []  # (method, theta estimate, prediction at Xs)
+        for method, calibrate in (("gasp+l2", l2_calibrate), ("ls+gasp", ls_calibrate)):
+            fit = calibrate(data, model, seed=seed)
+            fits.append((method, fit.theta_hat[0], fit.predict(model, Xs)))
         for mode in (GASP, SGASP):
             spec = DiscrepancySpec(mode, KernelSpec("matern52", [0.5]))
-            chain = mcmc_run(
-                data, model, spec, S=mcmc_samples, burn_in=burn_in, seed=seed
-            )
-            summ = posterior_summary(chain)
-            pred = predict_posterior(chain, data, model, spec, Xs, thin=thin)
-            mse_fm = _mse(ytrue, pred.model_mean)
+            chain = mcmc_run(data, model, spec, S=mcmc_samples, burn_in=burn_in, seed=seed)
+            theta_med = posterior_summary(chain)["theta_1"]["median"]
+            fits.append((mode, theta_med, predict_posterior(chain, data, model, spec, Xs, thin=thin)))
+        for method, theta_hat, pred in fits:
             mse_full = _mse(ytrue, pred.full_mean)
-            theta_med = summ["theta_1"]["median"]
-            rows.append((str(n), mode, theta_med, mse_fm, mse_full, ""))
-            results[(n, mode)] = {
-                "theta_hat": theta_med,
-                "mse_fm": mse_fm,
-                "mse_fm_delta": mse_full,
-                "acceptance_rates": chain.acceptance_rates,
+            surrogate = method == "gasp+l2"
+            results[(n, method)] = {
+                "n": str(n),
+                "method": method,
+                "theta_hat": float(theta_hat),
+                "mse_fm": _mse(ytrue, pred.model_mean),
+                "mse_fm_delta": "" if surrogate else mse_full,
+                "mse_surrogate": mse_full if surrogate else "",
             }
-    _write_csv(
-        os.path.join(outdir, "sine_table.csv"),
-        ["n", "method", "theta_hat", "mse_fm", "mse_fm_delta", "mse_surrogate"],
-        rows,
-    )
+    _write_records(os.path.join(outdir, "sine_table.csv"), list(results.values()))
     return results
 
 
@@ -283,7 +239,7 @@ def run_nonlinear(
     w = 5.0 / quad_points
     yR = oscillator_truth(xi[:, None])
     l2 = np.array(
-        [float(np.sum((yR - (np.sin(t * xi) + xi)) ** 2) * w) for t in thetas]
+        [float(np.sum((yR - model.evaluate(xi[:, None], [t])) ** 2) * w) for t in thetas]
     )
 
     kern = KernelSpec("matern52", [0.5])
@@ -321,6 +277,7 @@ def run_branin(
 
     Outputs are standardized by the training mean and spread before fitting;
     errors are reported on both the standardized and the raw scale.
+    Returns the summary table's one record.
     """
     domain = [[-5.0, 10.0], [0.0, 15.0]]
     U = maximin_lhd(n_design, 2, iterations=500, seed=seed)
@@ -362,22 +319,8 @@ def run_branin(
         "mse_scaled_raw": mse_scaled * sd**2,
         "output_mean": mu,
         "output_sd": sd,
-        "gamma": em.kernel.ranges.tolist(),
     }
-    _write_csv(
-        os.path.join(outdir, "branin_summary.csv"),
-        ["mse_plain_std", "mse_scaled_std", "mse_plain_raw", "mse_scaled_raw", "output_mean", "output_sd"],
-        [
-            (
-                summary["mse_plain_std"],
-                summary["mse_scaled_std"],
-                summary["mse_plain_raw"],
-                summary["mse_scaled_raw"],
-                mu,
-                sd,
-            )
-        ],
-    )
+    _write_records(os.path.join(outdir, "branin_summary.csv"), [summary])
     return summary
 
 

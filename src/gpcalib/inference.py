@@ -258,7 +258,12 @@ class PosteriorChain:
             raise ValueError("samples must be a 2-D array")
         if not 0 <= self.burn_in < self.samples.shape[0]:
             raise ValueError("need samples beyond the burn-in")
-        self._transform = ParamTransform(self.theta_bounds, self.n_basis, self.p_x)
+        self._transform = tr = ParamTransform(self.theta_bounds, self.n_basis, self.p_x)
+        if self.samples.shape[1] != tr.dim or list(self.param_names) != tr.names:
+            raise ValueError(
+                f"a chain of {self.samples.shape[1]} columns named {list(self.param_names)}; "
+                f"its theta box, n_basis and p_x lay out {tr.dim} columns named {tr.names}"
+            )
 
     @property
     def n_samples(self) -> int:

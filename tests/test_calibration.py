@@ -680,7 +680,7 @@ class TestLikelihoodCoreTarget:
         core = LikelihoodCore(data, model, spec)
         for psi, theta in _MOVES:
             psi = psi[:p]
-            got = core.corr_target(np.array(psi), np.array(theta))
+            got = core.cov.corr(1.0 / np.array(psi), np.array(theta))
             assert np.array_equal(got, _public_target(core, psi, theta))
 
     @pytest.mark.parametrize("mode", [GASP, SGASP])
@@ -729,9 +729,9 @@ class TestLikelihoodCoreTarget:
         monkeypatch.setattr(kernels, "_matern52", lambda *a: kernel_calls.append(1) or matern(*a))
         grad_calls.clear()
         theta = np.array([1.3, -0.5])
-        got = core.corr_target(psi, theta)  # theta move
+        got = core.cov.corr(1.0 / psi, theta)  # theta move
         assert kernel_calls == [] and grad_calls == [1]
-        core.corr_target(np.array([3.0]), theta)  # psi move
+        core.cov.corr(1.0 / np.array([3.0]), theta)  # psi move
         assert kernel_calls != [] and grad_calls == [1]
         assert np.array_equal(got, _public_target(core, psi, theta))
 
@@ -772,7 +772,7 @@ class TestModeCovProperties:
         core = LikelihoodCore(data, _ogasp_model(p, True), spec)
         gamma = 10.0 ** np.asarray(log_scale[:p])
         theta = np.array([2.2, 0.1])
-        K = core.corr_target(1.0 / gamma, theta)
+        K = core.cov.corr(gamma, theta)
         assert np.all(np.isfinite(K))
         np.testing.assert_allclose(K, K.T, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-10 * n

@@ -141,7 +141,7 @@ class TestMleFit:
         # the optimizer searches theta, psi and eta only
         assert all(s["x"].size == model.p_theta + data.p + 1 for s in fit.per_start)
         # beta is the dense GLS estimate at the fitted (theta, psi, eta)
-        A = LikelihoodCore(data, model, spec).corr_target(p.psi_delta, p.theta) + p.eta * np.eye(data.n)
+        A = LikelihoodCore(data, model, spec).cov.corr(1.0 / p.psi_delta, p.theta) + p.eta * np.eye(data.n)
         H = basis_matrix(data.X, spec.mean_basis)
         r = data.y - model.evaluate(data.X, p.theta)
         AinvH = np.linalg.solve(A, H)
@@ -450,7 +450,7 @@ class TestMcmcRun:
             update_theta=False, update_corr=False,
         )
         n = data.n
-        A = LikelihoodCore(data, model, spec).corr_target(start.psi_delta) + start.eta * np.eye(n)
+        A = LikelihoodCore(data, model, spec).cov.corr(1.0 / start.psi_delta) + start.eta * np.eye(n)
         H = np.ones((n, 1))
         r = data.y - model.evaluate(data.X, start.theta)
         AinvH = np.linalg.solve(A, H)
@@ -478,7 +478,7 @@ class TestMcmcRun:
         chain = mcmc_run(data, model, spec, S=22_000, burn_in=2_000, seed=16, initial=start, update_corr=False)
         theta = chain.post_burn_in()[:, 0]
 
-        A = LikelihoodCore(data, model, spec).corr_target(start.psi_delta) + start.eta * np.eye(10)
+        A = LikelihoodCore(data, model, spec).cov.corr(1.0 / start.psi_delta) + start.eta * np.eye(10)
         grid = np.linspace(0.0, 3.0, 3001)
         logp = np.array([integrated_log_marginal(A, np.zeros((10, 0)), y - t * x[:, 0]) for t in grid])
         dens = np.exp(logp - logp.max())
@@ -627,7 +627,7 @@ class TestCalibPosterior:
         for _ in range(50):
             z = _random_z(rng, n_basis=1)
             params = tr.from_vector(z)
-            A = core.corr_target(params.psi_delta, params.theta) + params.eta * np.eye(data.n)
+            A = core.cov.corr(1.0 / params.psi_delta, params.theta) + params.eta * np.eye(data.n)
             want = (
                 log_prior(params, prior, model.theta_bounds)
                 + transform_log_jacobian(tr, z)
@@ -728,7 +728,7 @@ class TestCalibPosterior:
         z = _random_z(np.random.default_rng(2))
         K = np.eye(12)
         K[0, 5] = K[5, 0] = np.nan  # finite diagonal, NaN correlation
-        monkeypatch.setattr(LikelihoodCore, "corr_target", lambda self, psi, theta=None: K)
+        monkeypatch.setattr(discrepancy._ModeCov, "corr", lambda self, gamma, theta=None: K)
         assert post(z) == -np.inf
 
     @pytest.mark.parametrize("mode", [GASP, SGASP, OGASP])
@@ -901,6 +901,35 @@ class TestPosteriorSummary:
         chain = _chain_from(np.tile([1.0, 1.0, 1.0, 0.0], (50, 1)))
         with pytest.raises(ValueError):
             posterior_summary(chain)
+
+
+class TestPosteriorChainLayout:
+    NAMES = ["theta_1", "psi_1", "sigma2_delta", "eta"]
+
+    def _chain(self, width, n_basis=0, names=NAMES):
+        return PosteriorChain(
+            samples=np.tile([0.5, 1.0, 1.0, 0.1, 2.0][:width], (3, 1)),
+            burn_in=0,
+            acceptance_rates={},
+            param_names=names,
+            theta_bounds=np.array([[0.0, 1.0]]),
+            n_basis=n_basis,
+            p_x=1,
+        )
+
+    def test_rejects_a_column_the_layout_has_no_name_for(self):
+        # a fifth column would be dropped silently by posterior_summary
+        with pytest.raises(ValueError, match=r"^a chain of 5 columns .* lay out 4 columns"):
+            self._chain(5)
+
+    def test_rejects_a_chain_narrower_than_its_layout(self):
+        # one trend coefficient needs a fifth column, which params_at would index past
+        with pytest.raises(ValueError, match=r"lay out 5 columns named \['theta_1', 'beta_1', 'psi_1'"):
+            self._chain(4, n_basis=1)
+
+    def test_rejects_names_out_of_layout_order(self):
+        with pytest.raises(ValueError, match="^a chain of 4 columns"):
+            self._chain(4, names=["psi_1", "theta_1", "sigma2_delta", "eta"])
 
 
 class TestPredictPosterior:
