@@ -254,31 +254,22 @@ class LikelihoodCore:
     sampler re-use the Cholesky factor across moves of theta alone.
 
     The mode's correlation comes from ``cov``, a ``discrepancy._ModeCov``
-    over the design built once here: it caches the design-only constants
-    (distances, the sgasp shrinkage, the ogasp grid) and keeps four LRUs of
-    the 4 keys used last: one record of the pieces that depend on the ranges
-    alone under the bytes of ``1 / psi``, prediction's distances to ``Xstar``
-    under its bytes and, in ogasp mode, the weighted gradient under the bytes
-    of theta and the projection under those of (ranges, theta).  A proposal
-    then goes from (psi, eta, theta) to kernel values and one factorization.
-    The model's values at the design are kept for the last theta, under its
-    bytes.  psi is not checked here: each must exceed :data:`PSI_OVERFLOW`,
-    as :class:`CalibParams`, the row check and the shared scorer ensure.
+    over the design and domain built once here, which checks the spec against
+    them and caches what the design and the last ranges and theta determine
+    (see its docstring).  A proposal then goes from (psi, eta, theta) to
+    kernel values and one factorization.  The model's values at the design
+    are kept for the last theta, under its bytes.  psi is not checked here:
+    each must exceed :data:`PSI_OVERFLOW`, as :class:`CalibParams`, the row
+    check and the shared scorer ensure.
     """
 
     def __init__(self, data: FieldDataset, model: ComputerModel, spec: DiscrepancySpec):
-        if spec.kernel.dim != data.p:
-            raise ValueError("kernel dimension does not match the data")
-        if spec.constraint_points is not None:
-            pts = spec.constraint_points
-            if np.any(pts < data.domain[:, 0]) or np.any(pts > data.domain[:, 1]):
-                raise ValueError("constraint points must lie inside the domain")
+        self.cov = dm._ModeCov(spec, data.X, data.domain, model.grad_fn)
         self.data = data
         self.model = model
         self.spec = spec
         self.H = _full_rank_basis(data.X, spec.mean_basis)
         self._theta_cache: tuple[bytes, np.ndarray] | None = None
-        self.cov = dm._ModeCov(spec, data.X, data.domain, model.grad_fn)
 
     def mean_vector(self, theta, beta=None) -> np.ndarray:
         """``f(X, theta) + H beta`` at the design, or ``f(X, theta)`` without ``beta``."""
@@ -594,15 +585,10 @@ def initial_params(
     theta=None,
     eta: float = 0.01,
 ) -> CalibParams:
-    """Reasonable starting point: box-center theta, half-domain ranges."""
+    """Reasonable starting point: box-center theta, half-domain ranges, zero
+    trend and unit variance.  No model run: the sampler draws the trend and
+    the variance before it stores a row, and reads neither before that."""
     bounds = model.theta_bounds
     if theta is None:
         theta = 0.5 * (bounds[:, 0] + bounds[:, 1])
-    psi = 2.0 / data.lengths
-    beta = np.zeros(spec.n_basis)
-    resid = data.y - model.evaluate(data.X, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing variance falls back to 1
-        sigma2 = float(np.var(resid))
-    if not 0 < sigma2 < np.inf:
-        sigma2 = 1.0
-    return CalibParams(theta, beta, psi, sigma2, eta)
+    return CalibParams(theta, np.zeros(spec.n_basis), 2.0 / data.lengths, 1.0, eta)

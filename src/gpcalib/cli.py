@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import l2_calibrate, ls_calibrate
 from .calibration import CalibParams, ComputerModel, FieldDataset, ParamTransform, _check_param_rows, predict
-from .discrepancy import DiscrepancySpec, GASP, OGASP, SGASP
+from .discrepancy import DiscrepancySpec
 from .emulator import as_computer_model, emulator_fit
 from .experiments import EXPERIMENTS, _write_csv
 from .inference import (
@@ -326,8 +326,7 @@ def _build_model(cfg, fit_emulator: bool) -> ComputerModel:
 def _build_spec(cfg, data: FieldDataset) -> DiscrepancySpec:
     family = cfg.get("kernel", "matern52")
     kern = KernelSpec(family, data.lengths / 2.0)
-    mode = cfg["mode"] if cfg["mode"] in (GASP, SGASP, OGASP) else GASP
-    return DiscrepancySpec(mode, kern, lam=cfg.get("lambda"), quad_points=cfg.get("quad_points"))
+    return DiscrepancySpec(cfg["mode"], kern, lam=cfg.get("lambda"), quad_points=cfg.get("quad_points"))
 
 
 def _prediction_table(outdir, Xstar, result):

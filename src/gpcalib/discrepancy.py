@@ -38,7 +38,7 @@ _MODES = (GASP, SGASP, OGASP)
 _GRID_BLOCK = 2**14
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscrepancySpec:
     """Configuration of the discrepancy prior.
 
@@ -64,15 +64,10 @@ class DiscrepancySpec:
         sample paths harder toward zero.  ``None`` means ``n/2`` with ``n``
         the number of observations.
     quad_points : int, optional
-        Quadrature points per axis ``q`` for the ``ogasp`` orthogonality
-        integrals; a positive integer.  ``None`` picks 200 in one dimension,
-        40 per axis in two, 10 above.  The ``N = q^p`` grid points cost
-        ``m N`` kernel evaluations per point set and ``p q`` one-dimensional
-        lag evaluations for the gradient Gram; no N x N matrix is formed.
-        For new points the kernel is built in row blocks of about ``2**14``
-        entries from the cached per-axis ``m x N`` distances and reduced at
-        once to ``m x p_theta`` gradient features, so no ``m x N`` kernel or
-        kernel temporary is formed.
+        Midpoint-rule points per axis ``q`` of the ``ogasp`` orthogonality
+        integrals, a grid of ``N = q^p`` points over the domain; a positive
+        integer.  ``None`` picks 200 in one dimension, 40 per axis in two,
+        10 above.
     """
 
     mode: str
@@ -88,22 +83,16 @@ class DiscrepancySpec:
         if self.lam is not None and not self.lam > 0:
             raise ValueError("lam must be positive")
         if self.quad_points is not None:
-            self.quad_points = _check_quad_points(self.quad_points)
+            object.__setattr__(self, "quad_points", _check_quad_points(self.quad_points))
         if self.constraint_points is not None:
             pts = np.atleast_2d(np.asarray(self.constraint_points, dtype=float))
             if pts.shape[1] != self.kernel.dim:
                 raise ValueError("constraint points do not match the kernel dimension")
-            self.constraint_points = pts
+            object.__setattr__(self, "constraint_points", pts)
 
     @property
     def n_basis(self) -> int:
         return len(self.mean_basis)
-
-    def resolved_constraints(self, X: np.ndarray) -> tuple[np.ndarray, float]:
-        """Constraint points and scaling for a given observed design."""
-        XC = self.constraint_points if self.constraint_points is not None else np.asarray(X, dtype=float)
-        lam = self.lam if self.lam is not None else X.shape[0] / 2.0
-        return np.atleast_2d(XC), float(lam)
 
 
 def _lru(cache: OrderedDict, key: bytes, make):
@@ -137,31 +126,41 @@ class _ModeCov:
     dimension.
 
     Cached from the design alone: the per-axis distances of ``X`` (on first
-    use); in sgasp mode ``c = N_C / lambda`` and, for explicit constraint
-    points, their distances among themselves and to ``X``; in ogasp mode the
-    quadrature grid of ``domain``, its cell volume, per-axis lags and the
-    ``X``-to-grid distances.  Four LRUs, each keeping the 4 keys used last:
-    ``_stars`` maps the bytes of ``Xstar`` to its distances from ``X`` and
-    from the ogasp grid or the explicit constraint points; ``_gamma_parts``
-    maps the bytes of ``gamma`` to one record of ``corr(X, X)`` and the
-    pieces :meth:`cross` needs (sgasp ``L`` and ``rC``, ogasp
-    ``corr(X, grid)`` and the grid's Toeplitz factors); in ogasp mode
-    ``_grads`` maps the bytes of ``theta`` to the weighted gradient
-    ``Dw = D w`` from ``grad_at(theta)`` and ``_projections`` those of
-    ``(gamma, theta)`` to the projection.  So :meth:`corr` and :meth:`cross`
-    share one factor, :meth:`cross` forms no ``K``, a theta move evaluates
-    no kernel.  README "Sampler cost" gives their measured hit rates.
+    use); in sgasp mode ``c = N_C / lambda`` (the constraint points default to
+    ``X`` and ``lambda`` to ``n / 2``; explicit ones must lie in ``domain``
+    when it is given) and, for explicit constraint points, their distances
+    among themselves and to ``X``; in ogasp mode the midpoint grid of
+    ``domain`` (:func:`_ogasp_grid`) and the ``X``-to-grid distances.  Four
+    LRUs, each keeping the 4 keys used last: ``_stars`` maps the bytes of
+    ``Xstar`` to its distances from ``X`` and from the ogasp grid or the
+    explicit constraint points; ``_gamma_parts`` maps the bytes of ``gamma``
+    to one record of ``corr(X, X)`` and the pieces :meth:`cross` needs (sgasp
+    ``L`` and ``rC``, ogasp ``corr(X, grid)`` and the grid's Toeplitz
+    factors); in ogasp mode ``_grads`` maps the bytes of ``theta`` to the
+    weighted gradient ``Dw = D w`` from ``grad_at(theta)`` and
+    ``_projections`` those of ``(gamma, theta)`` to the projection.  So
+    :meth:`corr` and :meth:`cross` share one factor, :meth:`cross` forms no
+    ``K``, a theta move evaluates no kernel, and ogasp's ``corr(Xstar, grid)``
+    is built and reduced to gradient features in row blocks of ``_GRID_BLOCK``
+    entries, never whole.  README "Sampler cost" gives the LRUs' measured hit
+    rates.
     """
 
     def __init__(self, spec: DiscrepancySpec, X, domain=None, grad_at=None):
         self.mode, self.kernel = spec.mode, spec.kernel
         self.X = X = _points(X, spec.kernel.dim)
+        #: whether :meth:`corr` reads ``theta``, so that a theta move changes it
+        self.reads_theta = spec.mode == OGASP
         self._stars, self._gamma_parts = OrderedDict(), OrderedDict()
+        self._XC = XC = spec.constraint_points
+        if XC is not None and domain is not None:
+            lo, hi = np.asarray(domain, dtype=float).T
+            if np.any(XC < lo) or np.any(XC > hi):
+                raise ValueError("constraint points must lie inside the domain")
         if spec.mode == SGASP:
-            XC, lam = spec.resolved_constraints(X)
-            self._c = XC.shape[0] / lam
-            self._XC = None if spec.constraint_points is None else XC
-            if self._XC is not None:
+            lam = spec.lam if spec.lam is not None else X.shape[0] / 2.0
+            self._c = (X if XC is None else XC).shape[0] / float(lam)
+            if XC is not None:
                 self._dists_C = _distances(XC, XC)
                 self._dists_CX = _distances(XC, X)
         elif spec.mode == OGASP:
@@ -317,27 +316,6 @@ def _check_quad_points(quad_points) -> int:
     return int(quad_points)
 
 
-def quadrature_grid(domain, quad_points: int):
-    """Midpoint-rule tensor grid over a rectangle.
-
-    Returns the grid points (N, p) and the scalar cell volume.  The points are
-    the ``indexing="ij"`` mesh raveled in C order, so the last coordinate
-    varies fastest.  A domain whose points overflow raises ``ValueError``.
-    """
-    quad_points = _check_quad_points(quad_points)
-    domain = np.atleast_2d(np.asarray(domain, dtype=float))
-    if domain.shape[1] != 2 or np.any(domain[:, 1] <= domain[:, 0]):
-        raise ValueError("domain must be rows of (lower, upper) with lower < upper")
-    with np.errstate(over="ignore", invalid="ignore"):
-        axes = [lo + (hi - lo) * (np.arange(quad_points) + 0.5) / quad_points for lo, hi in domain]
-    if not all(np.isfinite(a).all() for a in axes):
-        raise ValueError("the quadrature points of this domain are not finite")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.ravel() for m in mesh])
-    volume = float(np.prod((domain[:, 1] - domain[:, 0]) / quad_points))
-    return points, volume
-
-
 class _OgaspGrid(NamedTuple):
     """What the ogasp integrals take from the domain alone: the midpoint grid
     (N, p), its cell volume, one lag vector ``k h_l`` (k = 0..q-1) per axis
@@ -350,19 +328,31 @@ class _OgaspGrid(NamedTuple):
 
 
 def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
-    """:class:`_OgaspGrid` of a domain; ``quad_points=None`` takes the default."""
+    """Midpoint-rule tensor grid of a rectangle as :class:`_OgaspGrid`, with
+    ``quad_points`` points per axis (``None`` takes the default).
+
+    The points are the ``indexing="ij"`` mesh raveled in C order, so the last
+    coordinate varies fastest.  A domain whose squared volume overflows raises
+    :class:`NumericalError`, one whose points overflow ``ValueError``.
+    """
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
+    if domain.shape[1] != 2 or np.any(domain[:, 1] <= domain[:, 0]):
+        raise ValueError("domain must be rows of (lower, upper) with lower < upper")
+    if domain.shape[0] != p:
+        raise ValueError("domain does not match the kernel dimension")
+    width = domain[:, 1] - domain[:, 0]
     with np.errstate(over="ignore"):
-        volume2 = float(np.prod(domain[:, 1] - domain[:, 0]) ** 2)
+        volume2 = float(np.prod(width) ** 2)
     if volume2 == np.inf:
         raise NumericalError("the squared volume of the ogasp domain overflows")
-    quad_points = quad_points or {1: 200, 2: 40}.get(p, 10)
-    grid, w = quadrature_grid(domain, quad_points)
-    if grid.shape[1] != p:
-        raise ValueError("domain does not match the kernel dimension")
-    spacing = (domain[:, 1] - domain[:, 0]) / quad_points
-    lags = [np.arange(quad_points) * h for h in spacing]
-    return _OgaspGrid(grid, w, lags, volume2)
+    q = quad_points or {1: 200, 2: 40}.get(p, 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = domain[:, :1] + width[:, None] * (np.arange(q) + 0.5) / q
+    if not np.isfinite(axes).all():
+        raise ValueError("the quadrature points of this domain are not finite")
+    points = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    spacing = width / q
+    return _OgaspGrid(points, float(np.prod(spacing)), [np.arange(q) * h for h in spacing], volume2)
 
 
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
@@ -377,7 +367,7 @@ def _grid_corr_apply(V, factors) -> np.ndarray:
     kernel, so the grid correlation is the Kronecker product of one symmetric
     Toeplitz matrix per axis (:func:`_toeplitz_factors`).  Each factor acts on
     its own axis of ``V`` reshaped to ``(q,) * p + (m,)``, which matches the
-    C-order rows of :func:`quadrature_grid`.
+    C-order rows of :func:`_ogasp_grid`.
     """
     q, p = factors[0].shape[0], len(factors)
     V = V.reshape((q,) * p + (-1,))

@@ -28,7 +28,7 @@ from .calibration import (
     _theta_log_prior,
     initial_params,
 )
-from .discrepancy import OGASP, DiscrepancySpec, _points
+from .discrepancy import DiscrepancySpec, _points
 from .linalg import NumericalError
 from .design import maximin_lhd, scale_to_domain
 
@@ -240,7 +240,7 @@ def _sample_chain(posterior, blocks: dict, draw, z, lp: float, rng, n_iter: int,
     return out, {name: accepted[name] / (n_iter - adapt_until) for name in blocks}, scales
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosteriorChain:
     """MCMC output in the original parameterization, one row per iteration."""
 
@@ -258,7 +258,8 @@ class PosteriorChain:
             raise ValueError("samples must be a 2-D array")
         if not 0 <= self.burn_in < self.samples.shape[0]:
             raise ValueError("need samples beyond the burn-in")
-        self._transform = tr = ParamTransform(self.theta_bounds, self.n_basis, self.p_x)
+        tr = ParamTransform(self.theta_bounds, self.n_basis, self.p_x)
+        object.__setattr__(self, "_transform", tr)
         if self.samples.shape[1] != tr.dim or list(self.param_names) != tr.names:
             raise ValueError(
                 f"a chain of {self.samples.shape[1]} columns named {list(self.param_names)}; "
@@ -303,7 +304,7 @@ class _CalibPosterior:
         self.core = core
         self.prior = prior
         self.tr = tr
-        self._theta_moves_corr = core.spec.mode == OGASP
+        self._theta_moves_corr = core.cov.reads_theta
         self._current = self._pending = None
 
     @property
@@ -489,11 +490,11 @@ def predict_posterior(
         raise ValueError("thin must be >= 1")
     core = LikelihoodCore(data, model, spec)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
-    layout = (chain._transform.p_theta, chain.n_basis, chain.p_x, chain.samples.shape[1])
-    if layout != (tr.p_theta, tr.n_basis, tr.p_x, tr.dim):
+    layout = (chain._transform.p_theta, chain.n_basis, chain.p_x)
+    if layout != (tr.p_theta, tr.n_basis, tr.p_x):
         raise ValueError(
-            f"chain of theta, beta and psi blocks of lengths {layout[:3]} in rows of {layout[3]} "
-            f"values; the model, mean basis and data need {(tr.p_theta, tr.n_basis, tr.p_x)} in {tr.dim}"
+            f"chain of theta, beta and psi blocks of lengths {layout}; "
+            f"the model, mean basis and data need {(tr.p_theta, tr.n_basis, tr.p_x)}"
         )
     rows = slice(chain.burn_in, None, thin)
     _check_param_rows(chain.samples, tr, rows)

@@ -702,8 +702,8 @@ class TestLikelihoodCoreTarget:
     def test_ogasp_chain_builds_one_grid(self, monkeypatch):
         data = _dataset(n=8, seed=5)
         calls = []
-        grid = discrepancy.quadrature_grid
-        monkeypatch.setattr(discrepancy, "quadrature_grid", lambda *a: calls.append(1) or grid(*a))
+        grid = discrepancy._ogasp_grid
+        monkeypatch.setattr(discrepancy, "_ogasp_grid", lambda *a: calls.append(1) or grid(*a))
         spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]), quad_points=30)
         from gpcalib.inference import mcmc_run
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrs
 
-from gpcalib.calibration import ComputerModel, FieldDataset, LikelihoodCore
+from gpcalib.calibration import CalibParams, ComputerModel, FieldDataset, LikelihoodCore, marginal_loglik
 from gpcalib.discrepancy import (
     OGASP,
     DiscrepancySpec,
@@ -14,13 +14,13 @@ from gpcalib.discrepancy import (
     _grid_corr_apply,
     model_grad_fd,
     ogasp_kernel,
-    quadrature_grid,
     scaled_cov,
     scaled_cross_cov,
 )
 from gpcalib import discrepancy
 from gpcalib.emulator import emulator_fit, emulator_predict_scaled
 from gpcalib.kernels import KernelSpec, _product_corr, corr_matrix
+from gpcalib.linalg import NumericalError
 from oracles import gp_condition, scaled_cov_three_kernels
 
 
@@ -82,11 +82,21 @@ class TestScaledCov:
         assert np.all(np.diff(traces) < 0)
 
     def test_default_constraints_and_scaling(self):
+        # the default constraint set is the design and the default lambda n / 2
         X = np.linspace(0, 1, 9)[:, None]
-        spec = _sgasp_spec()
-        XC, lam = spec.resolved_constraints(X)
-        assert np.array_equal(XC, X)
-        assert lam == 4.5
+        np.testing.assert_allclose(
+            scaled_cov(X, _sgasp_spec()), scaled_cov(X, _sgasp_spec(XC=X, lam=4.5)), rtol=0, atol=1e-12
+        )
+
+    def test_constraint_points_outside_the_domain(self):
+        X = np.linspace(0, 1, 6)[:, None]
+        data = FieldDataset(X, np.sin(X[:, 0]), [[0.0, 1.0]])
+        model = ComputerModel(lambda Z, th: th[0] * Z[:, 0], theta_bounds=[[0.0, 2.0]], vectorized=True)
+        spec = _sgasp_spec(XC=[[0.5], [1.5]])
+        params = CalibParams([1.0], [], [2.0], 1.0, 0.01)
+        with pytest.raises(ValueError, match="constraint points must lie inside the domain"):
+            marginal_loglik(params, data, model, spec)
+        assert scaled_cov(X, spec).shape == (6, 6)  # no domain, no check
 
     def test_mode_guard(self):
         spec = DiscrepancySpec("gasp", KernelSpec("matern52", [1.0]))
@@ -138,7 +148,7 @@ class TestScaledCrossCov:
         Xs = rng.uniform(size=(3, 1))
         spec = _sgasp_spec(XC=X.copy(), lam=4.0)
         joint = np.vstack([X, Xs])
-        XC, lam = spec.resolved_constraints(X)
+        XC, lam = spec.constraint_points, spec.lam
         RC = corr_matrix(XC, XC, spec.kernel)
         rC = corr_matrix(XC, joint, spec.kernel)
         prior = corr_matrix(joint, joint, spec.kernel)
@@ -296,21 +306,28 @@ class TestQuadPoints:
     @pytest.mark.parametrize("q", [2.5, 3.0, 0, -4, True, "10"])
     def test_rejects_non_positive_integer(self, q):
         with pytest.raises(ValueError, match="positive integer"):
-            quadrature_grid([[0.0, 1.0]], q)
-        with pytest.raises(ValueError, match="positive integer"):
             DiscrepancySpec(OGASP, KernelSpec("matern52", [1.0]), quad_points=q)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_points_raise(self):
-        # the midpoints multiply before they divide: 2e307 * 199.5 overflows
+        # the squared volume scales the ridge of G, so it is checked first
+        with pytest.raises(NumericalError, match="squared volume"):
+            discrepancy._ogasp_grid([[-1e307, 1e307]], 200, 1)
+        with pytest.raises(NumericalError, match="squared volume"):
+            discrepancy._ogasp_grid([[0.0, 1.0], [0.0, np.inf]], 3, 2)
+        # a finite volume whose midpoints multiply before they divide: 1e306 * 199.5 overflows
         with pytest.raises(ValueError, match="not finite"):
-            quadrature_grid([[-1e307, 1e307]], 200)
-        with pytest.raises(ValueError, match="not finite"):
-            quadrature_grid([[0.0, 1.0], [0.0, np.inf]], 3)
+            discrepancy._ogasp_grid([[0.0, 1e306], [0.0, 1e-300]], 200, 2)
+
+    def test_checks_the_domain(self):
+        with pytest.raises(ValueError, match="lower < upper"):
+            discrepancy._ogasp_grid([[1.0, 0.0]], 5, 1)
+        with pytest.raises(ValueError, match="does not match the kernel dimension"):
+            discrepancy._ogasp_grid([[0.0, 1.0]], 5, 2)
 
     def test_weights_integrate_volume(self):
         for q in (1, 7, np.int64(12)):
-            grid, w = quadrature_grid([[0.0, 2.0], [-1.0, 0.5]], q)
+            grid, w, *_ = discrepancy._ogasp_grid([[0.0, 2.0], [-1.0, 0.5]], q, 2)
             assert grid.shape == (q * q, 2)
             assert np.isclose(w * grid.shape[0], 3.0, rtol=1e-14)
         assert DiscrepancySpec(OGASP, KernelSpec("matern52", [1.0]), quad_points=np.int64(5)).quad_points == 5
@@ -340,7 +357,7 @@ class TestOgaspKernel:
         kern = KernelSpec("matern52", [0.5])
         domain = [[0.0, 5.0]]
         grad = self._grad(1.3)
-        grid, w = quadrature_grid(domain, 200)
+        grid, w, *_ = discrepancy._ogasp_grid(domain, 200, 1)
         for x in ([0.7], [2.9], [4.4]):
             row = ogasp_kernel(np.array([x]), grid, kern, grad, domain, quad_points=200)
             residual = float(row[0] @ (grad(grid)[:, 0] * w))
@@ -371,7 +388,7 @@ class TestOgaspKernel:
 def _dense_ogasp(Xa, Xb, kern, grad, domain, quad_points):
     """Textbook assembly of the ogasp covariance with the N x N grid kernel."""
     domain = np.asarray(domain, dtype=float)
-    grid, w = quadrature_grid(domain, quad_points)
+    grid, w, *_ = discrepancy._ogasp_grid(domain, quad_points, domain.shape[0])
     D = grad(grid)
     g_a = corr_matrix(Xa, grid, kern) @ D * w
     g_b = corr_matrix(Xb, grid, kern) @ D * w
@@ -397,11 +414,10 @@ class TestStructuredGram:
         rng = np.random.default_rng(10 + p)
         domain = _OFFSET_DOMAIN[:p]
         kern = KernelSpec(family, _RANGES[:p], None if rough is None else [rough] * p)
-        grid, _ = quadrature_grid(domain, q)
+        grid, _, lags, _ = discrepancy._ogasp_grid(domain, q, p)
         dense = corr_matrix(grid, grid, kern)
         for cols in (1, 3):
             V = rng.standard_normal((grid.shape[0], cols))
-            lags = discrepancy._ogasp_grid(domain, q, p).lags
             fast = _grid_corr_apply(V, discrepancy._toeplitz_factors(kern, kern.ranges, lags))
             exact = dense @ V
             assert fast.shape == exact.shape

@@ -1,6 +1,7 @@
 """Estimation machinery: MLE recovery, sampler correctness, summaries."""
 
 from contextlib import nullcontext
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -812,7 +813,7 @@ class TestCalibPosterior:
         data, model, spec, prior, *_ = _posterior_case(mode)
         S = 120
         mcmc_run(data, model, spec, prior, S=S, burn_in=40, seed=4)
-        assert calls["evaluate"] == 1 + 1 + S  # initial_params, the start, theta moves
+        assert calls["evaluate"] == 1 + S  # the start, theta moves
         assert calls["corr_chol"] == 1 + S + (S if mode == OGASP else 0)
 
     @pytest.mark.parametrize(
@@ -931,6 +932,16 @@ class TestPosteriorChainLayout:
         with pytest.raises(ValueError, match="^a chain of 4 columns"):
             self._chain(4, names=["psi_1", "theta_1", "sigma2_delta", "eta"])
 
+    def test_chain_and_spec_cannot_change_after_their_checks(self):
+        # a replaced samples array would skip the layout check, a replaced
+        # quad_points the positive-integer one
+        chain = self._chain(4)
+        with pytest.raises(FrozenInstanceError):
+            chain.samples = np.column_stack([chain.samples, np.ones(3)])
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]), quad_points=30)
+        with pytest.raises(FrozenInstanceError):
+            spec.quad_points = 0
+
 
 class TestPredictPosterior:
     def test_single_sample_matches_plugin(self):
@@ -1015,10 +1026,17 @@ class TestPredictPosterior:
         message = self._predict_nothing(monkeypatch, _chain_from(rows))
         assert message.startswith("parameter row 5 must be finite")
 
-    def test_rejects_a_chain_of_another_width_before_predicting(self, monkeypatch):
-        chain = _chain_from(np.tile([31.0, 2.0, 1.0, 0.05], (6, 1)))
-        chain.samples = np.column_stack([chain.samples, np.ones(6)])
-        assert "in rows of 5 values" in self._predict_nothing(monkeypatch, chain)
+    def test_rejects_a_chain_of_another_model_before_predicting(self, monkeypatch):
+        chain = PosteriorChain(
+            samples=np.tile([31.0, 0.0, 2.0, 1.0, 0.05], (6, 1)),
+            burn_in=0,
+            acceptance_rates={},
+            param_names=["theta_1", "beta_1", "psi_1", "sigma2_delta", "eta"],
+            theta_bounds=np.array([[0.0, 40.0]]),
+            n_basis=1,
+            p_x=1,
+        )
+        assert "blocks of lengths (1, 1, 1); the model" in self._predict_nothing(monkeypatch, chain)
 
     def test_rejects_non_integer_thin(self):
         data, model = _sine_data(n=10, seed=8)

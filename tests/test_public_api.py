@@ -170,3 +170,28 @@ def test_every_defined_name_is_read(tracing):
                 unread += [f"{module}.{node.name}.{f}" for f in fields if f not in attributes]
     assert _SOURCES
     assert unread == []
+
+
+def _names_a_mode(node) -> bool:
+    """Whether a comparison operand is a mode constant, a mode string or a
+    ``.mode`` attribute, or a tuple, list or set that holds one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_mode(e) for e in node.elts)
+    if isinstance(node, ast.Name):
+        return node.id in {"GASP", "SGASP", "OGASP"}
+    if isinstance(node, ast.Attribute):
+        return node.attr in {"mode", "GASP", "SGASP", "OGASP"}
+    return isinstance(node, ast.Constant) and node.value in {"gasp", "sgasp", "ogasp"}
+
+
+def test_only_the_mode_covariance_compares_modes():
+    # discrepancy._ModeCov makes every decision by discrepancy mode; other
+    # modules may build a spec from a mode or loop over modes, not compare one
+    found = [
+        f"{os.path.basename(path)}:{node.lineno}"
+        for path in _SOURCES
+        if os.path.basename(path) != "discrepancy.py"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Compare) and any(map(_names_a_mode, [node.left, *node.comparators]))
+    ]
+    assert found == []
