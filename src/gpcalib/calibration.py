@@ -119,11 +119,13 @@ class ComputerModel:
         return np.array([float(self.evaluator(x, theta)) for x in X])
 
     def grad_fn(self, theta) -> Callable:
-        """Parameter-gradient function at fixed theta (analytic if available)."""
+        """Parameter-gradient function at fixed theta: analytic if available,
+        else finite differences with step 1e-4, or half the narrowest box width
+        when that is smaller."""
         if self.theta_grad is not None:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
             return lambda X: np.atleast_2d(np.asarray(self.theta_grad(np.atleast_2d(X), theta), dtype=float))
-        return dm.model_grad_fd(self, theta)
+        return dm.model_grad_fd(self, theta, float(np.min(np.diff(self.theta_bounds) / 2, initial=1e-4)))
 
 
 @dataclass(frozen=True)

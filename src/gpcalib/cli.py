@@ -178,38 +178,30 @@ def _read_csv(path: str):
     return [h.strip() for h in header], np.asarray(rows, dtype=float)
 
 
-def _expect_header(header, prefix_cols, tail, path):
-    expected = [f"x{i+1}" for i in range(prefix_cols)] + list(tail)
+def _read_table(path: str, tail):
+    """A table with header x1,...,xp and then the ``tail`` names, p >= 1:
+    its (n, p) inputs, then one column per ``tail`` name."""
+    header, M = _read_csv(path)
+    p = len(header) - len(tail)
+    expected = [f"x{i+1}" for i in range(max(p, 1))] + list(tail)
     if header != expected:
         raise DataError(f"{path}: expected header {','.join(expected)}, got {','.join(header)}")
+    return (M[:, :p], *M[:, p:].T)
 
 
 def read_field_csv(path: str):
     """Observations with header x1,...,xp,y."""
-    header, M = _read_csv(path)
-    if len(header) < 2 or header[-1] != "y":
-        raise DataError(f"{path}: expected header x1,...,xp,y")
-    p = len(header) - 1
-    _expect_header(header, p, ["y"], path)
-    return M[:, :p], M[:, p]
+    return _read_table(path, ["y"])
 
 
 def read_inputs_csv(path: str):
     """Prediction inputs with header x1,...,xp."""
-    header, M = _read_csv(path)
-    p = len(header)
-    _expect_header(header, p, [], path)
-    return M
+    return _read_table(path, [])[0]
 
 
 def read_truth_csv(path: str):
     """Held-out truth with header x1,...,xp,y_true."""
-    header, M = _read_csv(path)
-    if len(header) < 2 or header[-1] != "y_true":
-        raise DataError(f"{path}: expected header x1,...,xp,y_true")
-    p = len(header) - 1
-    _expect_header(header, p, ["y_true"], path)
-    return M[:, :p], M[:, p]
+    return _read_table(path, ["y_true"])
 
 
 def _write_table(path, header, matrix):
@@ -284,10 +276,10 @@ def _stored_ranges(outdir: str, M) -> np.ndarray:
     return ranges
 
 
-def _build_model(cfg, fit_emulator: bool) -> ComputerModel:
-    """The configured computer model.  An emulator is fitted (and its ranges
-    written to ``emulator.json``) when ``fit_emulator``, else rebuilt from
-    that file without optimizing."""
+def _build_model(cfg, data: FieldDataset, fit_emulator: bool) -> ComputerModel:
+    """The configured computer model of ``data``'s inputs.  An emulator is
+    fitted (and its ranges written to ``emulator.json``) when
+    ``fit_emulator``, else rebuilt from that file without optimizing."""
     mc = cfg["model"]
     if "name" in mc:
         try:
@@ -299,6 +291,8 @@ def _build_model(cfg, fit_emulator: bool) -> ComputerModel:
     if "emulator_design" in mc:
         if "p_x" not in mc or "theta_bounds" not in mc:
             raise ConfigError("emulator models need p_x and theta_bounds")
+        if mc["p_x"] != data.p:
+            raise ConfigError(f"model.p_x is {mc['p_x']}, the field data has {data.p} input columns")
         header, M = _read_csv(mc["emulator_design"])
         if header[-1] != "y":
             raise DataError(f"{mc['emulator_design']}: last column must be y")
@@ -329,7 +323,9 @@ def _build_spec(cfg, data: FieldDataset) -> DiscrepancySpec:
     return DiscrepancySpec(cfg["mode"], kern, lam=cfg.get("lambda"), quad_points=cfg.get("quad_points"))
 
 
-def _prediction_table(outdir, Xstar, result):
+def _write_prediction(cfg, outdir, Xstar, result):
+    """Write ``result`` to prediction.csv and score it against the truth file in
+    summary.json; without a truth file, drop old scores."""
     sd = np.sqrt(np.maximum(result.variance, 0.0))
     table = np.column_stack(
         [
@@ -349,10 +345,6 @@ def _prediction_table(outdir, Xstar, result):
         "upper95",
     ]
     _write_table(os.path.join(outdir, "prediction.csv"), header, table)
-
-
-def _maybe_truth_mse(cfg, outdir, Xstar, result):
-    """Score ``result`` against the truth file in summary.json; without one, drop old scores."""
     if "truth" not in cfg:
         _update_summary(outdir, {}, drop=("mse_fm", "mse_fm_delta"))
         return
@@ -383,7 +375,7 @@ def cmd_calibrate(cfg: dict) -> int:
         if os.path.exists(path):
             os.remove(path)
     data = _build_data(cfg)
-    model = _build_model(cfg, fit_emulator=True)
+    model = _build_model(cfg, data, fit_emulator=True)
     mode = cfg["mode"]
     mle_cfg = cfg.get("mle", {})
     seed = int(mle_cfg.get("seed", 0))
@@ -401,9 +393,7 @@ def cmd_calibrate(cfg: dict) -> int:
         _update_summary(outdir, {**fields, "timing_seconds": time.time() - t0})
         if "predict" in cfg:
             Xstar = _prediction_inputs(cfg, data)
-            out = res.predict(model, Xstar)
-            _prediction_table(outdir, Xstar, out)
-            _maybe_truth_mse(cfg, outdir, Xstar, out)
+            _write_prediction(cfg, outdir, Xstar, res.predict(model, Xstar))
         return EXIT_OK
 
     spec = _build_spec(cfg, data)
@@ -531,7 +521,7 @@ def cmd_predict(cfg: dict) -> int:
         )
     outdir = cfg["output_dir"]
     data = _build_data(cfg)
-    model = _build_model(cfg, fit_emulator=False)
+    model = _build_model(cfg, data, fit_emulator=False)
     spec = _build_spec(cfg, data)
     Xstar = _prediction_inputs(cfg, data)
     tr = ParamTransform(model.theta_bounds, spec.n_basis, data.p)
@@ -540,8 +530,7 @@ def cmd_predict(cfg: dict) -> int:
         out = predict_posterior(chain, data, model, spec, Xstar, thin=1)
     else:
         out = predict(_load_mle(outdir, tr), data, model, spec, Xstar)
-    _prediction_table(outdir, Xstar, out)
-    _maybe_truth_mse(cfg, outdir, Xstar, out)
+    _write_prediction(cfg, outdir, Xstar, out)
     return EXIT_OK
 
 

@@ -109,6 +109,8 @@ def emulator_fit(
     mean_basis = [_intercept] if mean_basis is None else list(mean_basis)
     if D <= len(mean_basis) + 2:
         raise ValueError("need more design runs than basis functions plus two")
+    if ranges is not None and np.size(ranges) != p:
+        raise ValueError(f"ranges has {np.size(ranges)} values, the design has {p} columns")
     lo, hi = design.min(axis=0), design.max(axis=0)
     flat = hi == lo
     lo = np.where(flat, np.floor(lo), lo)  # so a constant column's width is exactly 1

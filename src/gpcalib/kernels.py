@@ -153,7 +153,8 @@ def corr_matrix(X1, X2, spec: KernelSpec) -> np.ndarray:
     Parameters
     ----------
     X1, X2 : array_like, shapes (m, p) and (k, p)
-        Input designs; 1-D arrays are treated as single-column designs.
+        Input designs; a 1-D array is one point (a single row), so a
+        column of one-dimensional inputs must be passed as shape (m, 1).
 
     Returns
     -------

@@ -38,57 +38,32 @@ def oscillator_truth(X) -> np.ndarray:
     return x * np.cos(1.5 * x) + x
 
 
-def _constant(theta_bounds):
-    return ComputerModel(
-        evaluator=lambda X, th: np.full(np.atleast_2d(X).shape[0], th[0]),
-        theta_bounds=theta_bounds,
-        vectorized=True,
-        theta_grad=lambda X, th: np.ones((np.atleast_2d(X).shape[0], 1)),
-    )
+def _x_cos_theta_x(X, th):
+    return (X[:, 0] * np.cos(th[0] * X[:, 0]))[:, None]
 
 
-def _sine_theta_x(theta_bounds):
-    return ComputerModel(
-        evaluator=lambda X, th: np.sin(th[0] * np.atleast_2d(X)[:, 0]),
-        theta_bounds=theta_bounds,
-        vectorized=True,
-        theta_grad=lambda X, th: (
-            np.atleast_2d(X)[:, 0] * np.cos(th[0] * np.atleast_2d(X)[:, 0])
-        ).reshape(-1, 1),
-    )
-
-
-def _sine_plus_x(theta_bounds):
-    return ComputerModel(
-        evaluator=lambda X, th: np.sin(th[0] * np.atleast_2d(X)[:, 0])
-        + np.atleast_2d(X)[:, 0],
-        theta_bounds=theta_bounds,
-        vectorized=True,
-        theta_grad=lambda X, th: (
-            np.atleast_2d(X)[:, 0] * np.cos(th[0] * np.atleast_2d(X)[:, 0])
-        ).reshape(-1, 1),
-    )
-
-
-_DEFAULT_BOUNDS = {
-    "constant": [[0.0, 30.0]],
-    "sine_theta_x": [[0.0, 40.0]],
-    "sine_plus_x": [[0.0, 3.0]],
-}
-
-_FACTORIES = {
-    "constant": _constant,
-    "sine_theta_x": _sine_theta_x,
-    "sine_plus_x": _sine_plus_x,
+#: name -> (evaluator, theta-gradient, default theta box); each has one parameter.
+_BUILTINS = {
+    "constant": (
+        lambda X, th: np.full(X.shape[0], th[0]),
+        lambda X, th: np.ones((X.shape[0], 1)),
+        [[0.0, 30.0]],
+    ),
+    "sine_theta_x": (lambda X, th: np.sin(th[0] * X[:, 0]), _x_cos_theta_x, [[0.0, 40.0]]),
+    "sine_plus_x": (lambda X, th: np.sin(th[0] * X[:, 0]) + X[:, 0], _x_cos_theta_x, [[0.0, 3.0]]),
 }
 
 
 def builtin_model(name: str, theta_bounds=None) -> ComputerModel:
-    """Instantiate a built-in computer model, optionally overriding its box."""
-    if name not in _FACTORIES:
-        raise KeyError(f"unknown builtin model {name!r}; choices: {sorted(_FACTORIES)}")
-    bounds = theta_bounds if theta_bounds is not None else _DEFAULT_BOUNDS[name]
-    return _FACTORIES[name](bounds)
+    """Instantiate a built-in computer model, optionally overriding its one-row box."""
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown builtin model {name!r}; choices: {sorted(_BUILTINS)}")
+    evaluator, grad, default = _BUILTINS[name]
+    bounds = default if theta_bounds is None else theta_bounds
+    model = ComputerModel(evaluator, bounds, vectorized=True, theta_grad=grad)
+    if model.p_theta != 1:
+        raise ValueError(f"{name} has one parameter, so theta_bounds needs one row, got {model.p_theta}")
+    return model
 
 
-BUILTIN_MODELS = tuple(sorted(_FACTORIES))
+BUILTIN_MODELS = tuple(sorted(_BUILTINS))

@@ -104,6 +104,14 @@ class TestComputerModel:
     def test_accepts_a_wide_finite_box(self):
         assert _constant_model([[-1e307, 1e307]]).theta_bounds[0, 1] == 1e307
 
+    @pytest.mark.parametrize("theta", [1.0, 1.000005, 1.00001])
+    def test_finite_differences_fit_a_box_narrower_than_the_step(self, theta):
+        # the default step 1e-4 has no room in a 1e-5 box; half its width does
+        model = ComputerModel(lambda X, th: 3.0 * th[0] * X[:, 0], [[1.0, 1.00001]], vectorized=True)
+        X = np.linspace(0.1, 2.0, 4)[:, None]
+        grad = model.grad_fn([theta])(X)
+        np.testing.assert_allclose(grad, 3.0 * X, rtol=1e-9)
+
 
 class TestMeanBasis:
     def test_empty_basis_gives_zero(self):

@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, file schemas, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpcalib.calibration import CalibParams, FieldDataset, predict
 from gpcalib import emulator
@@ -14,7 +17,7 @@ from gpcalib.cli import _build_spec, _read_csv, main
 from gpcalib.discrepancy import DiscrepancySpec, SGASP
 from gpcalib.emulator import emulator_fit
 from gpcalib.kernels import KernelSpec
-from gpcalib.models import builtin_model, sine_truth
+from gpcalib.models import BUILTIN_MODELS, builtin_model, sine_truth
 
 
 def _write_field_csv(path, X, y):
@@ -72,6 +75,57 @@ def _config(tmp_path, data_path, extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Field, prediction, truth and emulator-run files that generated configs name."""
+    path = tmp_path_factory.mktemp("fuzz")
+    x = np.linspace(0, 1, 10)[:, None]
+    _write_field_csv(path / "field.csv", x, sine_truth(x) + 0.1 * np.cos(7 * x[:, 0]))
+    xs = np.linspace(0.05, 0.95, 4)[:, None]
+    _write_inputs_csv(path / "inputs.csv", xs)
+    _write_truth_csv(path / "truth.csv", xs, sine_truth(xs))
+    _write_runs(path / "runs.csv", D=12)
+    return path
+
+
+@st.composite
+def _generated_configs(draw, files):
+    """Run configurations over every mode, builtin and emulator models, theta
+    boxes down to 1e-5 wide or reversed, domains, kernels, lambda, quadrature
+    points and tiny fits, on the files under ``files``."""
+    lo = draw(st.sampled_from([0.0, 1.0, 30.0, -2.0]))
+    width = draw(st.sampled_from([1e-5, 1e-3, 1.0, 10.0, -1.0]))  # a negative width is a reversed box
+    box = [[lo, lo + width]] * draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        model = {"name": draw(st.sampled_from(BUILTIN_MODELS)), "theta_bounds": box}
+    else:
+        p_x = 1 if draw(st.booleans()) else draw(st.integers(0, 2))
+        model = {"emulator_design": str(files / "runs.csv"), "p_x": p_x, "theta_bounds": box}
+    cfg = {
+        "mode": draw(st.sampled_from(["gasp", "sgasp", "ogasp", "l2", "ls"])),
+        "model": model,
+        "data": str(files / "field.csv"),
+        "predict": str(files / "inputs.csv"),
+        "truth": str(files / "truth.csv"),
+        "output_dir": str(files / "out"),
+    }
+    optional = {
+        "domain": st.sampled_from([[[0.0, 1.0]], [[-1.0, 2.0]], [[0.2, 0.8]]]),
+        "kernel": st.sampled_from(["matern52", "pow_exp"]),
+        "lambda": st.sampled_from([1e-3, 0.5, 15.0, 1e6]),
+        "quad_points": st.integers(1, 40),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    fits = draw(st.sampled_from([("mle",), ("mcmc",), ("mle", "mcmc")]))
+    if "mle" in fits:
+        cfg["mle"] = {"n_starts": draw(st.integers(1, 2))}
+    if "mcmc" in fits:
+        cfg["mcmc"] = {"samples": draw(st.integers(100, 140)), "burn_in": 0}
+    return cfg
 
 
 class TestConfigValidation:
@@ -146,6 +200,8 @@ class TestConfigValidation:
             {"model": {"name": "sine_theta_x", "theta_bounds": [[0, float("inf")]]}},
             {"mode": "ogasp", "quad_points": 0},
             {"mode": "ogasp", "quad_points": 3.5},
+            # a second row would be a theta_2 that sine_theta_x never reads
+            {"model": {"name": "sine_theta_x", "theta_bounds": [[0, 1], [0, 2]]}},
         ],
     )
     def test_malformed_value_exits_with_config_error(self, sine_files, capsys, extra):
@@ -190,21 +246,47 @@ class TestConfigValidation:
             # emulator runs whose quadratic form overflows at every range the search visits
             ({"model": {"emulator_design": "huge_runs.csv", "p_x": 1, "theta_bounds": [[25.0, 35.0]]}},
              3, "numerical failure: no optimization start converged: "),
+            # an emulator whose p_x disagrees with the field data's one input column
+            *[({"model": {"emulator_design": "runs.csv", "p_x": p_x, "theta_bounds": [[25.0, 35.0]]}},
+               1, f"error: model.p_x is {p_x}, the field data has 1 input columns")
+              for p_x in (0, 2)],
+            # an ogasp emulator, which has no analytic gradient, on a box narrower
+            # than twice the finite-difference step 1e-4
+            *[({"mode": "ogasp", "model": {"emulator_design": "runs.csv", "p_x": 1,
+                                           "theta_bounds": [[1.0, 1.0001]]}, **fit}, 0, "")
+              for fit in ({"mle": {"n_starts": 2}}, {"mcmc": {"samples": 200, "burn_in": 100}})],
         ],
         ids=["theta-box", "domain-gasp", "domain-sgasp", "domain-ogasp", "domain-l2", "mcmc-start",
              "volume-ogasp", "wide-l2", "far-box-mcmc", "far-box-mle", "far-box-ls", "overflowing-start",
-             "overflowing-emulator"],
+             "overflowing-emulator", "emulator-p_x-0", "emulator-p_x-2", "narrow-box-ogasp-mle",
+             "narrow-box-ogasp-mcmc"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
     def test_bad_config_exits_without_traceback(self, sine_files, capsys, monkeypatch, extra, code, prefix):
         # each once escaped main() as an exception, which the console script prints as a traceback
         tmp_path, data_path, *_ = sine_files
         _write_runs(tmp_path / "huge_runs.csv", D=12, scale=1e200)
+        _write_runs(tmp_path / "runs.csv")
         monkeypatch.chdir(tmp_path)
         path, _ = _config(tmp_path, data_path, extra)
         assert main(["calibrate", "--config", str(path)]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and "Traceback" not in err
+
+    @given(data=st.data())
+    @settings(max_examples=100)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print before the prefix
+    def test_generated_config_exits_with_a_documented_code(self, fuzz_dir, data):
+        path = fuzz_dir / "config.json"
+        path.write_text(json.dumps(data.draw(_generated_configs(fuzz_dir))))
+        for command in ("calibrate", "predict"):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--config", str(path)])
+            assert code in (0, 1, 2, 3)
+            assert (code == 0) == (err.getvalue() == "")
+            assert code == 0 or err.getvalue().startswith(("error: ", "data error: ", "numerical failure: "))
+            if code:
+                break
 
     def test_quad_points_reach_the_ogasp_spec(self, sine_files):
         _, _, _, _, x, y, _ = sine_files

@@ -56,6 +56,12 @@ class TestEmulatorFit:
             with pytest.raises(ValueError, match="design and outputs must be finite"):
                 emulator_fit(design, y, n_starts=1)
 
+    @pytest.mark.parametrize("ranges", [[0.3], [0.3, 3.0, 7.0]])
+    def test_ranges_of_the_wrong_length_are_rejected(self, ranges):
+        design = np.random.default_rng(2).uniform(size=(10, 2))
+        with pytest.raises(ValueError, match=f"ranges has {len(ranges)} values, the design has 2 columns"):
+            emulator_fit(design, design.sum(axis=1), ranges=ranges)
+
     def test_dof(self):
         em, _, _ = _fit_1d()
         assert em.dof == em.n_design - 1

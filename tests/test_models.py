@@ -66,6 +66,14 @@ class TestBuiltinModels:
         with pytest.raises(KeyError):
             builtin_model("nope")
 
+    @pytest.mark.parametrize("name", ["constant", "sine_theta_x", "sine_plus_x"])
+    def test_a_box_with_more_rows_than_parameters_is_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} has one parameter, so theta_bounds needs one row, got 2"):
+            builtin_model(name, [[0.0, 1.0], [0.0, 2.0]])
+
+    def test_a_flat_pair_is_one_row(self):
+        np.testing.assert_array_equal(builtin_model("sine_theta_x", [0.0, 2.0]).theta_bounds, [[0.0, 2.0]])
+
     def test_bounds_override(self):
         m = builtin_model("constant", theta_bounds=[[-1.0, 1.0]])
         np.testing.assert_array_equal(m.theta_bounds, [[-1.0, 1.0]])
