@@ -39,7 +39,8 @@ class FieldDataset:
     """Observed field data on a rectangular input domain.
 
     Duplicate design rows are rejected: they make the discrepancy correlation
-    matrix exactly singular when the nugget ratio is zero.
+    matrix exactly singular when the nugget ratio is zero.  ``X``, ``y`` and
+    ``domain`` are read-only copies, which later writes to the caller's arrays miss.
     """
 
     X: np.ndarray
@@ -66,9 +67,9 @@ class FieldDataset:
             raise ValueError("design rows must lie inside the domain rectangle")
         if np.unique(X, axis=0).shape[0] != X.shape[0]:
             raise ValueError("duplicated design rows are not allowed")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "domain", domain)
+        for name, value in (("X", X), ("y", y), ("domain", domain)):
+            object.__setattr__(self, name, value.copy())
+            getattr(self, name).flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -296,7 +297,7 @@ class LikelihoodCore:
     @staticmethod
     def logdet_half(L) -> float:
         """``log |L L'| / 2``, the sum of the log diagonal of ``L``."""
-        return float(np.log(np.diag(L)).sum())
+        return float(np.log(L.diagonal()).sum())
 
     def loglik_from_chol(self, L, resid, sigma2: float) -> float:
         """Log-likelihood at ``sigma2`` given the correlation factor ``L``."""
@@ -361,14 +362,14 @@ def _gls(L, H, y, logdet) -> _GLS:
     ``-log|L| - log|LM| - ((n - q)/2) log Q``.  An empty basis costs one solve.
     """
     n, q = H.shape
-    if q:
+    if not q:  # an empty basis: a zero trend, nothing to estimate
+        RinvH, LM, beta, resid, logdet_M = H, np.zeros((0, 0)), np.zeros(0), y, 0.0
+    else:
         RinvH = dpotrs(L, H, lower=1)[0]
         M = H.T @ RinvH
         LM = np.linalg.cholesky(M + 1e-12 * np.trace(M) / q * np.eye(q))
         beta = dpotrs(LM, H.T @ dpotrs(L, y, lower=1)[0], lower=1)[0]
         resid, logdet_M = y - H @ beta, float(np.sum(np.log(np.diag(LM))))
-    else:  # an empty basis: a zero trend, nothing to estimate
-        RinvH, LM, beta, resid, logdet_M = H, np.zeros((0, 0)), np.zeros(0), y, 0.0
     alpha = dpotrs(L, resid, lower=1)[0]
     Q = float(resid @ alpha)
     Q = max(Q, 1e-300) if Q != -np.inf else np.inf  # terms that overflow both ways are no perfect fit

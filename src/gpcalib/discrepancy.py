@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs
 
 from .kernels import KernelSpec, _corr_1d, _distances, _product_corr
@@ -175,8 +174,8 @@ class _ModeCov:
         if self.mode == GASP:
             return _product_corr(self._dists, self.kernel, gamma)
         if self.mode == OGASP:
-            g, _, LG = self._ogasp(gamma, theta)
-            return self._parts(gamma)[0] - g @ dpotrs(LG, g.T, lower=1)[0]
+            R, g, _, LG = self._ogasp(gamma, theta)
+            return R - g @ dpotrs(LG, g.T, lower=1)[0]
         R, L, rC = self._parts(gamma)
         if self._XC is None:
             Rz = dpotrs(L, rC, lower=1)[0]
@@ -197,7 +196,7 @@ class _ModeCov:
         if self.mode == GASP:
             return r, np.ones(Xstar.shape[0])
         if self.mode == OGASP:
-            g, Dw, LG = self._ogasp(gamma, theta)
+            _, g, Dw, LG = self._ogasp(gamma, theta)
             # g* = corr(Xstar, grid) Dw by row blocks: a whole k x N kernel and its
             # temporaries leave the cache, and glibc returns and re-faults their pages
             g_star = np.empty((Xstar.shape[0], Dw.shape[1]))
@@ -249,13 +248,14 @@ class _ModeCov:
         return _lru(self._gamma_parts, gamma.tobytes(), make)
 
     def _ogasp(self, gamma, theta):
-        """``(g, Dw, LG)`` in ogasp mode, so that ``K = C - g G^-1 g'`` for the
-        base correlation ``C``: the gradient features ``g = corr(X, grid) Dw``,
+        """``(R, g, Dw, LG)`` in ogasp mode, so that ``K = R - g G^-1 g'`` for the
+        base correlation ``R``: the gradient features ``g = corr(X, grid) Dw``,
         the weighted gradient and the factor ``LG`` of :func:`_projection`."""
         if theta is None:
             raise ValueError("orthogonal mode needs theta to build the correlation")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         grid = self._grid
+        R, CXg, factors = self._parts(gamma)
 
         def weighted_grad():
             D = np.atleast_2d(np.asarray(self._grad_at(theta)(grid.points), dtype=float))
@@ -266,11 +266,10 @@ class _ModeCov:
             return D * grid.weight
 
         def projection():
-            _, CXg, factors = self._parts(gamma)
             Dw = _lru(self._grads, theta.tobytes(), weighted_grad)
             return CXg @ Dw, Dw, _projection(Dw, factors, grid.volume2)
 
-        return _lru(self._projections, gamma.tobytes() + theta.tobytes(), projection)
+        return (R, *_lru(self._projections, gamma.tobytes() + theta.tobytes(), projection))
 
 
 def scaled_cov(X, spec: DiscrepancySpec) -> np.ndarray:
@@ -356,8 +355,14 @@ def _ogasp_grid(domain, quad_points: int | None, p: int) -> _OgaspGrid:
 
 
 def _toeplitz_factors(kernel: KernelSpec, gammas, lags) -> list:
-    """Per-axis Toeplitz factors of the grid correlation at ranges ``gammas``."""
-    return [toeplitz(_corr_1d(lag, kernel, gammas[l], l)) for l, lag in enumerate(lags)]
+    """Per-axis Toeplitz factors ``T[i, j] = c(|i - j| h_l)`` of the grid correlation at
+    ranges ``gammas``: copies of strided windows over the lag kernel mirrored about lag 0."""
+    factors = []
+    for l, lag in enumerate(lags):
+        c = _corr_1d(lag, kernel, gammas[l], l)
+        q, step, mirrored = c.size, c.itemsize, np.concatenate((c[:0:-1], c))
+        factors.append(np.ndarray((q, q), float, mirrored, (q - 1) * step, (-step, step)).copy())
+    return factors
 
 
 def _grid_corr_apply(V, factors) -> np.ndarray:
@@ -367,13 +372,14 @@ def _grid_corr_apply(V, factors) -> np.ndarray:
     kernel, so the grid correlation is the Kronecker product of one symmetric
     Toeplitz matrix per axis (:func:`_toeplitz_factors`).  Each factor acts on
     its own axis of ``V`` reshaped to ``(q,) * p + (m,)``, which matches the
-    C-order rows of :func:`_ogasp_grid`.
+    C-order rows of :func:`_ogasp_grid`, as one ``(q, q)`` by ``(q, N m / q)``
+    product: BLAS can round a batch of narrower ones differently.
     """
-    q, p = factors[0].shape[0], len(factors)
-    V = V.reshape((q,) * p + (-1,))
+    q = factors[0].shape[0]
     for l, T in enumerate(factors):
-        V = np.moveaxis(np.tensordot(T, V, axes=(1, l)), 0, l)
-    return V.reshape(q**p, -1)
+        V = V.reshape(q**l, q, -1).swapaxes(0, 1)  # axis l first, the others in order
+        V = (T @ V.reshape(q, -1)).reshape(V.shape).swapaxes(0, 1)
+    return V.reshape(q ** len(factors), -1)
 
 
 def _projection(Dw, factors, volume2: float) -> np.ndarray:
@@ -382,9 +388,8 @@ def _projection(Dw, factors, volume2: float) -> np.ndarray:
     ``G`` is the quadrature of the gradient Gram integral; ``C_grid`` is
     applied per axis by :func:`_grid_corr_apply`.
     """
-    p_theta = Dw.shape[1]
     G = Dw.T @ _grid_corr_apply(Dw, factors)
-    trace = float(np.trace(G))
+    trace = float(G.diagonal().sum())
     if not trace > 0:
         raise NumericalError(
             "gradient projection matrix is singular; increase quad_points or "
@@ -394,7 +399,7 @@ def _projection(Dw, factors, volume2: float) -> np.ndarray:
     # squared domain volume, the gradient-free magnitude of G) so the
     # correction vanishes, rather than staying scale-invariant, as the
     # gradient magnitude goes to zero
-    G = G + (1e-10 * trace / p_theta + 1e-12 * volume2) * np.eye(p_theta)
+    G.flat[:: G.shape[0] + 1] += 1e-10 * trace / G.shape[0] + 1e-12 * volume2
     try:
         LG, _ = cholesky_with_jitter(G)
     except NumericalError as err:

@@ -111,7 +111,7 @@ def _maximize(posterior, z, free_idx, box, options: dict, n_starts: int, seed: i
         pieces = posterior._evaluate(z, block)[1]
         if pieces is None:
             return _BAD_OBJECTIVE
-        _, (lp_corr, _, _), fit = pieces
+        _, (lp_corr, *_), fit = pieces
         ll = fit.loglik(sigma2_fixed) if posterior.prior is None else fit.log_marginal + lp_corr
         return -ll if np.isfinite(ll) else _BAD_OBJECTIVE
 
@@ -143,6 +143,8 @@ def _maximize(posterior, z, free_idx, box, options: dict, n_starts: int, seed: i
                 ": no point the search visited had a finite score (off the prior support,"
                 " overflowing, or with a correlation that could not be factored)"
             )
+            if posterior._last_error is not None:
+                message += f"; the last factorization failed with: {posterior._last_error}"
         raise OptimizationError(message, per_start)
     z[free_idx] = results[best].x
     return z, per_start
@@ -187,8 +189,7 @@ def mle_fit(
     free_idx, options = np.r_[tr.theta_slice, tr.psi_slice, tr.eta_index], {"maxiter": 500, "ftol": 1e-8}
     z = np.zeros(tr.dim)  # the score reads neither the beta nor the sigma2 coordinates
     z, per_start = _maximize(posterior, z, free_idx, box[free_idx], options, n_starts, seed, sigma2_fixed)
-    (theta, _, _), _, fit = posterior._evaluate(z, None)[1]
-    psi, eta = tr._corr(z)
+    (theta, _, _), (*_, psi, eta), fit = posterior._evaluate(z, None)[1]
     sigma2 = fit.Q / data.n if sigma2_fixed is None else sigma2_fixed
     params = CalibParams(theta, fit.beta, psi, sigma2, eta)
     return MleResult(params, fit.loglik(sigma2), per_start, sigma2_profiled=sigma2_fixed is None)
@@ -290,10 +291,10 @@ class _CalibPosterior:
     three pieces: theta's (theta, its log prior plus Jacobian term and the
     model values ``f(X, theta)``), the correlation's (the jointly robust log
     prior plus the psi and eta Jacobian terms, the factor ``L`` of
-    ``K + eta I`` and ``log |L|``) and the GLS fit of ``y - f(X, theta)``
-    under ``L``.  ``score(z, block)`` recomputes the pieces a move of
-    ``block`` changes, takes the rest from the current point and holds the
-    result; ``accept()`` makes it current, whose fit is :attr:`gls`.
+    ``K + eta I``, ``log |L|``, psi and eta) and the GLS fit of
+    ``y - f(X, theta)`` under ``L``.  ``score(z, block)`` recomputes the
+    pieces a move of ``block`` changes, takes the rest from the current point
+    and holds the result; ``accept()`` makes it current, whose fit is :attr:`gls`.
     ``score(z, None)`` and ``__call__(z)`` compute every piece, and
     ``__call__`` keeps nothing.  :func:`_maximize` scores with the pieces of
     ``_evaluate``, for which ``prior=None`` is flat.  The model values
@@ -306,6 +307,8 @@ class _CalibPosterior:
         self.tr = tr
         self._theta_moves_corr = core.cov.reads_theta
         self._current = self._pending = None
+        #: the message of the last NumericalError that a score turned into -inf
+        self._last_error = None
 
     @property
     def gls(self) -> _GLS:
@@ -331,7 +334,8 @@ class _CalibPosterior:
         if theta_piece is None:
             return -np.inf, None
         theta, lp_theta, fm = theta_piece
-        if block in (None, "corr") or (block == "theta" and self._theta_moves_corr):
+        refactor = block != "theta" or self._theta_moves_corr
+        if block != "theta":
             psi, eta = tr._corr(z)
             if not ((psi > PSI_OVERFLOW).all() and np.isfinite(psi).all() and np.isfinite(eta)):
                 return -np.inf, None  # exp over- or underflow, or a range 1/psi that overflows
@@ -339,12 +343,16 @@ class _CalibPosterior:
             lp_corr = _jr_log_prior(self.prior, psi, eta, float(z[tr.psi_slice].sum()) + z[tr.eta_index])
             if not np.isfinite(lp_corr):
                 return -np.inf, None
+        elif refactor:  # a theta move that moves K keeps psi and eta, so their prior terms
+            lp_corr, _, _, psi, eta = corr_piece
+        if refactor:
             try:
                 L, _ = core.corr_chol(psi, eta, theta)
-            except NumericalError:
+            except NumericalError as err:
+                self._last_error = str(err)
                 return -np.inf, None
-            corr_piece = lp_corr, L, core.logdet_half(L)
-        lp_corr, L, logdet = corr_piece
+            corr_piece = lp_corr, L, core.logdet_half(L), psi, eta
+        lp_corr, L, logdet = corr_piece[:3]
         gls = _gls(L, core.H, core.data.y - fm, logdet)
         return lp_theta + lp_corr + gls.log_marginal, (theta_piece, corr_piece, gls)
 

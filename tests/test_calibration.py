@@ -93,6 +93,20 @@ class TestFieldDataset:
         with pytest.raises(ValueError, match="^domain must be .* finite width"):
             FieldDataset([[0.1], [0.5]], [1.0, 2.0], domain)
 
+    def test_later_writes_to_the_callers_arrays_change_no_fit(self):
+        x = np.linspace(0.0, 1.0, 8)[:, None]
+        y = np.sin(6.0 * x[:, 0])
+        domain = np.array([[0.0, 1.0]])
+        data = FieldDataset(x, y, domain)
+        model, spec = _constant_model(), _spec()
+        params = CalibParams([0.3], [], [2.0], 1.0, 0.1)
+        before = marginal_loglik(params, data, model, spec)
+        x[0, 0], y[0], domain[0, 1] = 0.95, np.nan, 0.5
+        assert marginal_loglik(params, data, model, spec) == before
+        for name in ("X", "y", "domain"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[0] = 0.0
+
 
 class TestComputerModel:
     @pytest.mark.parametrize("bounds", [[[-1e308, 1e308]], [[0.0, np.inf]], [[np.nan, 1.0]]])

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dpotrs
 
 from gpcalib.calibration import CalibParams, ComputerModel, FieldDataset, LikelihoodCore, marginal_loglik
@@ -19,7 +20,7 @@ from gpcalib.discrepancy import (
 )
 from gpcalib import discrepancy
 from gpcalib.emulator import emulator_fit, emulator_predict_scaled
-from gpcalib.kernels import KernelSpec, _product_corr, corr_matrix
+from gpcalib.kernels import KernelSpec, _corr_1d, _product_corr, corr_matrix
 from gpcalib.linalg import NumericalError
 from oracles import gp_condition, scaled_cov_three_kernels
 
@@ -423,6 +424,16 @@ class TestStructuredGram:
             assert fast.shape == exact.shape
             assert np.max(np.abs(fast - exact)) <= 1e-12 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("q", [1, 2, 7, 200])
+    @pytest.mark.parametrize("family, rough", [("matern52", None), ("pow_exp", 0.6)])
+    def test_toeplitz_factors_equal_scipy_toeplitz(self, q, family, rough):
+        kern = KernelSpec(family, _RANGES, None if rough is None else [rough] * 3)
+        lags = [np.arange(q) * (hi - lo) / q for lo, hi in _OFFSET_DOMAIN]
+        factors = discrepancy._toeplitz_factors(kern, kern.ranges, lags)
+        for l, (T, lag) in enumerate(zip(factors, lags)):
+            assert np.array_equal(T, toeplitz(_corr_1d(lag, kern, kern.ranges[l], l)))
+            assert T.flags.c_contiguous
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_kernel_matches_dense_oracle(self, p):
         rng = np.random.default_rng(20 + p)
@@ -476,7 +487,7 @@ class TestStructuredGram:
 
 def _unblocked_cross(cov, gamma, theta, Xs):
     """The ogasp ``(r, c0)`` with the whole k x N grid kernel formed at once."""
-    g, Dw, LG = cov._ogasp(gamma, theta)
+    _, g, Dw, LG = cov._ogasp(gamma, theta)
     dists, dists_grid = cov._star_dists(Xs)
     g_star = _product_corr(dists_grid, cov.kernel, gamma) @ Dw
     solved = dpotrs(LG, g_star.T, lower=1)[0]

@@ -1,5 +1,8 @@
 """Estimation machinery: MLE recovery, sampler correctness, summaries."""
 
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
@@ -186,6 +189,22 @@ class TestMleFit:
         assert [s["index"] for s in records] == [0, 1, 2]
         assert not any(s["converged"] for s in records)
         assert "no point the search visited had a finite score" in str(err.value)
+
+    def test_every_start_failing_names_the_factorization_error(self):
+        # a constant model has a zero theta gradient, so every ogasp projection
+        # is singular: the fit says so, as mcmc_run does at its start
+        x = np.linspace(0, 1, 10)[:, None]
+        data = FieldDataset(x, np.sin(5 * x[:, 0]), [[0.0, 1.0]])
+        model = ComputerModel(
+            lambda X, th: np.full(len(X), th[0]), [[0.0, 2.0]], vectorized=True,
+            theta_grad=lambda X, th: np.zeros((len(X), 1)),
+        )
+        spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5]))
+        with pytest.raises(NumericalError, match="gradient projection matrix is singular"):
+            mcmc_run(data, model, spec, S=20, burn_in=5)
+        with pytest.raises(OptimizationError, match="no point the search visited") as err:
+            mle_fit(data, model, spec, n_starts=2, seed=0)
+        assert "failed with: gradient projection matrix is singular" in str(err.value)
 
 
 def _smooth_sine_data():
@@ -602,6 +621,40 @@ def _posterior_case(mode, theta_log_prior=lambda th: -0.5 * ((th[0] - 20.0) / 8.
     return data, model, spec, prior, tr, _CalibPosterior(LikelihoodCore(data, model, spec), prior, tr)
 
 
+#: Prints one digest per mode of a short fixed-seed chain and its posterior prediction.
+_THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+import gpcalib as gp
+x = np.linspace(0.0, 1.0, 20)[:, None]
+sine = gp.FieldDataset(x, np.sin(10.0 * np.pi * x[:, 0]) + 0.2 * np.cos(3.0 * x[:, 0]), [[0.0, 1.0]])
+x = np.linspace(0.0, 5.0, 15)[:, None]
+osc = gp.FieldDataset(x, x[:, 0] * np.cos(1.5 * x[:, 0]) + x[:, 0], [[0.0, 5.0]])
+for mode, data, name in (("gasp", sine, "sine_theta_x"), ("sgasp", sine, "sine_theta_x"),
+                         ("ogasp", osc, "sine_plus_x")):
+    model = gp.builtin_model(name)
+    spec = gp.DiscrepancySpec(mode, gp.KernelSpec("matern52", [0.5]))
+    chain = gp.mcmc_run(data, model, spec, S=150, burn_in=50, seed=3)
+    pred = gp.predict_posterior(chain, data, model, spec, np.linspace(*data.domain[0], 300)[:, None], thin=20)
+    arrays = (chain.samples, pred.model_mean, pred.full_mean, pred.variance)
+    print(mode, hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def _ogasp_2d_case():
+    """A 2-D ogasp posterior on an 8 x 8 quadrature grid, with two thetas."""
+    rng = np.random.default_rng(12)
+    X = rng.uniform(size=(10, 2))
+    y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(10)
+    data = FieldDataset(X, y, [[0.0, 1.0], [0.0, 1.0]])
+    model = ComputerModel(
+        lambda X, th: th[0] * X[:, 0] + np.sin(th[1] * X[:, 1]), [[0.0, 2.0], [0.0, 3.0]], vectorized=True,
+        theta_grad=lambda X, th: np.column_stack([X[:, 0], X[:, 1] * np.cos(th[1] * X[:, 1])]),
+    )
+    spec = DiscrepancySpec(OGASP, KernelSpec("matern52", [0.5, 0.5]), quad_points=8)
+    return data, model, spec, PriorSpec.default(data)
+
+
 def _random_z(rng, n_basis=2):
     # layout: logit theta, beta, log psi, log sigma2, log(eta + floor)
     return np.concatenate(
@@ -843,18 +896,42 @@ class TestCalibPosterior:
                  0.9551770732278512, 0.13838542649131164, 0.3609313872435058],
                 [0.06666666666666667, 0.3],
             ),
+            (
+                "ogasp_2d",
+                [71.91665226543239, 159.0194930618233, 234.287830405589,
+                 147.82997316480126, 52.985444330186745, 30.218397801195724],
+                [0.9047990836320398, 1.8832849200720654, 2.4445053102822354,
+                 3.453758243348582, 0.3651136239709709, 0.005432156990657408],
+                [0.5166666666666667, 0.45],
+            ),
         ],
     )
     def test_golden_chain(self, mode, sums, last, rates):
         # a fixed-seed 100-iteration chain through both blocks and the exact
         # variance and trend draw: a change to the sampler's arithmetic or to
-        # the order of its random draws shows here
-        data, model, spec, prior, *_ = _posterior_case(mode)
+        # the order of its random draws shows here; the 2-D ogasp case pins
+        # the grid correlation applied one axis at a time
+        data, model, spec, prior = _ogasp_2d_case() if mode == "ogasp_2d" else _posterior_case(mode)[:4]
         chain = mcmc_run(data, model, spec, prior, S=100, burn_in=40, seed=9)
         np.testing.assert_allclose(chain.samples.sum(axis=0), sums, rtol=1e-9)
         np.testing.assert_allclose(chain.samples[-1], last, rtol=1e-9)
         got = [chain.acceptance_rates[name] for name in ("theta", "corr")]
         np.testing.assert_allclose(got, rates, rtol=1e-9)
+
+    def test_chains_do_not_depend_on_the_blas_thread_count(self):
+        # fixed-seed gasp, sgasp and ogasp chains and their predictions, each run
+        # in a fresh interpreter under 1 and 2 OpenBLAS threads, are the same bytes
+        digests = []
+        src = os.path.dirname(os.path.dirname(inference.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", _THREAD_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert len(digests[0].splitlines()) == 3 and digests[0] == digests[1]
 
 
 def _chain_from(samples, burn_in=0):
